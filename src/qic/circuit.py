@@ -64,7 +64,7 @@ def _require_unit_2vector(name: str, v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (2,):
         raise ValueError(f"{name} must be a 2-vector, got shape {arr.shape}")
-    if abs(np.linalg.norm(arr) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(arr) - 1.0) <= 1e-8:
         raise NormalizationError(f"{name} must have unit norm, got {np.linalg.norm(arr):.6f}")
     return arr
 

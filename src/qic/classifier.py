@@ -34,6 +34,18 @@ from .statevector import (
 )
 
 _UNIT_TOL = 1e-10
+# acceptance at or below this mass is an impossible branch, as in postselect
+_P_ACC_FLOOR = 1e-15
+
+
+def _check_unit_rows(rows: np.ndarray, what: str) -> None:
+    """Raise unless every row is finite with unit norm; NaN fails the test."""
+    deviation = np.abs(np.linalg.norm(rows, axis=-1) - 1.0)
+    if not np.all(deviation <= _UNIT_TOL):
+        raise NormalizationError(
+            f"{what} must be finite with unit norm "
+            f"(worst deviation {float(np.max(deviation)):.2e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -84,12 +96,7 @@ class TrainingSet:
             raise ValueError("one label per training vector required")
         if not np.all(np.isin(self.labels, (-1, 1))):
             raise ValueError("labels must be -1 or +1")
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-            worst = float(np.abs(norms - 1.0).max())
-            raise NormalizationError(
-                f"training vectors must be unit norm (worst deviation {worst:.2e})"
-            )
+        _check_unit_rows(self.vectors, "training vectors")
 
     @property
     def M(self) -> int:
@@ -123,10 +130,7 @@ def _check_input(train: TrainingSet, x_tilde) -> np.ndarray:
             f"input dimension {xt.shape} does not match training dimension "
             f"({train.dimension},)"
         )
-    if abs(np.linalg.norm(xt) - 1.0) > _UNIT_TOL:
-        raise NormalizationError(
-            f"input must have unit norm, got {np.linalg.norm(xt):.6f}"
-        )
+    _check_unit_rows(xt, "input")
     return xt
 
 
@@ -223,6 +227,30 @@ def interfere_and_sample(
         shots=shots,
         accepted=accepted,
     )
+
+
+def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
+    """Exact readout of every row of X at once, without building a state.
+
+    Returns the (p_acc, p_class_minus) arrays that interfere_and_read gives
+    row by row, from the sum-vector weights w_km = |x_k + x^m|^2. (For unit
+    rows w_km = 2 + 2<x_k, x^m>, but that Gram form cancels badly where x_k
+    is nearly opposite x^m.) Rows at or below the postselection floor, where
+    that path raises ImpossibleBranchError, get p_acc = 0 and
+    p_class_minus = nan. Holds a (rows x M x N) temporary.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != train.dimension:
+        raise ValueError(f"inputs {X.shape} must be rows of dimension {train.dimension}")
+    _check_unit_rows(X, "inputs")
+    w = ((X[:, None, :] + train.vectors[None, :, :]) ** 2).sum(2)
+    minus = train.labels == -1
+    w_minus, w_plus = w[:, minus].sum(1), w[:, ~minus].sum(1)
+    total = w_minus + w_plus
+    p_acc = total / (4 * train.M)
+    possible = p_acc > _P_ACC_FLOOR
+    p_minus = w_minus / np.where(possible, total, 1.0)
+    return np.where(possible, p_acc, 0.0), np.where(possible, p_minus, np.nan)
 
 
 def _require_layout(state: QuantumState) -> RegisterLayout:

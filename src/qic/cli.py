@@ -28,7 +28,7 @@ from .circuit import (
     with_interference,
 )
 from .classifier import TrainingSet, classify
-from .data import TABLE2_ROWS, BenchmarkOptions, benchmark_dataset, run_benchmark
+from .data import run_table2
 from .errors import EstimationFailedError, ImpossibleBranchError
 from .presets import PRESET_NAMES, X0, X1, preset_input, training_set
 from .qasm import export_qasm
@@ -45,7 +45,8 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"{ENV_SEED} must be an integer, got {raw!r}")
+        print(f"error: {ENV_SEED} must be an integer, got {raw!r}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -53,6 +54,8 @@ def _parse_vector(text: str) -> np.ndarray:
         vec = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated vector: {text!r}")
+    if not np.all(np.isfinite(vec)):
+        raise argparse.ArgumentTypeError(f"vector entries must be finite: {text!r}")
     return vec
 
 
@@ -198,11 +201,7 @@ def _cmd_reproduce(args, parser) -> int:
         ["dataset", "reps", "mean_error", "variance", "mean_p_acc",
          "expected", "tolerance", "pass"]
     )
-    for spec in TABLE2_ROWS:
-        ds = benchmark_dataset(spec.key)
-        report = run_benchmark(
-            ds, reps, BenchmarkOptions(feature_map_copies=spec.copies, master_seed=seed)
-        )
+    for spec, report in run_table2(reps, seed):
         writer.writerow(
             [
                 spec.key,

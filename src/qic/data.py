@@ -10,10 +10,9 @@ from importlib import resources
 
 import numpy as np
 
-from .classifier import TrainingSet, interfere_and_read, prepare_state
+from .classifier import TrainingSet, read_batch
 from .dataset import LabeledDataset
 from .encoding import Pipeline, PipelineOptions
-from .errors import ImpossibleBranchError
 
 IRIS_SHA256 = "c8a2fdaf394fc79fd145487203d7d69163f0e6d0053ea46afe97fa3542d12822"
 IRIS_FEATURES = ("sepal_length", "sepal_width", "petal_length", "petal_width")
@@ -137,7 +136,8 @@ def run_benchmark(
     options: BenchmarkOptions | None = None,
 ) -> BenchmarkReport:
     """Repeatedly split, preprocess (fitted on the training part only), and
-    classify every test point with the exact interference readout.
+    classify every test point with the exact interference readout
+    (classifier.read_batch, once per split).
 
     Test points whose acceptance probability vanishes are counted as
     misclassified and tallied separately.
@@ -158,20 +158,15 @@ def run_benchmark(
         test = pipe.transform(test_raw)
         training = TrainingSet(vectors=train.rows, labels=train.labels)
 
-        wrong = 0
-        rep_p_acc: list[float] = []
-        for xt, yt in zip(test.rows, test.labels):
-            try:
-                outcome = interfere_and_read(prepare_state(training, xt))
-            except ImpossibleBranchError:
-                impossible += 1
-                wrong += 1
-                continue
-            rep_p_acc.append(outcome.p_acc)
-            wrong += outcome.predicted != yt
+        p_acc, p_minus = read_batch(training, test.rows)
+        accepted = p_acc > 0.0
+        n_accepted = int(accepted.sum())
+        impossible += test.n_samples - n_accepted
+        predicted = np.where(p_minus > 0.5, -1, +1)
+        wrong = int(np.count_nonzero(~accepted | (predicted != test.labels)))
         errors.append(wrong / test.n_samples)
-        if rep_p_acc:
-            p_accs.append(math.fsum(rep_p_acc) / len(rep_p_acc))
+        if n_accepted:
+            p_accs.append(math.fsum(p_acc[accepted]) / n_accepted)
 
     mean_error = math.fsum(errors) / len(errors)
     variance = math.fsum((e - mean_error) ** 2 for e in errors) / len(errors)

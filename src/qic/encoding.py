@@ -77,13 +77,18 @@ def pad_to_power_of_two(v: np.ndarray) -> np.ndarray:
 
 
 def kron_power(v: np.ndarray, copies: int) -> np.ndarray:
-    """k-fold Kronecker power; entry (i1..ik) is the product v[i1]*...*v[ik]."""
+    """k-fold Kronecker power; entry (i1..ik) is the product v[i1]*...*v[ik].
+
+    A matrix is mapped row by row, in one broadcast over all rows.
+    """
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
-    out = np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
+    rows = np.atleast_2d(v)
+    out = rows
     for _ in range(copies - 1):
-        out = np.kron(out, v)
-    return out
+        out = (out[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+    return out if v.ndim > 1 else out[0]
 
 
 def tensor_copy_map(v: np.ndarray, copies: int) -> np.ndarray:
@@ -92,7 +97,7 @@ def tensor_copy_map(v: np.ndarray, copies: int) -> np.ndarray:
     Inner products transform as <phi(u), phi(v)> = <u, v>**k.
     """
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise NormalizationError(
             f"tensor_copy_map expects a unit vector, got norm {np.linalg.norm(v):.6f}"
         )
@@ -149,8 +154,7 @@ class Pipeline:
             raise ValueError(f"feature_map_copies must be >= 1, got {k}")
         if k == 1:
             return dataset
-        rows = np.stack([kron_power(r, k) for r in dataset.rows])
-        return dataset.with_rows(rows, feature_map_copies=k)
+        return dataset.with_rows(kron_power(dataset.rows, k), feature_map_copies=k)
 
 
 def pipeline(dataset: LabeledDataset, options: PipelineOptions | None = None) -> LabeledDataset:

@@ -77,6 +77,10 @@ class TestBuildExperimentCircuit:
         with pytest.raises(NormalizationError):
             build_experiment_circuit([0.5, 0.5], X0, X1)
 
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(NormalizationError):
+            build_experiment_circuit([math.nan, 1.0], X0, X1)
+
     def test_step_labels_cover_a_to_e(self):
         circ = build_experiment_circuit(preset_input("xprime"), X0, X1)
         assert set(circ.labels) == {"A", "B", "C", "D", "E"}

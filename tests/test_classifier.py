@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qic import statevector as sv
 from qic.circuit import build_experiment_circuit
@@ -14,6 +16,7 @@ from qic.classifier import (
     interfere_and_sample,
     kernel,
     prepare_state,
+    read_batch,
 )
 from qic.errors import (
     EstimationFailedError,
@@ -69,6 +72,11 @@ class TestTrainingSet:
         with pytest.raises(ValueError):
             TrainingSet(vectors=[[1.0, 0.0]], labels=[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_vectors(self, bad):
+        with pytest.raises(NormalizationError):
+            TrainingSet(vectors=[[bad, 1.0]], labels=[-1])
+
 
 class TestPrepareState:
     def test_single_identical_point(self):
@@ -116,6 +124,12 @@ class TestPrepareState:
         train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
         with pytest.raises(NormalizationError):
             prepare_state(train, [0.9, 0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
+        with pytest.raises(NormalizationError):
+            prepare_state(train, [bad, 1.0])
 
 
 class TestInterfereAndRead:
@@ -304,3 +318,96 @@ class TestClassicalClassify:
         outcome = classify(train, [0.0, 1.0])
         assert outcome.p_class_minus == pytest.approx(0.5, abs=1e-12)
         assert outcome.predicted == +1
+
+
+def assert_matches_statevector(train, X):
+    """read_batch against the per-row statevector readout: p_acc and p_minus
+    to 1e-12, the label exactly, and (0, nan) where postselection fails."""
+    p_acc, p_minus = read_batch(train, X)
+    for k, x in enumerate(X):
+        try:
+            ref = interfere_and_read(prepare_state(train, x))
+        except ImpossibleBranchError:
+            assert p_acc[k] == 0.0 and math.isnan(p_minus[k])
+            continue
+        assert abs(p_acc[k] - ref.p_acc) <= 1e-12
+        assert abs(p_minus[k] - ref.p_class_minus) <= 1e-12
+        assert (-1 if p_minus[k] > 0.5 else +1) == ref.predicted
+
+
+class TestReadBatch:
+    """The closed-form batch readout against the statevector reference path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9),
+           N=st.integers(1, 7), k=st.integers(1, 6),
+           stretch=st.floats(-5e-11, 5e-11))
+    def test_matches_statevector_path(self, seed, M, N, k, stretch):
+        # M and N range over non-powers of two: unused index branches and a
+        # padded data register. Inputs are off unit norm by up to half the
+        # accepted tolerance, which the readout must follow as the state does.
+        rng = np.random.default_rng(seed)
+        train, _ = random_instance(rng, M, N)
+        X = rng.normal(size=(k, N))
+        X *= (1.0 + stretch) / np.linalg.norm(X, axis=1, keepdims=True)
+        assert_matches_statevector(train, X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 4),
+           N=st.integers(2, 6), offset=st.floats(1e-9, 1e-3),
+           side=st.sampled_from([-1.0, 1.0]))
+    def test_near_ties_from_mirrored_pairs(self, seed, pairs, N, offset, side):
+        # each -1 point has its +1 mirror image across the hyperplane normal to
+        # n; an input in that hyperplane ties, and a small step along n leans
+        # towards one class
+        rng = np.random.default_rng(seed)
+        n = unit(rng.normal(size=N))
+        left = rng.normal(size=(pairs, N))
+        left /= np.linalg.norm(left, axis=1, keepdims=True)
+        right = left - 2.0 * np.outer(left @ n, n)
+        train = TrainingSet(vectors=np.vstack([left, right]),
+                            labels=[-1] * pairs + [+1] * pairs)
+        on_plane = rng.normal(size=N)
+        on_plane -= (on_plane @ n) * n
+        x = unit(unit(on_plane) + side * offset * n)
+        p_acc, p_minus = read_batch(train, x[None, :])
+        # the class weights sum_m |x + x^m|^2 differ by 4 <x, n> sum_m <x^m, n>
+        weight_gap = abs(p_minus[0] - 0.5) * 8 * train.M * p_acc[0]
+        assert 0.0 < weight_gap <= 4 * offset * pairs
+        assert_matches_statevector(train, x[None, :])
+
+    def test_antipodal_input_is_reported_impossible(self):
+        v = unit([1.0, 2.0, 2.0])
+        train = TrainingSet(vectors=[v, v, v], labels=[-1, +1, -1])
+        X = np.array([-v, v])
+        p_acc, p_minus = read_batch(train, X)
+        assert p_acc[0] == 0.0 and math.isnan(p_minus[0])
+        assert p_acc[1] == pytest.approx(1.0, abs=1e-12)
+        assert p_minus[1] == pytest.approx(2 / 3, abs=1e-12)
+        with pytest.raises(ImpossibleBranchError):
+            interfere_and_read(prepare_state(train, -v))
+        assert_matches_statevector(train, X)
+
+    def test_reference_inputs(self):
+        X = np.array([preset_input("xprime"), preset_input("xdoubleprime")])
+        p_acc, p_minus = read_batch(training_set(), X)
+        assert p_acc == pytest.approx([0.729, 0.913], abs=1e-3)
+        assert p_minus == pytest.approx([0.629, 0.547], abs=1e-3)
+
+    def test_rejects_wrong_shape(self):
+        train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
+        with pytest.raises(ValueError):
+            read_batch(train, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            read_batch(train, [[1.0, 0.0, 0.0]])
+
+    def test_rejects_non_unit_rows(self):
+        train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
+        with pytest.raises(NormalizationError):
+            read_batch(train, [[1.0, 0.0], [0.9, 0.1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
+        with pytest.raises(NormalizationError):
+            read_batch(train, [[1.0, 0.0], [bad, 1.0]])

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qic.cli import main
 from qic.qasm import parse_qasm
 
@@ -48,6 +50,12 @@ class TestClassify:
         code, _ = run_cli("classify", "--input", "a,b")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["nan,1", "inf,1", "1,-inf"])
+    def test_non_finite_vector_is_usage_error(self, text, capsys):
+        code, _ = run_cli("classify", "--input", text)
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_custom_training_pair(self, capsys):
         code, _ = run_cli(
             "classify", "--input", "1,0", "--x0", "1,0", "--x1", "0,1"
@@ -61,6 +69,14 @@ class TestClassify:
         run_cli("classify", "--preset", "xprime", "--format", "json")
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 777
+
+    def test_env_seed_not_an_integer_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QIC_SEED", "abc")
+        code, _ = run_cli("classify", "--preset", "xprime")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "QIC_SEED must be an integer" in captured.err
+        assert captured.out == ""
 
     def test_orthogonal_input_reports_check_failure(self, capsys):
         # input opposite to every training vector never survives postselection

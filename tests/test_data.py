@@ -137,6 +137,52 @@ class TestRunBenchmark:
         assert report.mean_error == pytest.approx(np.mean(errors), abs=1e-12)
         assert report.error_variance == pytest.approx(np.var(errors), abs=1e-12)
 
+    def test_impossible_branches_counted_like_statevector_path(self, monkeypatch):
+        # Unstandardized, the rows on one ray normalize to one vector, and the
+        # single row on the opposite ray is antipodal to the whole training set
+        # whenever it is held out. The report must match the per-point
+        # statevector loop, which sees ImpossibleBranchError there.
+        import functools
+        import math
+
+        from qic import data
+        from qic.classifier import TrainingSet, classify
+        from qic.dataset import LabeledDataset
+        from qic.encoding import PipelineOptions
+        from qic.errors import ImpossibleBranchError
+
+        unstandardized = functools.partial(PipelineOptions, standardize=False)
+        monkeypatch.setattr(data, "PipelineOptions", unstandardized)
+        rows = [[s, 2.0 * s] for s in range(1, 10)] + [[-1.0, -2.0]]
+        ds = LabeledDataset(rows=rows, labels=[-1, 1] * 5)
+        report = run_benchmark(ds, 20, BenchmarkOptions(master_seed=3))
+
+        impossible, errors, p_accs = 0, [], []
+        for rep in range(20):
+            train_raw, test_raw = split(ds, 0.8, np.random.SeedSequence((3, rep)))
+            pipe = Pipeline(unstandardized())
+            train = pipe.fit_transform(train_raw)
+            test = pipe.transform(test_raw)
+            training = TrainingSet(vectors=train.rows, labels=train.labels)
+            wrong, rep_p_acc = 0, []
+            for xt, yt in zip(test.rows, test.labels):
+                try:
+                    outcome = classify(training, xt)
+                except ImpossibleBranchError:
+                    impossible += 1
+                    wrong += 1
+                    continue
+                rep_p_acc.append(outcome.p_acc)
+                wrong += outcome.predicted != yt
+            errors.append(wrong / test.n_samples)
+            if rep_p_acc:
+                p_accs.append(math.fsum(rep_p_acc) / len(rep_p_acc))
+        assert impossible > 0
+        assert report.impossible_branch_count == impossible
+        assert report.mean_error == pytest.approx(np.mean(errors), abs=1e-12)
+        assert report.error_variance == pytest.approx(np.var(errors), abs=1e-12)
+        assert report.mean_p_acc == pytest.approx(np.mean(p_accs), abs=1e-12)
+
     def test_separable_pair_has_zero_error(self):
         report = run_benchmark(iris(classes=(1, 2)), 30, BenchmarkOptions(master_seed=1))
         assert report.mean_error <= 0.01

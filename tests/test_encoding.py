@@ -119,6 +119,22 @@ class TestTensorCopyMap:
         with pytest.raises(NormalizationError):
             tensor_copy_map(np.array([1.0, 1.0]), 2)
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(NormalizationError):
+            tensor_copy_map(np.array([np.nan, 1.0]), 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batched_rows_equal_row_by_row_kron(self, k):
+        rows = np.random.default_rng(k).normal(size=(7, 3))
+        expected = []
+        for r in rows:
+            out = r
+            for _ in range(k - 1):
+                out = np.kron(out, r)
+            expected.append(out)
+        assert np.array_equal(kron_power(rows, k), np.stack(expected))
+        assert np.array_equal(kron_power(rows[2], k), expected[2])
+
     def test_copies_must_be_positive(self):
         with pytest.raises(ValueError):
             kron_power(np.array([1.0]), 0)
