@@ -13,6 +13,7 @@ from .circuit import (
     default_assignment,
     ibmq5_connectivity,
     validate_connectivity,
+    verify_decompositions,
     with_interference,
 )
 from .classifier import (

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import statevector as sv
 from .errors import AssignmentError, NormalizationError, UnsupportedGateError
+from .presets import X0, X1, preset_input
 from .statevector import GateOp
 
 RESTRICTED_KINDS = frozenset({"h", "x", "t", "tdg", "s", "ry", "cx"})
@@ -292,3 +293,59 @@ def validate_connectivity(
         if not graph.has_edge(*pair):
             violations.append(ConnectivityViolation(i, op, pair))
     return violations
+
+
+# ---------------------------------------------------------------------------
+# decomposition checks
+
+
+def verify_decompositions(inject_fault: str | None = None) -> list[tuple[str, bool, str]]:
+    """Check every decomposition against its ideal unitary, and the lowered
+    experiment circuit against its gate budget, the coupling map and its final
+    state. Returns one (name, passed, detail) record per check.
+
+    inject_fault="toffoli" swaps each T of the Toffoli expansion for a T-dagger,
+    so that its check must fail.
+    """
+    if inject_fault not in (None, "toffoli"):
+        raise ValueError(f"unknown fault {inject_fault!r}")
+    checks: list[tuple[str, bool, str]] = []
+
+    ideal = sv.circuit_unitary(Circuit(2, (sv.swap(0, 1),)))
+    got = sv.circuit_unitary(Circuit(2, tuple(_decompose_swap(0, 1))))
+    err = float(np.abs(got - ideal).max())
+    checks.append(("swap decomposition (7 gates)", err < 1e-12, f"max dev {err:.2e}"))
+
+    toff_ops = _decompose_ccx(0, 1, 2)
+    if inject_fault == "toffoli":
+        toff_ops = [sv.tdg(op.qubits[0]) if op.kind == "t" else op for op in toff_ops]
+    ideal = sv.circuit_unitary(Circuit(3, (sv.ccx(0, 1, 2),)))
+    got = sv.circuit_unitary(Circuit(3, tuple(toff_ops)))
+    ok = sv.unitaries_allclose(ideal, got, atol=1e-12, up_to_phase=True)
+    checks.append(("toffoli decomposition (16 gates, T-depth 4)", ok,
+                   "phase-aligned match" if ok else "unitary mismatch"))
+
+    rng = np.random.default_rng(20240101)
+    worst_cry = worst_ccry = 0.0
+    for theta in rng.uniform(-2 * np.pi, 2 * np.pi, 50):
+        ideal = sv.circuit_unitary(Circuit(2, (sv.cry(theta, 0, 1),)))
+        got = sv.circuit_unitary(Circuit(2, tuple(_decompose_cry(theta, 0, 1))))
+        worst_cry = max(worst_cry, float(np.abs(got - ideal).max()))
+        ideal = sv.circuit_unitary(Circuit(3, (sv.ccry(theta, 0, 1, 2),)))
+        got = sv.circuit_unitary(Circuit(3, tuple(_decompose_ccry(theta, 0, 1, 2))))
+        worst_ccry = max(worst_ccry, float(np.abs(got - ideal).max()))
+    checks.append(("controlled-ry (50 random angles)", worst_cry < 1e-10,
+                   f"max dev {worst_cry:.2e}"))
+    checks.append(("double-controlled-ry (50 random angles)", worst_ccry < 1e-10,
+                   f"max dev {worst_ccry:.2e}"))
+
+    full = with_interference(build_experiment_circuit(preset_input("xprime"), X0, X1))
+    lowered = decompose(full)
+    checks.append((f"experiment circuit gate budget ({len(lowered)} gates)",
+                   len(lowered) <= 80, "<= 80"))
+    violations = validate_connectivity(lowered, ibmq5_connectivity(), default_assignment())
+    checks.append(("experiment circuit connectivity (data wire on hub)",
+                   not violations, f"{len(violations)} bad CNOTs"))
+    same = sv.states_allclose(sv.simulate(full), sv.simulate(lowered), atol=1e-10)
+    checks.append(("composed vs decomposed final state", same, "1e-10"))
+    return checks

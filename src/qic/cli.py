@@ -17,14 +17,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import statevector as sv
 from .circuit import (
-    Circuit,
     build_experiment_circuit,
     decompose,
-    default_assignment,
-    ibmq5_connectivity,
-    validate_connectivity,
+    verify_decompositions,
     with_interference,
 )
 from .classifier import TrainingSet, classify
@@ -36,6 +32,8 @@ from .stats import shots_for_error, wald_worst_case, wilson_worst_case
 
 DEFAULT_SEED = 1234
 ENV_SEED = "QIC_SEED"
+# formats each reproduced table can be written in; the first is the default
+_REPRODUCE_FORMATS = {1: ("table", "json"), 2: ("csv",)}
 
 
 def _default_seed() -> int:
@@ -173,10 +171,14 @@ def _table1_rows(seed: int) -> list[dict]:
 
 
 def _cmd_reproduce(args, parser) -> int:
+    formats = _REPRODUCE_FORMATS[args.table]
+    fmt = formats[0] if args.format is None else args.format
+    if fmt not in formats:
+        parser.error(f"--table {args.table} is written as {' or '.join(formats)}, not {fmt}")
     seed = args.seed if args.seed is not None else _default_seed()
     if args.table == 1:
         rows = _table1_rows(seed)
-        if args.format == "json":
+        if fmt == "json":
             return _write_output(
                 _json_payload("reproduce-table1", seed, {"shots": 8192}, rows),
                 args.output,
@@ -224,61 +226,8 @@ def _cmd_reproduce(args, parser) -> int:
 # verify-decompositions
 
 
-def _verify_checks(inject_fault: str | None) -> list[tuple[str, bool, str]]:
-    from .circuit import _decompose_ccx, _decompose_cry, _decompose_ccry, _decompose_swap
-
-    checks: list[tuple[str, bool, str]] = []
-
-    swap_circ = Circuit(2, tuple(_decompose_swap(0, 1)))
-    ideal = sv.circuit_unitary(Circuit(2, (sv.swap(0, 1),)))
-    got = sv.circuit_unitary(swap_circ)
-    err = float(np.abs(got - ideal).max())
-    checks.append(("swap decomposition (7 gates)", err < 1e-12, f"max dev {err:.2e}"))
-
-    toff_ops = _decompose_ccx(0, 1, 2)
-    if inject_fault == "toffoli":
-        toff_ops = [sv.tdg(op.qubits[0]) if op.kind == "t" else op for op in toff_ops]
-    toff_circ = Circuit(3, tuple(toff_ops))
-    ideal = sv.circuit_unitary(Circuit(3, (sv.ccx(0, 1, 2),)))
-    got = sv.circuit_unitary(toff_circ)
-    ok = sv.unitaries_allclose(ideal, got, atol=1e-12, up_to_phase=True)
-    checks.append(("toffoli decomposition (16 gates, T-depth 4)", ok,
-                   "phase-aligned match" if ok else "unitary mismatch"))
-
-    rng = np.random.default_rng(20240101)
-    worst_cry = worst_ccry = 0.0
-    for theta in rng.uniform(-2 * np.pi, 2 * np.pi, 50):
-        ideal = sv.circuit_unitary(Circuit(2, (sv.cry(theta, 0, 1),)))
-        got = sv.circuit_unitary(Circuit(2, tuple(_decompose_cry(theta, 0, 1))))
-        worst_cry = max(worst_cry, float(np.abs(got - ideal).max()))
-        ideal = sv.circuit_unitary(Circuit(3, (sv.ccry(theta, 0, 1, 2),)))
-        got = sv.circuit_unitary(Circuit(3, tuple(_decompose_ccry(theta, 0, 1, 2))))
-        worst_ccry = max(worst_ccry, float(np.abs(got - ideal).max()))
-    checks.append(("controlled-ry (50 random angles)", worst_cry < 1e-10,
-                   f"max dev {worst_cry:.2e}"))
-    checks.append(("double-controlled-ry (50 random angles)", worst_ccry < 1e-10,
-                   f"max dev {worst_ccry:.2e}"))
-
-    full = with_interference(
-        build_experiment_circuit(preset_input("xprime"), X0, X1)
-    )
-    lowered = decompose(full)
-    checks.append(
-        (f"experiment circuit gate budget ({len(lowered)} gates)",
-         len(lowered) <= 80, "<= 80")
-    )
-    violations = validate_connectivity(lowered, ibmq5_connectivity(), default_assignment())
-    checks.append(
-        ("experiment circuit connectivity (data wire on hub)",
-         not violations, f"{len(violations)} bad CNOTs")
-    )
-    same = sv.states_allclose(sv.simulate(full), sv.simulate(lowered), atol=1e-10)
-    checks.append(("composed vs decomposed final state", same, "1e-10"))
-    return checks
-
-
 def _cmd_verify(args, parser) -> int:
-    checks = _verify_checks(args.inject_fault)
+    checks = verify_decompositions(args.inject_fault)
     width = max(len(name) for name, _, _ in checks)
     all_ok = True
     for name, ok, detail in checks:
@@ -350,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000,
                    help="repetitions for the benchmark grid (table 2)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p.add_argument("--format", choices=("table", "json", "csv"), default=None,
+                   help="table 1: table (default) or json; table 2: csv (default)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_reproduce)
 

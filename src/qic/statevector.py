@@ -131,36 +131,20 @@ _H = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=compl
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _T = np.diag([1, np.exp(1j * math.pi / 4)]).astype(complex)
 _S = np.diag([1, 1j]).astype(complex)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+_SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+_FIXED = {"h": _H, "x": _X, "t": _T, "tdg": _T.conj(), "s": _S,
+          "cx": _controlled(_X, 1), "swap": _SWAP, "ccx": _controlled(_X, 2)}
+for _m in _FIXED.values():  # shared by every gate_matrix caller, so read-only
+    _m.setflags(write=False)
 
 
 def gate_matrix(op: GateOp) -> np.ndarray:
-    """Dense unitary of the op over its listed qubits."""
-    if op.kind == "h":
-        return _H
-    if op.kind == "x":
-        return _X
-    if op.kind == "t":
-        return _T
-    if op.kind == "tdg":
-        return _T.conj()
-    if op.kind == "s":
-        return _S
-    if op.kind == "ry":
-        return _ry_matrix(op.theta)
-    if op.kind == "cx":
-        return _controlled(_X, 1)
-    if op.kind == "swap":
-        return _SWAP
-    if op.kind == "ccx":
-        return _controlled(_X, 2)
-    if op.kind == "cry":
-        return _controlled(_ry_matrix(op.theta), 1)
-    if op.kind == "ccry":
-        return _controlled(_ry_matrix(op.theta), 2)
-    raise ValueError(f"unknown gate kind {op.kind!r}")  # unreachable
+    """Dense unitary of the op over its listed qubits (read-only for fixed gates)."""
+    fixed = _FIXED.get(op.kind)
+    if fixed is not None:
+        return fixed
+    u = _ry_matrix(op.theta)
+    return u if op.kind == "ry" else _controlled(u, len(op.qubits) - 1)
 
 
 @dataclass
@@ -206,22 +190,22 @@ def _check_indices(n_qubits: int, qubits: tuple[int, ...]):
 def _apply_matrix(
     amps: np.ndarray, n_qubits: int, matrix: np.ndarray, qubits: tuple[int, ...]
 ) -> np.ndarray:
-    k = len(qubits)
-    psi = amps.reshape([2] * n_qubits)
+    """Apply the matrix to the listed qubits of amplitudes shaped (2**n,) or
+    (2**n, B); any trailing axis is a batch of states. Returns the input's shape."""
     # numpy axis 0 is the most significant bit; qubit q lives on axis n-1-q
     axes = [n_qubits - 1 - q for q in qubits]
-    psi = np.moveaxis(psi, axes, range(k))
-    shape = psi.shape
-    psi = (matrix @ psi.reshape(1 << k, -1)).reshape(shape)
-    psi = np.moveaxis(psi, range(k), axes)
-    return psi.reshape(-1)
+    perm = axes + [a for a in range(n_qubits + amps.ndim - 1) if a not in axes]
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    psi = amps.reshape((2,) * n_qubits + amps.shape[1:]).transpose(perm)
+    psi = (matrix @ psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
+    return psi.transpose(inverse).reshape(amps.shape)
 
 
 def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
     """Return the state transformed by the op's unitary; input is not mutated."""
     _check_indices(state.n_qubits, op.qubits)
     amps = _apply_matrix(state.amplitudes, state.n_qubits, gate_matrix(op), op.qubits)
-    return QuantumState(state.n_qubits, np.ascontiguousarray(amps), state.layout)
+    return QuantumState(state.n_qubits, amps, state.layout)
 
 
 def qubit_probabilities(state: QuantumState, qubit: int) -> tuple[float, float]:
@@ -298,25 +282,24 @@ def simulate(circuit, initial: QuantumState | None = None) -> QuantumState:
     for op in circuit.ops:
         _check_indices(circuit.n_qubits, op.qubits)
         amps = _apply_matrix(amps, circuit.n_qubits, gate_matrix(op), op.qubits)
-    state.amplitudes = np.ascontiguousarray(amps)
+    state.amplitudes = amps
     return state
 
 
 def circuit_unitary(circuit) -> np.ndarray:
-    """Brute-force unitary of a circuit: column j is the image of basis state j."""
+    """Unitary of a circuit: column j is the image of basis state j.
+
+    Each gate is applied once to the whole matrix, its columns as a batch.
+    """
     if circuit.n_qubits > MAX_UNITARY_QUBITS:
         raise CapacityError(
             f"circuit_unitary supports at most {MAX_UNITARY_QUBITS} qubits, "
             f"got {circuit.n_qubits}"
         )
-    dim = 1 << circuit.n_qubits
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(1 << circuit.n_qubits, dtype=complex)
     for op in circuit.ops:
         _check_indices(circuit.n_qubits, op.qubits)
-        u = np.column_stack(
-            [_apply_matrix(u[:, j], circuit.n_qubits, gate_matrix(op), op.qubits)
-             for j in range(dim)]
-        )
+        u = _apply_matrix(u, circuit.n_qubits, gate_matrix(op), op.qubits)
     return u
 
 

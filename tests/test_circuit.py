@@ -14,6 +14,7 @@ from qic.circuit import (
     default_assignment,
     ibmq5_connectivity,
     validate_connectivity,
+    verify_decompositions,
     with_interference,
 )
 from qic.errors import AssignmentError, NormalizationError, UnsupportedGateError
@@ -205,3 +206,13 @@ class TestConnectivity:
             ConnectivityGraph(2, frozenset({(0, 2)}))
         with pytest.raises(ValueError):
             ConnectivityGraph(2, frozenset({(1, 1)}))
+
+
+class TestVerifyDecompositions:
+    def test_injected_fault_fails_only_the_toffoli_check(self):
+        failed = [name for name, ok, _ in verify_decompositions("toffoli") if not ok]
+        assert failed == ["toffoli decomposition (16 gates, T-depth 4)"]
+
+    def test_unknown_fault_rejected(self):
+        with pytest.raises(ValueError):
+            verify_decompositions("swap")

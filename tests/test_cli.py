@@ -116,6 +116,34 @@ class TestReproduce:
         assert code == 0
         assert "canonical" in err
 
+    def test_table1_defaults_to_text_table(self, capsys):
+        code, _ = run_cli("reproduce", "--table", "1")
+        out = capsys.readouterr().out
+        assert code == 0
+        header = out.splitlines()[0].split()
+        assert header == ["input", "kind", "p_acc", "p(c=0)", "p(c=1)", "label"]
+
+    def test_table2_defaults_to_csv(self, tmp_path):
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        code, _ = run_cli(
+            "reproduce", "--table", "2", "--reps", "2", "--seed", "3", "-o", str(default)
+        )
+        assert code == 0
+        run_cli("reproduce", "--table", "2", "--reps", "2", "--seed", "3",
+                "--format", "csv", "-o", str(explicit))
+        assert default.read_text().startswith("dataset,reps,mean_error,")
+        assert default.read_bytes() == explicit.read_bytes()
+
+    @pytest.mark.parametrize(
+        "table, fmt", [("2", "json"), ("2", "table"), ("1", "csv")]
+    )
+    def test_unsupported_format_is_usage_error(self, table, fmt, capsys):
+        code, _ = run_cli("reproduce", "--table", table, "--format", fmt, "--reps", "1")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"not {fmt}" in captured.err
+
     def test_table2_byte_identical_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli("reproduce", "--table", "2", "--reps", "3", "--seed", "9", "-o", str(a))

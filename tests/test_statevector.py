@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qic import statevector as sv
 from qic.circuit import Circuit
@@ -27,6 +29,35 @@ def random_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
             sv.GateOp(kind, qubits, theta if kind in sv.ROTATION_KINDS else None)
         )
     return Circuit(n_qubits, tuple(ops))
+
+
+def embed(op: sv.GateOp, n_qubits: int) -> np.ndarray:
+    """Full 2**n operator of one gate, built entry by entry from the basis
+    indices (the gate's first listed qubit is its most significant local bit)."""
+    m = sv.gate_matrix(op)
+    k = len(op.qubits)
+    full = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
+    for col in range(1 << n_qubits):
+        local_in = sum(((col >> q) & 1) << (k - 1 - j) for j, q in enumerate(op.qubits))
+        rest = col & ~sum(1 << q for q in op.qubits)
+        for local_out in range(1 << k):
+            row = rest | sum(((local_out >> (k - 1 - j)) & 1) << q
+                             for j, q in enumerate(op.qubits))
+            full[row, col] = m[local_out, local_in]
+    return full
+
+
+@st.composite
+def circuits(draw):
+    """Random circuits over every gate kind on 3 to 7 qubits."""
+    n = draw(st.integers(3, 7))
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(sorted(sv.GATE_ARITY)))
+        qubits = tuple(draw(st.permutations(range(n)))[: sv.GATE_ARITY[kind]])
+        theta = draw(st.floats(-2 * math.pi, 2 * math.pi))
+        ops.append(sv.GateOp(kind, qubits, theta if kind in sv.ROTATION_KINDS else None))
+    return Circuit(n, tuple(ops))
 
 
 class TestZeroState:
@@ -59,6 +90,18 @@ class TestGateOp:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             sv.GateOp("rz", (0,))
+
+
+class TestGateMatrix:
+    @pytest.mark.parametrize("op", [sv.h(0), sv.x(0), sv.t(0), sv.tdg(0), sv.s(0),
+                                    sv.cx(0, 1), sv.swap(0, 1), sv.ccx(0, 1, 2)],
+                             ids=lambda op: op.kind)
+    def test_shared_matrices_are_read_only(self, op):
+        m = sv.gate_matrix(op)
+        before = m.copy()
+        with pytest.raises(ValueError):
+            m[0, 0] = 5.0
+        assert np.array_equal(sv.gate_matrix(op), before)
 
 
 class TestApplyGate:
@@ -111,6 +154,37 @@ class TestApplyGate:
         for op in random_circuit(4, 15, seed).ops:
             state = sv.apply_gate(state, op)
         assert abs(state.norm() - 1.0) < 1e-12
+
+
+    @pytest.mark.parametrize("kind", sorted(sv.GATE_ARITY))
+    def test_one_dimensional_input_matches_full_operator(self, kind):
+        # the kernel also takes a batch axis; a lone state must keep its
+        # (2**n,) shape and the values of the gate's full 2**n operator
+        n = 4
+        theta = 1.1 if kind in sv.ROTATION_KINDS else None
+        for qubits in [(3, 0, 2), (1, 3, 0), (0, 1, 2)]:
+            op = sv.GateOp(kind, qubits[: sv.GATE_ARITY[kind]], theta)
+            state = random_state(n, 40 + len(kind))
+            out = sv.apply_gate(state, op)
+            assert out.amplitudes.shape == (1 << n,)
+            assert out.amplitudes.flags.c_contiguous
+            assert np.allclose(out.amplitudes, embed(op, n) @ state.amplitudes,
+                               atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_simulate_equals_gate_by_gate(self, seed):
+        circ = random_circuit(5, 25, seed + 500)
+        state = random_state(5, seed + 600)
+        expected = state.amplitudes
+        for op in circ.ops:
+            expected = embed(op, 5) @ expected
+        stepped = state
+        for op in circ.ops:
+            stepped = sv.apply_gate(stepped, op)
+        got = sv.simulate(circ, state)
+        assert got.amplitudes.shape == (32,)
+        assert np.array_equal(got.amplitudes, stepped.amplitudes)
+        assert np.allclose(got.amplitudes, expected, atol=1e-12, rtol=0.0)
 
 
 class TestQubitProbabilities:
@@ -215,6 +289,32 @@ class TestCircuitUnitary:
         expected = u @ state.amplitudes
         got = sv.simulate(circ, state)
         assert np.allclose(got.amplitudes, expected, atol=1e-10)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(circ=circuits())
+    def test_columns_are_simulated_basis_states(self, circ):
+        u = sv.circuit_unitary(circ)
+        dim = 1 << circ.n_qubits
+        assert u.shape == (dim, dim)
+        for j in range(dim):
+            basis = np.zeros(dim, dtype=complex)
+            basis[j] = 1.0
+            col = sv.simulate(circ, sv.QuantumState(circ.n_qubits, basis)).amplitudes
+            assert np.allclose(u[:, j], col, atol=1e-12, rtol=0.0)
+
+    def test_unitary_at_qubit_cap(self):
+        n = sv.MAX_UNITARY_QUBITS
+        circ = Circuit(n, (sv.h(0), sv.ccry(0.9, 9, 4, 1), sv.cx(1, 9),
+                           sv.swap(2, 7), sv.ry(-1.3, 5), sv.ccx(8, 0, 3)))
+        u = sv.circuit_unitary(circ)
+        assert u.shape == (1 << n, 1 << n)
+        assert np.allclose(u @ u.conj().T, np.eye(1 << n), atol=1e-12, rtol=0.0)
+        for j in (0, 1 << 9, (1 << n) - 1):
+            basis = np.zeros(1 << n, dtype=complex)
+            basis[j] = 1.0
+            col = sv.simulate(circ, sv.QuantumState(n, basis)).amplitudes
+            assert np.allclose(u[:, j], col, atol=1e-12, rtol=0.0)
 
 
 class TestPhaseComparison:
