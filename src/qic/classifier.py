@@ -23,19 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationError
-from .statevector import (
-    QuantumState,
-    apply_gate,
-    h,
-    postselect,
-    qubit_probabilities,
-    zero_state,
-)
+from .errors import EstimationFailedError, ImpossibleBranchError, NormalizationError
+from .statevector import BRANCH_FLOOR, QuantumState, gate_matrix, h, zero_state
 
 _UNIT_TOL = 1e-10
-# acceptance at or below this mass is an impossible branch, as in postselect
-_P_ACC_FLOOR = 1e-15
 
 
 def _check_unit_rows(rows: np.ndarray, what: str) -> None:
@@ -152,15 +143,29 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
     amps[0] = 0.0
 
     weight = 1.0 / math.sqrt(2 * M)
-    m_idx = np.arange(M)[:, None]
-    i_idx = np.arange(N)[None, :]
-    c_bits = ((train.labels + 1) // 2)[:, None]
-    base = c_bits | (i_idx << 1) | (m_idx << (2 + i_bits))
-    amps[base] = weight * xt[None, :]
-    amps[base | (1 << (1 + i_bits))] = weight * train.vectors
+    # axes (m, ancilla, i, class bit), most significant first
+    view = amps.reshape(1 << m_bits, 2, 1 << i_bits, 2)
+    m_idx, c_bits = np.arange(M), (train.labels + 1) // 2
+    view[m_idx, 0, :N, c_bits] = weight * xt
+    view[m_idx, 1, :N, c_bits] = weight * train.vectors
 
     state.layout = layout
     return state
+
+
+def _read_kept_branch(state: QuantumState) -> tuple[float, float, float]:
+    """Masses of ancilla=0 in all, and with class bit 0 and 1, after the
+    ancilla Hadamard.
+
+    Only row 0 of the Hadamard is applied, to the (above, ancilla, below)
+    view of the amplitudes, so the discarded ancilla=1 half is never built.
+    """
+    layout = _require_layout(state)
+    below = 1 << layout.ancilla_bit
+    kept = gate_matrix(h(layout.ancilla_bit))[0] @ state.amplitudes.reshape(-1, 2, below)
+    probs = np.abs(kept) ** 2
+    by_class = probs.reshape(-1, 2)  # class bit is the least significant
+    return float(np.sum(probs)), float(by_class[:, 0].sum()), float(by_class[:, 1].sum())
 
 
 def interfere_and_read(state: QuantumState) -> ClassificationOutcome:
@@ -168,12 +173,15 @@ def interfere_and_read(state: QuantumState) -> ClassificationOutcome:
 
     Applies the ancilla Hadamard, postselects ancilla=0 (capturing the
     acceptance probability) and computes the class-qubit marginal. Class bit
-    0 encodes label -1; ties at 0.5 predict +1.
+    0 encodes label -1; ties at 0.5 predict +1. Raises ImpossibleBranchError
+    when the acceptance is at or below BRANCH_FLOOR.
     """
-    layout = _require_layout(state)
-    interfered = apply_gate(state, h(layout.ancilla_bit))
-    kept, p_acc = postselect(interfered, layout.ancilla_bit, 0)
-    p_minus, p_plus = qubit_probabilities(kept, layout.class_bit)
+    p_acc, minus, plus = _read_kept_branch(state)
+    if p_acc <= BRANCH_FLOOR:
+        raise ImpossibleBranchError(
+            f"branch qubit {state.layout.ancilla_bit}=0 has probability {p_acc:.3e}"
+        )
+    p_minus, p_plus = minus / (minus + plus), plus / (minus + plus)
     return ClassificationOutcome(
         p_acc=p_acc,
         p_class_minus=p_minus,
@@ -192,23 +200,10 @@ def interfere_and_sample(
     measured. p_acc is estimated as accepted/shots and the class
     probabilities from the accepted shots alone.
     """
-    from .errors import EstimationFailedError
-
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    layout = _require_layout(state)
-    interfered = apply_gate(state, h(layout.ancilla_bit))
-
-    probs = interfered.probabilities()
-    idx = np.arange(probs.size)
-    anc = (idx >> layout.ancilla_bit) & 1
-    cls = (idx >> layout.class_bit) & 1
-    p_acc_true = float(probs[anc == 0].sum())
-    p_minus_true = (
-        float(probs[(anc == 0) & (cls == 0)].sum()) / p_acc_true
-        if p_acc_true > 0.0
-        else 0.0
-    )
+    p_acc_true, minus, _ = _read_kept_branch(state)
+    p_minus_true = minus / p_acc_true if p_acc_true > 0.0 else 0.0
 
     rng = np.random.default_rng(seed)
     accepted = int(np.count_nonzero(rng.random(shots) < p_acc_true))
@@ -248,7 +243,7 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
     w_minus, w_plus = w[:, minus].sum(1), w[:, ~minus].sum(1)
     total = w_minus + w_plus
     p_acc = total / (4 * train.M)
-    possible = p_acc > _P_ACC_FLOOR
+    possible = p_acc > BRANCH_FLOOR
     p_minus = w_minus / np.where(possible, total, 1.0)
     return np.where(possible, p_acc, 0.0), np.where(possible, p_minus, np.nan)
 

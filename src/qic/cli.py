@@ -175,6 +175,8 @@ def _cmd_reproduce(args, parser) -> int:
     fmt = formats[0] if args.format is None else args.format
     if fmt not in formats:
         parser.error(f"--table {args.table} is written as {' or '.join(formats)}, not {fmt}")
+    if args.table == 1 and args.reps is not None:
+        parser.error("--reps applies only to --table 2")
     seed = args.seed if args.seed is not None else _default_seed()
     if args.table == 1:
         rows = _table1_rows(seed)
@@ -196,7 +198,7 @@ def _cmd_reproduce(args, parser) -> int:
         return _write_output("\n".join(out) + "\n", args.output)
 
     # table 2: full benchmark grid as CSV
-    reps = args.reps
+    reps = 1000 if args.reps is None else args.reps
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -264,9 +266,9 @@ def _cmd_shots(args, parser) -> int:
         return _write_output(
             _json_payload("shots", _default_seed(), config, result), args.output
         )
-    print(f"shots          : {count}")
-    print(f"bound at shots : {bound:.6f}")
-    return 0
+    return _write_output(
+        f"shots          : {count}\nbound at shots : {bound:.6f}\n", args.output
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rerun the bundled reference scenarios")
     p.add_argument("--table", type=int, choices=(1, 2), required=True)
-    p.add_argument("--reps", type=int, default=1000,
-                   help="repetitions for the benchmark grid (table 2)")
+    p.add_argument("--reps", type=int, default=None,
+                   help="repetitions for the benchmark grid (table 2 only; default 1000)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("table", "json", "csv"), default=None,
                    help="table 1: table (default) or json; table 2: csv (default)")

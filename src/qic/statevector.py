@@ -22,6 +22,9 @@ if TYPE_CHECKING:
 
 MAX_QUBITS = 24
 MAX_UNITARY_QUBITS = 10
+# a kept branch of at most this mass is rounding noise of a unit-norm state,
+# not an outcome: renormalizing it would amplify that noise, so it is impossible
+BRANCH_FLOOR = 1e-15
 
 _SQRT2_INV = 1 / math.sqrt(2)
 
@@ -233,7 +236,7 @@ def postselect(
     bits = (np.arange(state.amplitudes.size) >> qubit) & 1
     keep = bits == outcome
     accept = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
-    if accept <= 1e-15:
+    if accept <= BRANCH_FLOOR:
         raise ImpossibleBranchError(
             f"branch qubit {qubit}={outcome} has probability {accept:.3e}"
         )

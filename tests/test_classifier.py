@@ -44,6 +44,15 @@ def random_instance(rng, M, N):
     return TrainingSet(vectors=vectors, labels=labels), x_tilde
 
 
+def gate_path(state):
+    """The readout gate by gate: ancilla Hadamard, postselect ancilla=0, class
+    marginal. Returns (p_acc, p_class_minus, p_class_plus)."""
+    layout = state.layout
+    interfered = sv.apply_gate(state, sv.h(layout.ancilla_bit))
+    kept, p_acc = sv.postselect(interfered, layout.ancilla_bit, 0)
+    return (p_acc, *sv.qubit_probabilities(kept, layout.class_bit))
+
+
 def formula_outcome(train, x_tilde):
     """Independent oracle: acceptance and class masses from the sum vectors."""
     sums = np.sum((train.vectors + x_tilde) ** 2, axis=1)
@@ -103,6 +112,21 @@ class TestPrepareState:
                 a1 = layout.basis_index(m, 1, i, c)
                 assert state.amplitudes[a0] == pytest.approx(w * x_tilde[i])
                 assert state.amplitudes[a1] == pytest.approx(w * train.vectors[m, i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7))
+    def test_amplitudes_equal_entrywise_build(self, seed, M, N):
+        train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
+        state = prepare_state(train, x_tilde)
+        layout = state.layout
+        w = 1 / math.sqrt(2 * M)
+        expected = np.zeros(1 << layout.n_qubits, dtype=complex)
+        for m in range(M):
+            c = 0 if train.labels[m] == -1 else 1
+            for i in range(N):
+                expected[layout.basis_index(m, 0, i, c)] = w * x_tilde[i]
+                expected[layout.basis_index(m, 1, i, c)] = w * train.vectors[m, i]
+        assert np.array_equal(state.amplitudes, expected)
 
     def test_unused_index_branches_are_zero(self):
         rng = np.random.default_rng(1)
@@ -168,6 +192,37 @@ class TestInterfereAndRead:
         assert outcome.p_acc == pytest.approx(p_acc, abs=1e-10)
         assert outcome.p_class_minus == pytest.approx(p_minus, abs=1e-10)
         assert outcome.p_class_minus + outcome.p_class_plus == pytest.approx(1.0, abs=1e-10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7))
+    def test_matches_gate_path(self, seed, M, N):
+        # non-powers of two leave unused index branches and padded data bits
+        train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
+        state = prepare_state(train, x_tilde)
+        try:
+            p_acc, p_minus, p_plus = gate_path(state)
+        except ImpossibleBranchError:
+            with pytest.raises(ImpossibleBranchError):
+                interfere_and_read(state)
+            return
+        outcome = interfere_and_read(state)
+        assert outcome.p_acc == p_acc
+        assert abs(outcome.p_class_minus - p_minus) <= 1e-12
+        assert abs(outcome.p_class_plus - p_plus) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_below_floor_is_impossible_branch(self, eps):
+        # acceptance eps^2/4: zero, and 2.5e-17 under the floor but not zero
+        train = TrainingSet(vectors=[[0.0, 1.0]], labels=[-1])
+        state = prepare_state(train, [math.sin(eps), -math.cos(eps)])
+        with pytest.raises(ImpossibleBranchError) as gate:
+            gate_path(state)
+        with pytest.raises(ImpossibleBranchError) as read:
+            interfere_and_read(state)
+        assert str(read.value) == str(gate.value)
+        with pytest.raises(EstimationFailedError) as sampled:
+            interfere_and_sample(state, shots=1000, seed=0)
+        assert sampled.value.accepted == 0
 
     def test_probability_difference_tracks_score_for_balanced_labels(self):
         rng = np.random.default_rng(99)
@@ -246,6 +301,25 @@ class TestInterfereAndSample:
             mean_err.append(np.mean(errs))
         slope = np.polyfit(np.log10(levels), np.log10(mean_err), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(2, 7),
+           shots=st.integers(1, 5000))
+    def test_counts_are_draws_from_gate_path(self, seed, M, N, shots):
+        train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
+        state = prepare_state(train, x_tilde)
+        p_acc, p_minus, _ = gate_path(state)
+        rng = np.random.default_rng(seed)
+        accepted = int(np.count_nonzero(rng.random(shots) < p_acc))
+        if accepted == 0:
+            with pytest.raises(EstimationFailedError):
+                interfere_and_sample(state, shots, seed)
+            return
+        minus_count = int(np.count_nonzero(rng.random(accepted) < p_minus))
+        outcome = interfere_and_sample(state, shots, seed)
+        assert outcome.accepted == accepted
+        assert outcome.p_class_minus == minus_count / accepted
+        assert outcome.p_acc == accepted / shots
 
     def test_histogram_of_interfered_ancilla(self):
         # 8192 raw shots of the ancilla reproduce the acceptance probability

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from qic import __version__, cli
 from qic.cli import main
 from qic.qasm import parse_qasm
 
@@ -144,6 +147,28 @@ class TestReproduce:
         assert captured.out == ""
         assert f"not {fmt}" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_table1_rejects_reps(self, fmt, capsys):
+        code, _ = run_cli("reproduce", "--table", "1", "--format", fmt, "--reps", "5")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--reps" in captured.err
+
+    def test_table2_reps_default_to_canonical(self, monkeypatch, capsys):
+        calls = []
+
+        def no_rows(reps, seed):
+            calls.append(reps)
+            return []
+
+        monkeypatch.setattr(cli, "run_table2", no_rows)
+        code, _ = run_cli("reproduce", "--table", "2", "--seed", "1")
+        run_cli("reproduce", "--table", "2", "--seed", "1", "--reps", "7")
+        assert code == 0
+        assert calls == [1000, 7]
+        assert capsys.readouterr().err.count("canonical") == 1
+
     def test_table2_byte_identical_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli("reproduce", "--table", "2", "--reps", "3", "--seed", "9", "-o", str(a))
@@ -202,6 +227,13 @@ class TestShots:
         assert code == 0
         assert "16648" in out
 
+    def test_table_written_to_output_file(self, tmp_path, capsys):
+        path = tmp_path / "shots.txt"
+        code, _ = run_cli("shots", "--eps", "0.01", "-o", str(path))
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == "shots          : 16641\nbound at shots : 0.010000\n"
+
     def test_epsilon_out_of_range(self):
         code, _ = run_cli("shots", "--eps", "0.6")
         assert code == 2
@@ -215,3 +247,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "p_acc" in proc.stdout
+
+
+def test_package_runs_as_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qic", "--version"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == __version__
