@@ -28,7 +28,6 @@ from .classifier import (
     prepare_state,
 )
 from .data import (
-    BenchmarkOptions,
     BenchmarkReport,
     circles,
     iris,
@@ -37,15 +36,7 @@ from .data import (
     split,
 )
 from .dataset import LabeledDataset
-from .encoding import (
-    Pipeline,
-    PipelineOptions,
-    normalize,
-    pad_to_power_of_two,
-    pipeline,
-    standardize,
-    tensor_copy_map,
-)
+from .encoding import Pipeline, normalize
 from .qasm import export_qasm, parse_qasm
 from .statevector import (
     GateOp,

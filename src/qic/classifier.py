@@ -24,15 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationFailedError, ImpossibleBranchError, NormalizationError
-from .statevector import BRANCH_FLOOR, QuantumState, gate_matrix, h, zero_state
-
-_UNIT_TOL = 1e-10
+from .statevector import BRANCH_FLOOR, UNIT_TOL, QuantumState, gate_matrix, h, zero_state
 
 
 def _check_unit_rows(rows: np.ndarray, what: str) -> None:
     """Raise unless every row is finite with unit norm; NaN fails the test."""
     deviation = np.abs(np.linalg.norm(rows, axis=-1) - 1.0)
-    if not np.all(deviation <= _UNIT_TOL):
+    if not np.all(deviation <= UNIT_TOL):
         raise NormalizationError(
             f"{what} must be finite with unit norm "
             f"(worst deviation {float(np.max(deviation)):.2e})"

@@ -25,7 +25,8 @@ from .circuit import (
 )
 from .classifier import TrainingSet, classify
 from .data import run_table2
-from .errors import EstimationFailedError, ImpossibleBranchError
+from .encoding import normalize
+from .errors import EstimationFailedError, ImpossibleBranchError, ZeroVectorError
 from .presets import PRESET_NAMES, X0, X1, preset_input, training_set
 from .qasm import export_qasm
 from .stats import shots_for_error, wald_worst_case, wilson_worst_case
@@ -57,11 +58,21 @@ def _parse_vector(text: str) -> np.ndarray:
     return vec
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _unit_or_usage(parser: argparse.ArgumentParser, name: str, vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm <= 1e-12:
+    try:
+        return normalize(vec)
+    except ZeroVectorError:
         parser.error(f"{name} is a zero vector and has no direction")
-    return vec / norm
 
 
 def _write_output(text: str, path: str | None) -> int:
@@ -289,33 +300,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated vector, unit-normalized before encoding")
     p.add_argument("--x0", type=_parse_vector, help="training vector for class -1")
     p.add_argument("--x1", type=_parse_vector, help="training vector for class +1")
-    p.add_argument("--shots", type=int, default=None,
+    p.add_argument("--shots", type=_positive_int, default=None,
                    help="sample instead of exact readout")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, parser=p)
 
     p = sub.add_parser("reproduce", help="rerun the bundled reference scenarios")
     p.add_argument("--table", type=int, choices=(1, 2), required=True)
-    p.add_argument("--reps", type=int, default=None,
+    p.add_argument("--reps", type=_positive_int, default=None,
                    help="repetitions for the benchmark grid (table 2 only; default 1000)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("table", "json", "csv"), default=None,
                    help="table 1: table (default) or json; table 2: csv (default)")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_reproduce)
+    p.set_defaults(func=_cmd_reproduce, parser=p)
 
     p = sub.add_parser("verify-decompositions",
                        help="check every decomposition against its ideal unitary")
     p.add_argument("--inject-fault", choices=("toffoli",), default=None,
                    help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, parser=p)
 
     p = sub.add_parser("export-qasm", help="write the decomposed circuit as OpenQASM 2.0")
     p.add_argument("--preset", choices=PRESET_NAMES, required=True)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_export_qasm)
+    p.set_defaults(func=_cmd_export_qasm, parser=p)
 
     p = sub.add_parser("shots", help="shot budget for a target estimation error")
     p.add_argument("--eps", type=float, required=True)
@@ -323,20 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("wald", "wilson"), default="wald")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_shots)
+    p.set_defaults(func=_cmd_shots, parser=p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "reps", 1) is not None and getattr(args, "reps", 1) < 1:
-        parser.error("--reps must be >= 1")
-    if getattr(args, "shots", None) is not None and args.shots < 1:
-        parser.error("--shots must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except (ImpossibleBranchError, EstimationFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ import numpy as np
 
 from .classifier import TrainingSet, read_batch
 from .dataset import LabeledDataset
-from .encoding import Pipeline, PipelineOptions
+from .encoding import Pipeline
 
 IRIS_SHA256 = "c8a2fdaf394fc79fd145487203d7d69163f0e6d0053ea46afe97fa3542d12822"
 IRIS_FEATURES = ("sepal_length", "sepal_width", "petal_length", "petal_width")
@@ -61,7 +61,6 @@ def iris(
         rows=rows,
         labels=labels,
         name=f"iris {first}&{second}",
-        class_map={first: -1, second: +1},
     )
 
 
@@ -88,8 +87,7 @@ def circles(
     if noise_std > 0:
         pts = pts + rng.normal(0.0, noise_std, pts.shape)
     labels = np.concatenate([np.full(n_per_class, -1), np.full(n_per_class, +1)])
-    return LabeledDataset(rows=pts, labels=labels, name="circles",
-                          class_map={"outer": -1, "inner": +1})
+    return LabeledDataset(rows=pts, labels=labels, name="circles")
 
 
 def split(
@@ -108,11 +106,8 @@ def split(
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
 
 
-@dataclass
-class BenchmarkOptions:
-    feature_map_copies: int = 1
-    train_fraction: float = 0.8
-    master_seed: int = 1234
+# every benchmark split keeps floor(0.8 * n) rows for training
+TRAIN_FRACTION = 0.8
 
 
 @dataclass
@@ -122,18 +117,14 @@ class BenchmarkReport:
     mean_error: float
     error_variance: float
     mean_p_acc: float
-    options: BenchmarkOptions
     impossible_branch_count: int = 0
-
-
-def _rep_seed(master_seed: int, repetition: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((master_seed, repetition))
 
 
 def run_benchmark(
     dataset: LabeledDataset,
     repetitions: int,
-    options: BenchmarkOptions | None = None,
+    copies: int = 1,
+    master_seed: int = 1234,
 ) -> BenchmarkReport:
     """Repeatedly split, preprocess (fitted on the training part only), and
     classify every test point with the exact interference readout
@@ -144,16 +135,14 @@ def run_benchmark(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = options or BenchmarkOptions()
-    pipe_opts = PipelineOptions(feature_map_copies=opts.feature_map_copies)
 
     errors: list[float] = []
     p_accs: list[float] = []
     impossible = 0
     for rep in range(repetitions):
-        seed = _rep_seed(opts.master_seed, rep)
-        train_raw, test_raw = split(dataset, opts.train_fraction, seed)
-        pipe = Pipeline(pipe_opts)
+        seed = np.random.SeedSequence((master_seed, rep))
+        train_raw, test_raw = split(dataset, TRAIN_FRACTION, seed)
+        pipe = Pipeline(copies)
         train = pipe.fit_transform(train_raw)
         test = pipe.transform(test_raw)
         training = TrainingSet(vectors=train.rows, labels=train.labels)
@@ -177,7 +166,6 @@ def run_benchmark(
         mean_error=mean_error,
         error_variance=variance,
         mean_p_acc=mean_p_acc,
-        options=opts,
         impossible_branch_count=impossible,
     )
 
@@ -238,8 +226,5 @@ def run_table2(
     results = []
     for spec in TABLE2_ROWS:
         ds = benchmark_dataset(spec.key)
-        opts = BenchmarkOptions(
-            feature_map_copies=spec.copies, master_seed=master_seed
-        )
-        results.append((spec, run_benchmark(ds, repetitions, opts)))
+        results.append((spec, run_benchmark(ds, repetitions, spec.copies, master_seed)))
     return results

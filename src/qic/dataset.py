@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix with labels in {-1, +1} and preprocessing provenance."""
+    """Feature matrix with labels in {-1, +1}."""
 
     rows: np.ndarray
     labels: np.ndarray
     name: str = ""
-    class_map: dict = field(default_factory=dict)
-    standardized: bool = False
-    normalized: bool = False
-    feature_map_copies: int = 1
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)
@@ -41,8 +37,8 @@ class LabeledDataset:
     def n_features(self) -> int:
         return self.rows.shape[1]
 
-    def with_rows(self, rows: np.ndarray, **provenance) -> "LabeledDataset":
-        return replace(self, rows=np.asarray(rows, dtype=float), **provenance)
+    def with_rows(self, rows: np.ndarray) -> "LabeledDataset":
+        return replace(self, rows=rows)
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         return replace(self, rows=self.rows[indices], labels=self.labels[indices])

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CapacityError, ImpossibleBranchError
+from .errors import CapacityError, ImpossibleBranchError, NormalizationError
 
 if TYPE_CHECKING:
     from .classifier import RegisterLayout
@@ -25,6 +25,9 @@ MAX_UNITARY_QUBITS = 10
 # a kept branch of at most this mass is rounding noise of a unit-norm state,
 # not an outcome: renormalizing it would amplify that noise, so it is impossible
 BRANCH_FLOOR = 1e-15
+# a unit norm misses 1 by rounding alone at about 1e-15 per operation; 1e-10
+# leaves room for long chains of them and still catches any real rescaling
+UNIT_TOL = 1e-10
 
 _SQRT2_INV = 1 / math.sqrt(2)
 
@@ -212,13 +215,15 @@ def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
 
 
 def qubit_probabilities(state: QuantumState, qubit: int) -> tuple[float, float]:
-    """Marginal (p0, p1) of measuring one qubit in the computational basis."""
+    """Marginal (p0, p1) of measuring one qubit of a unit-norm state."""
     _check_indices(state.n_qubits, (qubit,))
     probs = state.probabilities()
     bits = (np.arange(probs.size) >> qubit) & 1
     p1 = float(probs[bits == 1].sum())
     p0 = float(probs[bits == 0].sum())
     total = p0 + p1
+    if not abs(total - 1.0) <= UNIT_TOL:
+        raise NormalizationError(f"state has total probability {total:.6g}, not 1")
     return p0 / total, p1 / total
 
 

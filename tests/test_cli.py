@@ -239,6 +239,32 @@ class TestShots:
         assert code == 2
 
 
+USAGE_ERRORS = [
+    (("classify", "--input", "0,0"), "--input is a zero vector"),
+    (("classify", "--input", "1,0,0"), "training pair is 2-dimensional"),
+    (("classify", "--preset", "xprime", "--shots", "0"), "--shots: must be >= 1, got 0"),
+    (("reproduce", "--table", "1", "--reps", "5"), "--reps applies only to --table 2"),
+    (("reproduce", "--table", "1", "--format", "csv"), "not csv"),
+    (("reproduce", "--table", "2", "--reps", "0"), "--reps: must be >= 1, got 0"),
+    (("reproduce", "--table", "2", "--reps", "-3"), "--reps: must be >= 1, got -3"),
+    (("reproduce", "--table", "2", "--reps", "x"), "--reps: not an integer: 'x'"),
+    (("shots", "--eps", "0.7"), "--eps must be in (0, 0.5)"),
+    (("shots", "--eps", "0.1", "--z", "0"), "--z must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS]
+)
+def test_usage_error_names_its_subcommand(argv, message, capsys):
+    code, _ = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: qic {argv[0]} ")
+    assert message in captured.err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qic.cli", "classify", "--preset", "xprime"],

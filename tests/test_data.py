@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qic.data import (
-    BenchmarkOptions,
     TABLE2_ROWS,
     benchmark_dataset,
     circles,
@@ -20,7 +19,6 @@ class TestIris:
         assert ds.n_features == 4
         assert np.sum(ds.labels == -1) == 50
         assert np.sum(ds.labels == +1) == 50
-        assert ds.class_map == {1: -1, 2: +1}
 
     def test_feature_subset(self):
         ds = iris(classes=(2, 3), features=(0, 1))
@@ -109,8 +107,8 @@ class TestSplit:
 class TestRunBenchmark:
     def test_deterministic_report(self):
         ds = iris(classes=(1, 2))
-        a = run_benchmark(ds, 5, BenchmarkOptions(master_seed=42))
-        b = run_benchmark(ds, 5, BenchmarkOptions(master_seed=42))
+        a = run_benchmark(ds, 5, master_seed=42)
+        b = run_benchmark(ds, 5, master_seed=42)
         assert a == b
 
     def test_variance_is_population_variance_of_rep_errors(self):
@@ -118,8 +116,7 @@ class TestRunBenchmark:
         from qic.classifier import TrainingSet, interfere_and_read, prepare_state
 
         ds = iris(classes=(2, 3))
-        opts = BenchmarkOptions(master_seed=9)
-        report = run_benchmark(ds, 6, opts)
+        report = run_benchmark(ds, 6, master_seed=9)
 
         errors = []
         for rep in range(6):
@@ -142,25 +139,37 @@ class TestRunBenchmark:
         # single row on the opposite ray is antipodal to the whole training set
         # whenever it is held out. The report must match the per-point
         # statevector loop, which sees ImpossibleBranchError there.
-        import functools
+        # The real pipeline cannot produce this branch: standardized training
+        # rows have mean 0, so they cannot all point away from one input.
         import math
 
         from qic import data
         from qic.classifier import TrainingSet, classify
         from qic.dataset import LabeledDataset
-        from qic.encoding import PipelineOptions
+        from qic.encoding import kron_power, normalize
         from qic.errors import ImpossibleBranchError
 
-        unstandardized = functools.partial(PipelineOptions, standardize=False)
-        monkeypatch.setattr(data, "PipelineOptions", unstandardized)
+        class Unstandardized:
+            """Pipeline without the standardization stage."""
+
+            def __init__(self, copies=1):
+                self.copies = copies
+
+            def fit_transform(self, dataset):
+                return self.transform(dataset)
+
+            def transform(self, dataset):
+                return dataset.with_rows(normalize(kron_power(dataset.rows, self.copies)))
+
+        monkeypatch.setattr(data, "Pipeline", Unstandardized)
         rows = [[s, 2.0 * s] for s in range(1, 10)] + [[-1.0, -2.0]]
         ds = LabeledDataset(rows=rows, labels=[-1, 1] * 5)
-        report = run_benchmark(ds, 20, BenchmarkOptions(master_seed=3))
+        report = run_benchmark(ds, 20, master_seed=3)
 
         impossible, errors, p_accs = 0, [], []
         for rep in range(20):
             train_raw, test_raw = split(ds, 0.8, np.random.SeedSequence((3, rep)))
-            pipe = Pipeline(unstandardized())
+            pipe = Unstandardized()
             train = pipe.fit_transform(train_raw)
             test = pipe.transform(test_raw)
             training = TrainingSet(vectors=train.rows, labels=train.labels)
@@ -184,7 +193,7 @@ class TestRunBenchmark:
         assert report.mean_p_acc == pytest.approx(np.mean(p_accs), abs=1e-12)
 
     def test_separable_pair_has_zero_error(self):
-        report = run_benchmark(iris(classes=(1, 2)), 30, BenchmarkOptions(master_seed=1))
+        report = run_benchmark(iris(classes=(1, 2)), 30, master_seed=1)
         assert report.mean_error <= 0.01
         assert abs(report.mean_p_acc - 0.5) <= 0.05
 

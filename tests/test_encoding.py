@@ -1,20 +1,12 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
 from qic.dataset import LabeledDataset
-from qic.encoding import (
-    Pipeline,
-    PipelineOptions,
-    kron_power,
-    normalize,
-    normalize_rows,
-    pad_to_power_of_two,
-    pipeline,
-    standardize,
-    standardize_apply,
-    tensor_copy_map,
-)
-from qic.errors import DegenerateFeatureError, NormalizationError, ZeroVectorError
+from qic.encoding import Pipeline, kron_power, normalize
+from qic.errors import DegenerateFeatureError, ZeroVectorError
 
 
 def toy_dataset(rows, labels=None):
@@ -24,37 +16,40 @@ def toy_dataset(rows, labels=None):
 
 
 class TestStandardize:
+    """The standardization stage of Pipeline, read through its statistics."""
+
     def test_two_symmetric_points(self):
-        out, _ = standardize(toy_dataset([(1, 2), (3, 4)]))
-        assert np.allclose(out.rows, [(-1, -1), (1, 1)])
+        pipe = Pipeline()
+        out = pipe.fit_transform(toy_dataset([(1, 2), (3, 4)]))
+        assert np.array_equal(pipe.means, [2.0, 3.0])
+        assert np.array_equal(pipe.stds, [1.0, 1.0])
+        assert np.allclose(out.rows, np.array([(-1, -1), (1, 1)]) / np.sqrt(2))
 
     def test_zero_mean_unit_population_std(self):
         rng = np.random.default_rng(0)
-        out, _ = standardize(toy_dataset(rng.normal(2.0, 3.0, size=(40, 3))))
-        assert np.allclose(out.rows.mean(axis=0), 0, atol=1e-10)
-        assert np.allclose(out.rows.std(axis=0), 1, atol=1e-10)
-
-    def test_idempotent_on_own_fit(self):
-        rng = np.random.default_rng(1)
-        once, _ = standardize(toy_dataset(rng.normal(size=(30, 2))))
-        twice, _ = standardize(once)
-        assert np.allclose(once.rows, twice.rows, atol=1e-10)
+        ds = toy_dataset(rng.normal(2.0, 3.0, size=(40, 3)))
+        pipe = Pipeline()
+        pipe.fit_transform(ds)
+        assert np.array_equal(pipe.stds, ds.rows.std(axis=0))
+        standardized = (ds.rows - pipe.means) / pipe.stds
+        assert np.allclose(standardized.mean(axis=0), 0, atol=1e-10)
+        assert np.allclose(standardized.std(axis=0), 1, atol=1e-10)
 
     def test_constant_feature_rejected(self):
         with pytest.raises(DegenerateFeatureError):
-            standardize(toy_dataset([(5, 1), (5, 2), (5, 3), (5, 4)]))
+            Pipeline().fit_transform(toy_dataset([(5, 1), (5, 2), (5, 3), (5, 4)]))
 
     def test_report_transforms_held_out_points(self):
         rng = np.random.default_rng(2)
-        train = toy_dataset(rng.normal(size=(20, 2)))
-        _, report = standardize(train)
+        pipe = Pipeline()
+        pipe.fit_transform(toy_dataset(rng.normal(size=(20, 2))))
         held_out = toy_dataset([(0.5, -0.5), (1.0, 2.0)])
-        got = standardize_apply(held_out, report)
-        assert np.allclose(got.rows, (held_out.rows - report.means) / report.stds)
+        got = pipe.transform(held_out)
+        assert np.array_equal(got.rows, normalize((held_out.rows - pipe.means) / pipe.stds))
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            standardize(toy_dataset([(1.0, 2.0)], labels=np.array([-1])))
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            Pipeline().fit_transform(toy_dataset([(1.0, 2.0)], labels=np.array([-1])))
 
 
 class TestNormalize:
@@ -70,34 +65,24 @@ class TestNormalize:
             normalize(np.zeros(2))
 
     def test_rows_helper(self):
-        ds = normalize_rows(toy_dataset([(3, 4), (1, 0)]))
-        assert np.allclose(np.linalg.norm(ds.rows, axis=1), 1.0)
-        assert ds.normalized
+        rows = normalize(np.array([(3.0, 4.0), (1.0, 0.0)]))
+        assert np.allclose(rows, [(0.6, 0.8), (1.0, 0.0)])
+        assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
 
-
-class TestPadToPowerOfTwo:
-    def test_three_to_four(self):
-        assert np.allclose(pad_to_power_of_two(np.array([1.0, 2, 3])), [1, 2, 3, 0])
-
-    def test_power_of_two_unchanged(self):
-        v = np.array([1.0, 2, 3, 4])
-        assert pad_to_power_of_two(v) is v
-
-    def test_single_entry_unchanged(self):
-        assert np.allclose(pad_to_power_of_two(np.array([2.0])), [2.0])
-
-    def test_norm_unchanged(self):
-        v = np.array([0.3, 0.4, 0.5])
-        assert np.linalg.norm(pad_to_power_of_two(v)) == pytest.approx(np.linalg.norm(v))
+    def test_zero_row_rejected(self):
+        with pytest.raises(ZeroVectorError, match=r"\[1\]"):
+            normalize(np.array([(3.0, 4.0), (0.0, 1e-13)]))
 
 
 class TestTensorCopyMap:
+    """The tensor-copy feature map: kron_power of unit vectors."""
+
     def test_single_copy_is_identity(self):
         v = normalize(np.array([1.0, 1.0]))
-        assert np.allclose(tensor_copy_map(v, 1), v)
+        assert np.array_equal(kron_power(v, 1), v)
 
     def test_two_copies_explicit(self):
-        got = tensor_copy_map(np.array([0.6, 0.8]), 2)
+        got = kron_power(np.array([0.6, 0.8]), 2)
         assert np.allclose(got, [0.36, 0.48, 0.48, 0.64])
 
     def test_norm_is_power_of_input_norm(self):
@@ -105,23 +90,21 @@ class TestTensorCopyMap:
         for _ in range(10):
             v = normalize(rng.normal(size=4))
             for k in (1, 2, 3):
-                assert np.linalg.norm(tensor_copy_map(v, k)) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(kron_power(v, k)) == pytest.approx(1.0, abs=1e-12)
 
     def test_inner_products_become_powers(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             u = normalize(rng.normal(size=3))
             v = normalize(rng.normal(size=3))
-            fu, fv = tensor_copy_map(u, 2), tensor_copy_map(v, 2)
+            fu, fv = kron_power(u, 2), kron_power(v, 2)
             assert np.dot(fu, fv) == pytest.approx(np.dot(u, v) ** 2, abs=1e-12)
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(NormalizationError):
-            tensor_copy_map(np.array([1.0, 1.0]), 2)
-
     def test_non_finite_rejected(self):
-        with pytest.raises(NormalizationError):
-            tensor_copy_map(np.array([np.nan, 1.0]), 2)
+        # squaring 1e200 overflows; the pipeline must not hand on inf or NaN
+        ds = toy_dataset([(1e200, 1.0), (1.0, 2.0), (3.0, 5.0), (2.0, 1.0)])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            Pipeline(2).fit_transform(ds)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_batched_rows_equal_row_by_row_kron(self, k):
@@ -141,11 +124,6 @@ class TestTensorCopyMap:
 
 
 class TestPipeline:
-    def test_noop_options_are_identity(self):
-        ds = toy_dataset([(1, 2), (3, 4), (5, 6), (7, 8)])
-        out = pipeline(ds, PipelineOptions(feature_map_copies=1, standardize=False, normalize=False))
-        assert np.array_equal(out.rows, ds.rows)
-
     def test_rows_unit_norm_and_training_columns_centered(self):
         from qic.data import iris
 
@@ -153,7 +131,7 @@ class TestPipeline:
         out = pipe.fit_transform(iris(classes=(1, 2)))
         assert np.allclose(np.linalg.norm(out.rows, axis=1), 1.0, atol=1e-12)
         # column means are zero before the row normalization step
-        standardized = (iris(classes=(1, 2)).rows - pipe.report.means) / pipe.report.stds
+        standardized = (iris(classes=(1, 2)).rows - pipe.means) / pipe.stds
         assert np.allclose(standardized.mean(axis=0), 0, atol=1e-10)
 
     def test_held_out_points_use_training_statistics(self):
@@ -163,27 +141,26 @@ class TestPipeline:
         pipe = Pipeline()
         pipe.fit_transform(train)
         got = pipe.transform(test)
-        expected = (test.rows - pipe.report.means) / pipe.report.stds
+        expected = (test.rows - pipe.means) / pipe.stds
         expected /= np.linalg.norm(expected, axis=1, keepdims=True)
         assert np.allclose(got.rows, expected)
 
     def test_feature_map_dimension(self):
         ds = toy_dataset([(1, 2), (3, 4), (5, 7), (2, 9)])
-        out = pipeline(ds, PipelineOptions(feature_map_copies=2))
+        out = Pipeline(2).fit_transform(ds)
         assert out.n_features == 4
-        assert out.feature_map_copies == 2
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         ds = toy_dataset(rng.normal(size=(20, 3)))
-        a = pipeline(ds, PipelineOptions(feature_map_copies=2))
-        b = pipeline(ds, PipelineOptions(feature_map_copies=2))
+        a = Pipeline(2).fit_transform(ds)
+        b = Pipeline(2).fit_transform(ds)
         assert np.array_equal(a.rows, b.rows)
 
     def test_mapped_circles_become_linearly_separable(self):
         from qic.data import circles
 
-        ds = pipeline(circles(seed=0), PipelineOptions(feature_map_copies=2))
+        ds = Pipeline(2).fit_transform(circles(seed=0))
         # a perceptron converges only on linearly separable data
         X = np.c_[ds.rows, np.ones(len(ds.rows))]
         w = np.zeros(X.shape[1])
@@ -200,3 +177,33 @@ class TestPipeline:
     def test_transform_before_fit_rejected(self):
         with pytest.raises(RuntimeError):
             Pipeline().transform(toy_dataset([(1, 2), (3, 4)]))
+
+    def test_copies_must_be_positive(self):
+        with pytest.raises(ValueError, match="copies must be >= 1"):
+            Pipeline(0).fit_transform(toy_dataset([(1, 2), (3, 4)]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        copies=st.integers(1, 3),
+        rows=st.integers(2, 8).flatmap(
+            lambda n: st.integers(1, 3).flatmap(
+                lambda d: st.lists(
+                    st.lists(st.floats(-100, 100), min_size=d, max_size=d),
+                    min_size=n, max_size=n,
+                )
+            )
+        ),
+    )
+    def test_transform_of_train_equals_fit_transform(self, copies, rows):
+        train = toy_dataset(rows)
+        pipe = Pipeline(copies)
+        try:
+            fitted = pipe.fit_transform(train)
+        except DegenerateFeatureError:
+            reject()
+        except ZeroVectorError:
+            # a row at the column means has no direction; the failed fit
+            # leaves the pipeline unfitted
+            assert pipe.means is None and pipe.stds is None
+            return
+        assert np.array_equal(pipe.transform(train).rows, fitted.rows)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qic import statevector as sv
 from qic.circuit import Circuit
-from qic.errors import CapacityError, ImpossibleBranchError
+from qic.errors import CapacityError, ImpossibleBranchError, NormalizationError
 
 SQRT2_INV = 1 / math.sqrt(2)
 
@@ -207,6 +207,12 @@ class TestQubitProbabilities:
     def test_invalid_index(self):
         with pytest.raises(IndexError):
             sv.qubit_probabilities(sv.zero_state(2), 2)
+
+    def test_unnormalized_state_rejected(self):
+        state = random_state(3, 11)
+        scaled = sv.QuantumState(3, 2 * state.amplitudes)
+        with pytest.raises(NormalizationError, match="total probability 4"):
+            sv.qubit_probabilities(scaled, 1)
 
 
 class TestPostselect:
