@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevector as sv
-from .errors import AssignmentError, NormalizationError, UnsupportedGateError
+from .errors import AssignmentError, UnsupportedGateError
 from .presets import X0, X1, preset_input
 from .statevector import GateOp
 
@@ -61,15 +61,6 @@ def _load_angle(v) -> float:
     return 2.0 * math.atan2(v[1], v[0])
 
 
-def _require_unit_2vector(name: str, v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"{name} must be a 2-vector, got shape {arr.shape}")
-    if not abs(np.linalg.norm(arr) - 1.0) <= 1e-8:
-        raise NormalizationError(f"{name} must have unit norm, got {np.linalg.norm(arr):.6f}")
-    return arr
-
-
 def build_experiment_circuit(x_tilde, x0, x1) -> Circuit:
     """State-preparation circuit entangling a new input with two training vectors.
 
@@ -82,9 +73,11 @@ def build_experiment_circuit(x_tilde, x0, x1) -> Circuit:
       E  swap data and class wires, then flip the class conditioned on index
     The interference Hadamard (step F) is appended by the readout code.
     """
-    xt = _require_unit_2vector("x_tilde", x_tilde)
-    v0 = _require_unit_2vector("x0", x0)
-    v1 = _require_unit_2vector("x1", x1)
+    xt, v0, v1 = (np.asarray(v, dtype=float) for v in (x_tilde, x0, x1))
+    for name, v in (("x_tilde", xt), ("x0", v0), ("x1", v1)):
+        if v.shape != (2,):
+            raise ValueError(f"{name} must be a 2-vector, got shape {v.shape}")
+        sv.check_unit(v, name)
 
     ops: list[tuple[GateOp, str]] = [
         (sv.h(ANCILLA_WIRE), "A"),
@@ -167,6 +160,16 @@ def _decompose_ccry(theta: float, c1: int, c2: int, t: int) -> list[GateOp]:
     ]
 
 
+# kind -> expansion of one op; its own extended gates are expanded in turn. The
+# names resolve at call time, so a patched _decompose_* (a planted fault) is used
+_EXPANSIONS = {
+    "swap": lambda op: _decompose_swap(*op.qubits),
+    "ccx": lambda op: _decompose_ccx(*op.qubits),
+    "cry": lambda op: _decompose_cry(op.theta, *op.qubits),
+    "ccry": lambda op: _decompose_ccry(op.theta, *op.qubits),
+}
+
+
 def decompose(circuit: Circuit) -> Circuit:
     """Expand extended gates until only {h, x, t, tdg, s, ry, cx} remain.
 
@@ -177,31 +180,18 @@ def decompose(circuit: Circuit) -> Circuit:
     out_labels: list[str] = []
     labels = circuit.labels if circuit.labels else ("",) * len(circuit.ops)
 
-    def emit(ops: list[GateOp], label: str):
-        for op in ops:
-            if op.kind in RESTRICTED_KINDS:
-                out_ops.append(op)
-                out_labels.append(label)
-            elif op.kind == "ccx":
-                emit(_decompose_ccx(*op.qubits), label)
-            else:
-                raise UnsupportedGateError(f"cannot decompose nested {op.kind}")
-
-    for op, label in zip(circuit.ops, labels):
+    def emit(op: GateOp, label: str):
         if op.kind in RESTRICTED_KINDS:
             out_ops.append(op)
             out_labels.append(label)
-        elif op.kind == "swap":
-            emit(_decompose_swap(*op.qubits), label)
-        elif op.kind == "ccx":
-            emit(_decompose_ccx(*op.qubits), label)
-        elif op.kind == "cry":
-            emit(_decompose_cry(op.theta, *op.qubits), label)
-        elif op.kind == "ccry":
-            emit(_decompose_ccry(op.theta, *op.qubits), label)
+        elif op.kind in _EXPANSIONS:
+            for sub in _EXPANSIONS[op.kind](op):
+                emit(sub, label)
         else:
             raise UnsupportedGateError(f"no decomposition for gate kind {op.kind!r}")
 
+    for op, label in zip(circuit.ops, labels):
+        emit(op, label)
     return Circuit(circuit.n_qubits, tuple(out_ops), tuple(out_labels))
 
 
@@ -321,7 +311,7 @@ def verify_decompositions(inject_fault: str | None = None) -> list[tuple[str, bo
         toff_ops = [sv.tdg(op.qubits[0]) if op.kind == "t" else op for op in toff_ops]
     ideal = sv.circuit_unitary(Circuit(3, (sv.ccx(0, 1, 2),)))
     got = sv.circuit_unitary(Circuit(3, tuple(toff_ops)))
-    ok = sv.unitaries_allclose(ideal, got, atol=1e-12, up_to_phase=True)
+    ok = sv.states_allclose(ideal, got, atol=1e-12, up_to_phase=True)
     checks.append(("toffoli decomposition (16 gates, T-depth 4)", ok,
                    "phase-aligned match" if ok else "unitary mismatch"))
 

@@ -23,18 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationFailedError, ImpossibleBranchError, NormalizationError
-from .statevector import BRANCH_FLOOR, UNIT_TOL, QuantumState, gate_matrix, h, zero_state
-
-
-def _check_unit_rows(rows: np.ndarray, what: str) -> None:
-    """Raise unless every row is finite with unit norm; NaN fails the test."""
-    deviation = np.abs(np.linalg.norm(rows, axis=-1) - 1.0)
-    if not np.all(deviation <= UNIT_TOL):
-        raise NormalizationError(
-            f"{what} must be finite with unit norm "
-            f"(worst deviation {float(np.max(deviation)):.2e})"
-        )
+from .dataset import check_labels
+from .errors import EstimationFailedError, ImpossibleBranchError
+from .statevector import BRANCH_FLOOR, QuantumState, check_unit, gate_matrix, h, zero_state
 
 
 @dataclass(frozen=True)
@@ -78,14 +69,10 @@ class TrainingSet:
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
         if self.vectors.ndim != 2 or len(self.vectors) < 1:
             raise ValueError(f"vectors must be a nonempty matrix, got {self.vectors.shape}")
-        if len(self.vectors) != len(self.labels):
-            raise ValueError("one label per training vector required")
-        if not np.all(np.isin(self.labels, (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
-        _check_unit_rows(self.vectors, "training vectors")
+        self.labels = check_labels(self.vectors, self.labels)
+        check_unit(self.vectors, "training vectors")
 
     @property
     def M(self) -> int:
@@ -119,7 +106,7 @@ def _check_input(train: TrainingSet, x_tilde) -> np.ndarray:
             f"input dimension {xt.shape} does not match training dimension "
             f"({train.dimension},)"
         )
-    _check_unit_rows(xt, "input")
+    check_unit(xt, "input")
     return xt
 
 
@@ -235,7 +222,7 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != train.dimension:
         raise ValueError(f"inputs {X.shape} must be rows of dimension {train.dimension}")
-    _check_unit_rows(X, "inputs")
+    check_unit(X, "inputs")
     w = ((X[:, None, :] + train.vectors[None, :, :]) ** 2).sum(2)
     minus = train.labels == -1
     w_minus, w_plus = w[:, minus].sum(1), w[:, ~minus].sum(1)

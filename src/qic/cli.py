@@ -70,9 +70,12 @@ def _positive_int(text: str) -> int:
 
 def _unit_or_usage(parser: argparse.ArgumentParser, name: str, vec: np.ndarray) -> np.ndarray:
     try:
-        return normalize(vec)
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
+            return normalize(vec)
     except ZeroVectorError:
         parser.error(f"{name} is a zero vector and has no direction")
+    except ValueError as exc:
+        parser.error(f"{name}: {exc}")
 
 
 def _write_output(text: str, path: str | None) -> int:

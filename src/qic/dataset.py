@@ -7,6 +7,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
+def check_labels(rows, labels) -> np.ndarray:
+    """The labels as ints, one per row, each exactly -1 or +1 (1.5 is not truncated)."""
+    values = np.asarray(labels)
+    if len(values) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(values)} labels")
+    if not np.all((values == 1) | (values == -1)):
+        raise ValueError("labels must be -1 or +1")
+    return values.astype(int, copy=False)
+
+
 @dataclass
 class LabeledDataset:
     """Feature matrix with labels in {-1, +1}."""
@@ -17,15 +27,9 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
         if self.rows.ndim != 2:
             raise ValueError(f"rows must be a 2-D matrix, got shape {self.rows.shape}")
-        if len(self.rows) != len(self.labels):
-            raise ValueError(
-                f"{len(self.rows)} rows but {len(self.labels)} labels"
-            )
-        if not np.all(np.isin(self.labels, (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
+        self.labels = check_labels(self.rows, self.labels)
         if not np.all(np.isfinite(self.rows)):
             raise ValueError("rows must be finite")
 

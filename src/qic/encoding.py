@@ -14,9 +14,13 @@ _FLOOR = 1e-12
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Rescale a vector, or each row of a matrix, to unit Euclidean length."""
+    """Rescale a vector, or each row of a matrix, to unit Euclidean length.
+    A NaN or infinite entry, or a norm that overflows, raises ValueError."""
     v = np.asarray(v, dtype=float)
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"cannot normalize vector(s) {bad.tolist()} with non-finite norm")
     bad = np.flatnonzero(norms <= _FLOOR)
     if bad.size:
         raise ZeroVectorError(f"cannot normalize (near-)zero vector(s) {bad.tolist()}")

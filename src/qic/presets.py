@@ -10,20 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from .classifier import TrainingSet
+from .encoding import normalize
 
-
-def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
-
-
-X0 = _unit([0.0, 1.0])
-X1 = _unit([0.789, 0.615])
+X0 = normalize([0.0, 1.0])
+X1 = normalize([0.789, 0.615])
 Y0, Y1 = -1, +1
 
 INPUT_VECTORS = {
-    "xprime": _unit([-0.549, 0.836]),
-    "xdoubleprime": _unit([0.053, 0.999]),
+    "xprime": normalize([-0.549, 0.836]),
+    "xdoubleprime": normalize([0.053, 0.999]),
 }
 
 PRESET_NAMES = tuple(INPUT_VECTORS)

@@ -28,6 +28,10 @@ BRANCH_FLOOR = 1e-15
 # a unit norm misses 1 by rounding alone at about 1e-15 per operation; 1e-10
 # leaves room for long chains of them and still catches any real rescaling
 UNIT_TOL = 1e-10
+# phase alignment skips reference entries at or below this: rounding noise has no phase
+PHASE_REF_FLOOR = 1e-9
+# an entry of the other array below this is zero, so it has no phase to divide out
+PHASE_ZERO_FLOOR = 1e-12
 
 _SQRT2_INV = 1 / math.sqrt(2)
 
@@ -187,6 +191,16 @@ def zero_state(n_qubits: int) -> QuantumState:
     return QuantumState(n_qubits, amps)
 
 
+def check_unit(v, what: str) -> None:
+    """Raise unless v, or each row of v, is finite with unit norm; NaN fails."""
+    deviation = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
+    if not np.all(deviation <= UNIT_TOL):
+        raise NormalizationError(
+            f"{what} must be finite with unit norm "
+            f"(worst deviation {float(np.max(deviation)):.2e})"
+        )
+
+
 def _check_indices(n_qubits: int, qubits: tuple[int, ...]):
     for q in qubits:
         if not 0 <= q < n_qubits:
@@ -283,14 +297,18 @@ def sample_shots(
     }
 
 
-def simulate(circuit, initial: QuantumState | None = None) -> QuantumState:
-    """Run a circuit on |0...0> (or on the given initial state)."""
-    state = zero_state(circuit.n_qubits) if initial is None else initial.copy()
-    amps = state.amplitudes
+def _run(circuit, amps: np.ndarray) -> np.ndarray:
+    """Apply the circuit's gates in order to amplitudes shaped (2**n,) or (2**n, B)."""
     for op in circuit.ops:
         _check_indices(circuit.n_qubits, op.qubits)
         amps = _apply_matrix(amps, circuit.n_qubits, gate_matrix(op), op.qubits)
-    state.amplitudes = amps
+    return amps
+
+
+def simulate(circuit, initial: QuantumState | None = None) -> QuantumState:
+    """Run a circuit on |0...0> (or on the given initial state)."""
+    state = zero_state(circuit.n_qubits) if initial is None else initial.copy()
+    state.amplitudes = _run(circuit, state.amplitudes)
     return state
 
 
@@ -304,11 +322,7 @@ def circuit_unitary(circuit) -> np.ndarray:
             f"circuit_unitary supports at most {MAX_UNITARY_QUBITS} qubits, "
             f"got {circuit.n_qubits}"
         )
-    u = np.eye(1 << circuit.n_qubits, dtype=complex)
-    for op in circuit.ops:
-        _check_indices(circuit.n_qubits, op.qubits)
-        u = _apply_matrix(u, circuit.n_qubits, gate_matrix(op), op.qubits)
-    return u
+    return _run(circuit, np.eye(1 << circuit.n_qubits, dtype=complex))
 
 
 def states_allclose(
@@ -317,7 +331,7 @@ def states_allclose(
     atol: float = 1e-10,
     up_to_phase: bool = False,
 ) -> bool:
-    """Compare amplitude vectors, optionally modulo a global phase."""
+    """Compare amplitude vectors or unitaries, optionally modulo a global phase."""
     va = a.amplitudes if isinstance(a, QuantumState) else np.asarray(a, dtype=complex)
     vb = b.amplitudes if isinstance(b, QuantumState) else np.asarray(b, dtype=complex)
     if va.shape != vb.shape:
@@ -327,23 +341,12 @@ def states_allclose(
     return bool(np.allclose(va, vb, atol=atol, rtol=0.0))
 
 
-def unitaries_allclose(
-    a: np.ndarray, b: np.ndarray, atol: float = 1e-10, up_to_phase: bool = True
-) -> bool:
-    """Compare unitaries, by default modulo a global phase."""
-    if a.shape != b.shape:
-        return False
-    if up_to_phase:
-        b = _align_phase(a, b)
-    return bool(np.allclose(a, b, atol=atol, rtol=0.0))
-
-
 def _align_phase(ref: np.ndarray, other: np.ndarray) -> np.ndarray:
     # normalize by the phase at the reference's first nonzero entry
     flat_ref = ref.reshape(-1)
     flat_other = other.reshape(-1)
-    nz = np.flatnonzero(np.abs(flat_ref) > 1e-9)
-    if nz.size == 0 or abs(flat_other[nz[0]]) < 1e-12:
+    nz = np.flatnonzero(np.abs(flat_ref) > PHASE_REF_FLOOR)
+    if nz.size == 0 or abs(flat_other[nz[0]]) < PHASE_ZERO_FLOOR:
         return other
     phase = flat_ref[nz[0]] / flat_other[nz[0]]
     return other * (phase / abs(phase))

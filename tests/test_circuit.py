@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qic import statevector as sv
 from qic.circuit import (
@@ -32,6 +34,19 @@ def random_extended_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         ops.append(sv.GateOp(kind, qubits, theta if kind in sv.ROTATION_KINDS else None))
     return Circuit(n_qubits, tuple(ops))
+
+
+@st.composite
+def extended_circuits(draw):
+    """Random swap, ccx, cry and ccry gates in any qubit order on 3 to 5 qubits."""
+    n = draw(st.integers(3, 5))
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(EXTENDED_KINDS))
+        qubits = tuple(draw(st.permutations(range(n)))[: sv.GATE_ARITY[kind]])
+        theta = draw(st.floats(-4 * math.pi, 4 * math.pi))
+        ops.append(sv.GateOp(kind, qubits, theta if kind in sv.ROTATION_KINDS else None))
+    return Circuit(n, tuple(ops))
 
 
 class TestCircuit:
@@ -82,6 +97,15 @@ class TestBuildExperimentCircuit:
         with pytest.raises(NormalizationError):
             build_experiment_circuit([math.nan, 1.0], X0, X1)
 
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_norm_off_by_1e_9_rejected(self, which):
+        # build_experiment_circuit holds its inputs to the package's one unit
+        # tolerance, statevector.UNIT_TOL (1e-10)
+        vectors = [preset_input("xprime"), X0, X1]
+        vectors[which] = vectors[which] * (1 + 1e-9)
+        with pytest.raises(NormalizationError, match="must be finite with unit norm"):
+            build_experiment_circuit(*vectors)
+
     def test_step_labels_cover_a_to_e(self):
         circ = build_experiment_circuit(preset_input("xprime"), X0, X1)
         assert set(circ.labels) == {"A", "B", "C", "D", "E"}
@@ -113,7 +137,7 @@ class TestDecompose:
         assert sum(op.kind == "cx" for op in circ.ops) == 6
         assert sum(len(op.qubits) == 1 for op in circ.ops) == 10
         ideal = sv.circuit_unitary(Circuit(3, (sv.ccx(0, 1, 2),)))
-        assert sv.unitaries_allclose(
+        assert sv.states_allclose(
             ideal, sv.circuit_unitary(circ), atol=1e-12, up_to_phase=True
         )
 
@@ -150,7 +174,16 @@ class TestDecompose:
         circ = random_extended_circuit(4, 10, seed)
         ideal = sv.circuit_unitary(circ)
         lowered = sv.circuit_unitary(decompose(circ))
-        assert sv.unitaries_allclose(ideal, lowered, atol=1e-10, up_to_phase=True)
+        assert sv.states_allclose(ideal, lowered, atol=1e-10, up_to_phase=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(circ=extended_circuits())
+    def test_preserves_unitary_exactly(self, circ):
+        # the pinned expansions are phase-exact, so no phase is aligned here
+        lowered = decompose(circ)
+        assert all(op.kind in {"h", "x", "t", "tdg", "s", "ry", "cx"} for op in lowered.ops)
+        err = np.abs(sv.circuit_unitary(lowered) - sv.circuit_unitary(circ)).max()
+        assert err <= 1e-10
 
     def test_decomposed_experiment_matches_composed_state(self):
         circ = with_interference(build_experiment_circuit(preset_input("xprime"), X0, X1))

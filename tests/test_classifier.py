@@ -81,6 +81,16 @@ class TestTrainingSet:
         with pytest.raises(ValueError):
             TrainingSet(vectors=[[1.0, 0.0]], labels=[0])
 
+    @pytest.mark.parametrize("labels", [[1.5, -1], [0.9, -1]])
+    def test_rejects_non_integer_labels(self, labels):
+        # casting first would truncate these to a valid-looking [1, -1] or [0, -1]
+        with pytest.raises(ValueError, match="labels must be -1 or"):
+            TrainingSet(vectors=[[1.0, 0.0], [0.0, 1.0]], labels=labels)
+
+    def test_rejects_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="2 rows but 1 labels"):
+            TrainingSet(vectors=[[1.0, 0.0], [0.0, 1.0]], labels=[1])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_vectors(self, bad):
         with pytest.raises(NormalizationError):

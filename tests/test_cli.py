@@ -242,6 +242,7 @@ class TestShots:
 USAGE_ERRORS = [
     (("classify", "--input", "0,0"), "--input is a zero vector"),
     (("classify", "--input", "1,0,0"), "training pair is 2-dimensional"),
+    (("classify", "--input", "1e200,1e200"), "--input: cannot normalize"),
     (("classify", "--preset", "xprime", "--shots", "0"), "--shots: must be >= 1, got 0"),
     (("reproduce", "--table", "1", "--reps", "5"), "--reps applies only to --table 2"),
     (("reproduce", "--table", "1", "--format", "csv"), "not csv"),

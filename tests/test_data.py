@@ -9,6 +9,7 @@ from qic.data import (
     run_benchmark,
     split,
 )
+from qic.dataset import LabeledDataset
 from qic.encoding import Pipeline
 
 
@@ -102,6 +103,22 @@ class TestSplit:
             split(ds, 1.0, seed=0)
         with pytest.raises(ValueError):
             split(ds, 0.0, seed=0)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels", [[1.5, -1], [0.9, -1]])
+    def test_rejects_non_integer_labels(self, labels):
+        with pytest.raises(ValueError, match="labels must be -1 or"):
+            LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0]], labels=labels)
+
+    def test_exact_float_labels_become_ints(self):
+        ds = LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0]], labels=[1.0, -1.0])
+        assert ds.labels.dtype.kind == "i"
+        assert ds.labels.tolist() == [1, -1]
+
+    def test_rejects_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="2 rows but 3 labels"):
+            LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0]], labels=[1, -1, 1])
 
 
 class TestRunBenchmark:

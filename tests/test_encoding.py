@@ -73,6 +73,17 @@ class TestNormalize:
         with pytest.raises(ZeroVectorError, match=r"\[1\]"):
             normalize(np.array([(3.0, 4.0), (0.0, 1e-13)]))
 
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 1.0], [1e200, 1e200]])
+    def test_non_finite_norm_rejected(self, v):
+        # 1e200 is finite, but its norm overflows to inf
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            normalize(np.array(v))
+
+    def test_non_finite_row_rejected(self):
+        rows = np.array([(3.0, 4.0), (1.0, np.nan), (1.0, 0.0)])
+        with pytest.raises(ValueError, match=r"\[1\] with non-finite norm"):
+            normalize(rows)
+
 
 class TestTensorCopyMap:
     """The tensor-copy feature map: kron_power of unit vectors."""

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qic import statevector as sv
 from qic.circuit import Circuit, build_experiment_circuit, decompose, with_interference
@@ -61,6 +63,27 @@ def test_experiment_circuit_fits_hardware_budget():
 @pytest.mark.parametrize("seed", range(20))
 def test_round_trip_random_circuits(seed):
     circ = random_restricted_circuit(4, 15, seed)
+    parsed = parse_qasm(export_qasm(circ))
+    assert parsed.n_qubits == circ.n_qubits
+    assert parsed.ops == circ.ops
+
+
+@st.composite
+def decomposed_circuits(draw):
+    """Random circuits over every gate kind and any finite angle, decomposed."""
+    n = draw(st.integers(3, 6))
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(sorted(sv.GATE_ARITY)))
+        qubits = tuple(draw(st.permutations(range(n)))[: sv.GATE_ARITY[kind]])
+        theta = draw(st.floats(allow_nan=False, allow_infinity=False))
+        ops.append(sv.GateOp(kind, qubits, theta if kind in sv.ROTATION_KINDS else None))
+    return decompose(Circuit(n, tuple(ops)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(circ=decomposed_circuits())
+def test_round_trip_is_exact_for_decomposed_circuits(circ):
     parsed = parse_qasm(export_qasm(circ))
     assert parsed.n_qubits == circ.n_qubits
     assert parsed.ops == circ.ops

@@ -272,6 +272,32 @@ class TestSampleShots:
             assert abs(freq - p) <= bound + 1e-12
 
 
+class TestCheckUnit:
+    def test_unit_vector_and_rows_pass(self):
+        sv.check_unit(np.array([0.6, 0.8]), "v")
+        sv.check_unit(np.array([[0.6, 0.8], [1.0, 0.0]]), "rows")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_fails(self, bad):
+        with pytest.raises(NormalizationError, match="rows must be finite"):
+            sv.check_unit(np.array([[0.6, 0.8], [bad, 0.0]]), "rows")
+
+    def test_deviation_beyond_unit_tol_fails(self):
+        sv.check_unit(np.array([0.6, 0.8]) * (1 + 0.5 * sv.UNIT_TOL), "v")
+        with pytest.raises(NormalizationError, match="worst deviation 1.00e-09"):
+            sv.check_unit(np.array([0.6, 0.8]) * (1 + 1e-9), "v")
+
+
+class TestSimulate:
+    def test_empty_circuit_returns_a_copy_of_initial(self):
+        initial = random_state(2, 0)
+        before = initial.amplitudes.copy()
+        out = sv.simulate(Circuit(2, ()), initial)
+        assert out.amplitudes is not initial.amplitudes
+        out.amplitudes[0] = 0.0
+        assert np.array_equal(initial.amplitudes, before)
+
+
 class TestCircuitUnitary:
     def test_single_hadamard(self):
         u = sv.circuit_unitary(Circuit(1, (sv.h(0),)))
@@ -324,6 +350,12 @@ class TestCircuitUnitary:
 
 
 class TestPhaseComparison:
+    def test_unitary_global_phase_ignored(self):
+        u = sv.circuit_unitary(Circuit(2, (sv.h(0), sv.cx(0, 1))))
+        assert sv.states_allclose(u, u * np.exp(-0.4j), up_to_phase=True)
+        assert not sv.states_allclose(u, u * np.exp(-0.4j))
+        assert not sv.states_allclose(u, u[:, ::-1], up_to_phase=True)
+
     def test_global_phase_ignored(self):
         a = np.array([SQRT2_INV, SQRT2_INV], dtype=complex)
         b = a * np.exp(1j * 0.7)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qic.stats import (
     shots_for_error,
@@ -95,6 +97,19 @@ class TestShotsForError:
         assert bound(shots, 2.58) <= eps
         if shots > 1:
             assert bound(shots - 1, 2.58) > eps
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps=st.floats(1e-3, 0.5, exclude_max=True),
+        z=st.floats(0.01, 5.0),
+        method=st.sampled_from(["wald", "wilson"]),
+    )
+    def test_returned_count_is_minimal(self, eps, z, method):
+        bound = wald_worst_case if method == "wald" else wilson_worst_case
+        shots = shots_for_error(eps, z, method)
+        assert bound(shots, z) <= eps
+        if shots > 1:
+            assert bound(shots - 1, z) > eps
 
     def test_monotone_in_epsilon(self):
         counts = [shots_for_error(e, 2.58, "wald") for e in (0.1, 0.05, 0.02, 0.01)]
