@@ -37,15 +37,29 @@ ENV_SEED = "QIC_SEED"
 _REPRODUCE_FORMATS = {1: ("table", "json"), 2: ("csv",)}
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return DEFAULT_SEED
+def _int_at_least(low: int):
+    """argparse type: an integer of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # numpy's generators take no negative seed
+
+
+def _default_seed(parser: argparse.ArgumentParser) -> int:
+    raw = os.environ.get(ENV_SEED, str(DEFAULT_SEED))
     try:
-        return int(raw)
-    except ValueError:
-        print(f"error: {ENV_SEED} must be an integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(2)
+        return _seed(raw)
+    except argparse.ArgumentTypeError:
+        parser.error(f"{ENV_SEED} must be an integer >= 0, got {raw!r}")
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -58,20 +72,9 @@ def _parse_vector(text: str) -> np.ndarray:
     return vec
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _unit_or_usage(parser: argparse.ArgumentParser, name: str, vec: np.ndarray) -> np.ndarray:
     try:
-        with np.errstate(over="ignore"):  # an overflowing norm is reported below
-            return normalize(vec)
+        return normalize(vec)
     except ZeroVectorError:
         parser.error(f"{name} is a zero vector and has no direction")
     except ValueError as exc:
@@ -110,7 +113,7 @@ def _json_payload(command: str, seed: int, config: dict, results) -> str:
 
 
 def _cmd_classify(args, parser) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed if args.seed is not None else _default_seed(parser)
     if args.preset:
         x_tilde = preset_input(args.preset)
     else:
@@ -191,7 +194,7 @@ def _cmd_reproduce(args, parser) -> int:
         parser.error(f"--table {args.table} is written as {' or '.join(formats)}, not {fmt}")
     if args.table == 1 and args.reps is not None:
         parser.error("--reps applies only to --table 2")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed if args.seed is not None else _default_seed(parser)
     if args.table == 1:
         rows = _table1_rows(seed)
         if fmt == "json":
@@ -243,7 +246,7 @@ def _cmd_reproduce(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    checks = verify_decompositions(args.inject_fault)
+    checks = verify_decompositions()
     width = max(len(name) for name, _, _ in checks)
     all_ok = True
     for name, ok, detail in checks:
@@ -270,15 +273,18 @@ def _cmd_export_qasm(args, parser) -> int:
 def _cmd_shots(args, parser) -> int:
     if not 0 < args.eps < 0.5:
         parser.error(f"--eps must be in (0, 0.5), got {args.eps}")
-    if args.z <= 0:
-        parser.error(f"--z must be positive, got {args.z}")
-    count = shots_for_error(args.eps, args.z, args.method)
+    if not (np.isfinite(args.z) and args.z > 0):
+        parser.error(f"--z must be positive and finite, got {args.z}")
+    try:
+        count = shots_for_error(args.eps, args.z, args.method)
+    except ValueError as exc:  # the count overflows
+        parser.error(str(exc))
     bound = (wald_worst_case if args.method == "wald" else wilson_worst_case)(count, args.z)
     if args.format == "json":
         result = {"shots": count, "bound_at_shots": bound}
         config = {"epsilon": args.eps, "z": args.z, "method": args.method}
         return _write_output(
-            _json_payload("shots", _default_seed(), config, result), args.output
+            _json_payload("shots", _default_seed(parser), config, result), args.output
         )
     return _write_output(
         f"shots          : {count}\nbound at shots : {bound:.6f}\n", args.output
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", type=_parse_vector, help="training vector for class +1")
     p.add_argument("--shots", type=_positive_int, default=None,
                    help="sample instead of exact readout")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_classify, parser=p)
@@ -314,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, choices=(1, 2), required=True)
     p.add_argument("--reps", type=_positive_int, default=None,
                    help="repetitions for the benchmark grid (table 2 only; default 1000)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--format", choices=("table", "json", "csv"), default=None,
                    help="table 1: table (default) or json; table 2: csv (default)")
     p.add_argument("-o", "--output", default=None)
@@ -322,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-decompositions",
                        help="check every decomposition against its ideal unitary")
-    p.add_argument("--inject-fault", choices=("toffoli",), default=None,
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify, parser=p)
 
     p = sub.add_parser("export-qasm", help="write the decomposed circuit as OpenQASM 2.0")

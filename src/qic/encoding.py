@@ -17,7 +17,8 @@ def normalize(v: np.ndarray) -> np.ndarray:
     """Rescale a vector, or each row of a matrix, to unit Euclidean length.
     A NaN or infinite entry, or a norm that overflows, raises ValueError."""
     v = np.asarray(v, dtype=float)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise ValueError(f"cannot normalize vector(s) {bad.tolist()} with non-finite norm")

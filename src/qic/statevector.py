@@ -28,10 +28,10 @@ BRANCH_FLOOR = 1e-15
 # a unit norm misses 1 by rounding alone at about 1e-15 per operation; 1e-10
 # leaves room for long chains of them and still catches any real rescaling
 UNIT_TOL = 1e-10
-# phase alignment skips reference entries at or below this: rounding noise has no phase
-PHASE_REF_FLOOR = 1e-9
-# an entry of the other array below this is zero, so it has no phase to divide out
-PHASE_ZERO_FLOOR = 1e-12
+# an exact decomposition misses its reference unitary or state by rounding
+# alone, under 1e-15 per entry over tens of gates; 1e-12 leaves room for that
+# and still fails any wrong gate, which moves some entry by far more
+EXACT_TOL = 1e-12
 
 _SQRT2_INV = 1 / math.sqrt(2)
 
@@ -323,30 +323,3 @@ def circuit_unitary(circuit) -> np.ndarray:
             f"got {circuit.n_qubits}"
         )
     return _run(circuit, np.eye(1 << circuit.n_qubits, dtype=complex))
-
-
-def states_allclose(
-    a: np.ndarray | QuantumState,
-    b: np.ndarray | QuantumState,
-    atol: float = 1e-10,
-    up_to_phase: bool = False,
-) -> bool:
-    """Compare amplitude vectors or unitaries, optionally modulo a global phase."""
-    va = a.amplitudes if isinstance(a, QuantumState) else np.asarray(a, dtype=complex)
-    vb = b.amplitudes if isinstance(b, QuantumState) else np.asarray(b, dtype=complex)
-    if va.shape != vb.shape:
-        return False
-    if up_to_phase:
-        vb = _align_phase(va, vb)
-    return bool(np.allclose(va, vb, atol=atol, rtol=0.0))
-
-
-def _align_phase(ref: np.ndarray, other: np.ndarray) -> np.ndarray:
-    # normalize by the phase at the reference's first nonzero entry
-    flat_ref = ref.reshape(-1)
-    flat_other = other.reshape(-1)
-    nz = np.flatnonzero(np.abs(flat_ref) > PHASE_REF_FLOOR)
-    if nz.size == 0 or abs(flat_other[nz[0]]) < PHASE_ZERO_FLOOR:
-        return other
-    phase = flat_ref[nz[0]] / flat_other[nz[0]]
-    return other * (phase / abs(phase))

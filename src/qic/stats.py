@@ -22,8 +22,12 @@ def _check_counts(successes: int, shots: int, z: float):
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0 <= successes <= shots:
         raise ValueError(f"successes must be in [0, {shots}], got {successes}")
-    if z <= 0:
-        raise ValueError(f"z must be positive, got {z}")
+    _check_z(z)
+
+
+def _check_z(z: float):
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be positive and finite, got {z}")
 
 
 def wald(successes: int, shots: int, z: float) -> IntervalEstimate:
@@ -80,23 +84,24 @@ def shots_for_error(epsilon: float, z: float, method: str = "wald") -> int:
     """Smallest shot count whose worst-case bound is at most epsilon."""
     if not 0 < epsilon < 0.5:
         raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
-    if z <= 0:
-        raise ValueError(f"z must be positive, got {z}")
+    _check_z(z)
     try:
         bound = _WORST_CASE[method]
     except KeyError:
         raise ValueError(f"method must be 'wald' or 'wilson', got {method!r}") from None
 
     # closed-form seed for both methods (wilson's quadratic lower root), then
-    # exact fix-up against the bound, which is monotone decreasing in R
-    if method == "wald":
-        r = max(1, math.ceil((z / (2 * epsilon)) ** 2))
-    else:
-        z2 = z * z
-        r = max(
-            1,
-            math.ceil(z2 * (1.0 + math.sqrt(1.0 + 16.0 * epsilon * epsilon)) / (8 * epsilon * epsilon)),
-        )
+    # exact fix-up against the bound, which is monotone decreasing in R;
+    # products instead of powers, so an overflow gives inf rather than raising
+    half = z / (2 * epsilon)
+    seed = half * half
+    if method == "wilson":
+        seed *= (1.0 + math.sqrt(1.0 + 16.0 * epsilon * epsilon)) / 2
+    # float64 counts past 2**53 are not exact, so the fix-up could not step by
+    # one shot there: it stalls, and the seed itself may overflow to inf
+    if not seed <= 2**53:
+        raise ValueError(f"epsilon {epsilon} at z {z} needs more than 2**53 shots")
+    r = max(1, math.ceil(seed))
     while bound(r, z) > epsilon:
         r += 1
     while r > 1 and bound(r - 1, z) <= epsilon:

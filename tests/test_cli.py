@@ -73,6 +73,20 @@ class TestClassify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 777
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--preset", "xprime", "--shots", "100"),
+        ("reproduce", "--table", "1"),
+        ("reproduce", "--table", "2", "--reps", "1"),
+    ], ids=" ".join)
+    def test_negative_env_seed_is_usage_error(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("QIC_SEED", "-1")
+        code, _ = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: qic {argv[0]} ")
+        assert "QIC_SEED must be an integer >= 0, got '-1'" in captured.err
+
     def test_env_seed_not_an_integer_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("QIC_SEED", "abc")
         code, _ = run_cli("classify", "--preset", "xprime")
@@ -184,11 +198,13 @@ class TestVerifyDecompositions:
         assert "FAIL" not in out
         assert "<= 80" in out
 
-    def test_injected_fault_fails(self, capsys):
-        code, _ = run_cli("verify-decompositions", "--inject-fault", "toffoli")
+    def test_injected_fault_fails(self, faulted_toffoli, capsys):
+        code, _ = run_cli("verify-decompositions")
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAIL" in out
+        failed = [line[6:].split("  ")[0] for line in out.splitlines()
+                  if line.startswith("FAIL  ")]
+        assert failed == faulted_toffoli
 
 
 class TestExportQasm:
@@ -244,6 +260,11 @@ USAGE_ERRORS = [
     (("classify", "--input", "1,0,0"), "training pair is 2-dimensional"),
     (("classify", "--input", "1e200,1e200"), "--input: cannot normalize"),
     (("classify", "--preset", "xprime", "--shots", "0"), "--shots: must be >= 1, got 0"),
+    (("classify", "--preset", "xprime", "--shots", "100", "--seed", "-1"),
+     "--seed: must be >= 0, got -1"),
+    (("reproduce", "--table", "1", "--seed", "-3"), "--seed: must be >= 0, got -3"),
+    (("reproduce", "--table", "2", "--reps", "1", "--seed", "-1"),
+     "--seed: must be >= 0, got -1"),
     (("reproduce", "--table", "1", "--reps", "5"), "--reps applies only to --table 2"),
     (("reproduce", "--table", "1", "--format", "csv"), "not csv"),
     (("reproduce", "--table", "2", "--reps", "0"), "--reps: must be >= 1, got 0"),
@@ -251,6 +272,9 @@ USAGE_ERRORS = [
     (("reproduce", "--table", "2", "--reps", "x"), "--reps: not an integer: 'x'"),
     (("shots", "--eps", "0.7"), "--eps must be in (0, 0.5)"),
     (("shots", "--eps", "0.1", "--z", "0"), "--z must be positive"),
+    (("shots", "--eps", "0.01", "--z", "inf"), "--z must be positive and finite, got inf"),
+    (("shots", "--eps", "0.01", "--z", "nan"), "--z must be positive and finite, got nan"),
+    (("shots", "--eps", "1e-300"), "epsilon 1e-300 at z 2.58 needs more than 2**53 shots"),
 ]
 
 

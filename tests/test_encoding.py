@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,8 +78,14 @@ class TestNormalize:
     @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 1.0], [1e200, 1e200]])
     def test_non_finite_norm_rejected(self, v):
         # 1e200 is finite, but its norm overflows to inf
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             normalize(np.array(v))
+
+    def test_overflowing_norm_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                normalize([1e200, 1e200])
 
     def test_non_finite_row_rejected(self):
         rows = np.array([(3.0, 4.0), (1.0, np.nan), (1.0, 0.0)])

@@ -347,22 +347,3 @@ class TestCircuitUnitary:
             basis[j] = 1.0
             col = sv.simulate(circ, sv.QuantumState(n, basis)).amplitudes
             assert np.allclose(u[:, j], col, atol=1e-12, rtol=0.0)
-
-
-class TestPhaseComparison:
-    def test_unitary_global_phase_ignored(self):
-        u = sv.circuit_unitary(Circuit(2, (sv.h(0), sv.cx(0, 1))))
-        assert sv.states_allclose(u, u * np.exp(-0.4j), up_to_phase=True)
-        assert not sv.states_allclose(u, u * np.exp(-0.4j))
-        assert not sv.states_allclose(u, u[:, ::-1], up_to_phase=True)
-
-    def test_global_phase_ignored(self):
-        a = np.array([SQRT2_INV, SQRT2_INV], dtype=complex)
-        b = a * np.exp(1j * 0.7)
-        assert sv.states_allclose(a, b, up_to_phase=True)
-        assert not sv.states_allclose(a, b, up_to_phase=False)
-
-    def test_different_states_detected(self):
-        a = np.array([1, 0], dtype=complex)
-        b = np.array([0, 1], dtype=complex)
-        assert not sv.states_allclose(a, b, up_to_phase=True)

@@ -125,6 +125,21 @@ class TestShotsForError:
         with pytest.raises(ValueError):
             shots_for_error(0.01, 2.58, "jeffreys")
 
+    @pytest.mark.parametrize("z", [math.inf, math.nan])
+    def test_non_finite_z_rejected(self, z):
+        for call in (wald, wilson):
+            with pytest.raises(ValueError, match="positive and finite"):
+                call(1, 4, z)
+        with pytest.raises(ValueError, match="positive and finite"):
+            shots_for_error(0.01, z)
+
+    # 1e-20 once stalled in the fix-up loop; 1e-300 overflowed the closed form
+    @pytest.mark.parametrize("method", ["wald", "wilson"])
+    @pytest.mark.parametrize("eps, z", [(1e-8, 2.58), (1e-20, 2.58), (1e-300, 2.58), (0.01, 1e200)])
+    def test_count_past_2_to_the_53_rejected(self, method, eps, z):
+        with pytest.raises(ValueError, match=r"needs more than 2\*\*53 shots"):
+            shots_for_error(eps, z, method)
+
 
 class TestCoverage:
     def test_wald_interval_covers_at_nominal_99(self):
