@@ -198,9 +198,6 @@ class ConnectivityGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return tuple(sorted((a, b))) in self.edges
 
-    def degree(self, q: int) -> int:
-        return sum(1 for e in self.edges if q in e)
-
 
 def ibmq5_connectivity() -> ConnectivityGraph:
     """Coupling map of the 5-qubit device: Q2 is the hub adjacent to all four

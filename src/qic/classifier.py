@@ -62,25 +62,27 @@ class RegisterLayout:
 
 @dataclass
 class TrainingSet:
-    """Unit-norm training vectors of a common dimension with labels in {-1,+1}."""
+    """Unit-norm training vectors of a common dimension with labels in {-1,+1},
+    or a batch of such sets stacked along leading axes (vectors (..., M, N),
+    labels (..., M)), which only read_batch takes."""
 
     vectors: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.ndim != 2 or len(self.vectors) < 1:
+        if self.vectors.ndim < 2 or self.vectors.shape[-2] < 1:
             raise ValueError(f"vectors must be a nonempty matrix, got {self.vectors.shape}")
         self.labels = check_labels(self.vectors, self.labels)
         check_unit(self.vectors, "training vectors")
 
     @property
     def M(self) -> int:
-        return len(self.vectors)
+        return self.vectors.shape[-2]
 
     @property
     def dimension(self) -> int:
-        return self.vectors.shape[1]
+        return self.vectors.shape[-1]
 
 
 @dataclass
@@ -100,6 +102,8 @@ class ClassificationOutcome:
 
 
 def _check_input(train: TrainingSet, x_tilde) -> np.ndarray:
+    if train.vectors.ndim != 2:
+        raise ValueError(f"expected one training set, got a batch {train.vectors.shape}")
     xt = np.asarray(x_tilde, dtype=float)
     if xt.shape != (train.dimension,):
         raise ValueError(
@@ -217,15 +221,23 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
     rows w_km = 2 + 2<x_k, x^m>, but that Gram form cancels badly where x_k
     is nearly opposite x^m.) Rows at or below the postselection floor, where
     that path raises ImpossibleBranchError, get p_acc = 0 and
-    p_class_minus = nan. Holds a (rows x M x N) temporary.
+    p_class_minus = nan. A batch of training sets (vectors (..., M, N)) reads
+    the matching batch of inputs (..., K, N) set by set. Holds a
+    (... x K x M x N) temporary.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != train.dimension:
-        raise ValueError(f"inputs {X.shape} must be rows of dimension {train.dimension}")
+    lead = train.vectors.shape[:-2]
+    if X.ndim != len(lead) + 2 or X.shape[:-2] != lead or X.shape[-1] != train.dimension:
+        raise ValueError(
+            f"inputs {X.shape} must be rows of dimension {train.dimension}, batched as {lead}"
+        )
     check_unit(X, "inputs")
-    w = ((X[:, None, :] + train.vectors[None, :, :]) ** 2).sum(2)
-    minus = train.labels == -1
-    w_minus, w_plus = w[:, minus].sum(1), w[:, ~minus].sum(1)
+    # features outermost, so each broadcast step runs over a whole (K x M) plane
+    xs, vs = (np.ascontiguousarray(np.swapaxes(a, -1, -2)) for a in (X, train.vectors))
+    sums = xs[..., :, :, None] + vs[..., :, None, :]
+    w = np.square(sums, out=sums).sum(-3)
+    minus = (train.labels == -1)[..., None, :]
+    w_minus, w_plus = np.where(minus, w, 0.0).sum(-1), np.where(minus, 0.0, w).sum(-1)
     total = w_minus + w_plus
     p_acc = total / (4 * train.M)
     possible = p_acc > BRANCH_FLOOR

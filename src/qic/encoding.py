@@ -14,7 +14,8 @@ _FLOOR = 1e-12
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Rescale a vector, or each row of a matrix, to unit Euclidean length.
+    """Rescale a vector, or each row of a matrix or batch of matrices, to unit
+    Euclidean length; a rejected row is named by its flat row index.
     A NaN or infinite entry, or a norm that overflows, raises ValueError."""
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
@@ -31,17 +32,17 @@ def normalize(v: np.ndarray) -> np.ndarray:
 def kron_power(v: np.ndarray, copies: int) -> np.ndarray:
     """k-fold Kronecker power; entry (i1..ik) is the product v[i1]*...*v[ik].
 
-    A matrix is mapped row by row, in one broadcast over all rows. For unit
-    vectors, inner products become powers: <v^k, u^k> = <v, u>^k.
+    A matrix, or a batch of matrices, is mapped row by row along the last
+    axis, in one broadcast over all rows. For unit vectors, inner products
+    become powers: <v^k, u^k> = <v, u>^k.
     """
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
     v = np.asarray(v, dtype=float)
-    rows = np.atleast_2d(v)
-    out = rows
+    out = v
     for _ in range(copies - 1):
-        out = (out[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
-    return out if v.ndim > 1 else out[0]
+        out = (out[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], -1)
+    return out
 
 
 class Pipeline:
@@ -52,6 +53,10 @@ class Pipeline:
     raw scale: row-normalizing first would erase radial structure), so the
     mapped columns are plain monomials; standardizing and normalizing them
     gives the unit-norm encodable vectors.
+
+    A batch of datasets (rows (R, n, d)) is fitted split by split in one
+    pass: means and stds get shape (R, d), and transform takes the matching
+    batch of held-out rows.
     """
 
     def __init__(self, copies: int = 1):
@@ -61,16 +66,17 @@ class Pipeline:
 
     def fit_transform(self, dataset: LabeledDataset) -> LabeledDataset:
         rows = kron_power(dataset.rows, self.copies)
-        if len(rows) < 2:
+        if rows.shape[-2] < 2:
             raise ValueError("standardization needs at least 2 samples")
-        means = rows.mean(axis=0)
-        stds = rows.std(axis=0)
-        bad = np.flatnonzero(stds <= _FLOOR)
+        means = rows.mean(axis=-2)
+        centered = rows - means[..., None, :]
+        stds = np.sqrt((centered * centered).mean(axis=-2))  # bit for bit rows.std
+        bad = np.flatnonzero((stds <= _FLOOR).reshape(-1, stds.shape[-1]).any(axis=0))
         if bad.size:
             raise DegenerateFeatureError(
                 f"feature column(s) {bad.tolist()} have zero variance"
             )
-        out = dataset.with_rows(normalize((rows - means) / stds))
+        out = dataset.with_rows(normalize(centered / stds[..., None, :]))
         self.means, self.stds = means, stds
         return out
 
@@ -78,4 +84,6 @@ class Pipeline:
         if self.means is None:
             raise RuntimeError("pipeline is not fitted; call fit_transform first")
         rows = kron_power(dataset.rows, self.copies)
-        return dataset.with_rows(normalize((rows - self.means) / self.stds))
+        return dataset.with_rows(
+            normalize((rows - self.means[..., None, :]) / self.stds[..., None, :])
+        )

@@ -172,9 +172,6 @@ class QuantumState:
                 f"expected {1 << self.n_qubits} amplitudes, got {self.amplitudes.shape}"
             )
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 

@@ -189,9 +189,10 @@ class TestConnectivity:
     def test_device_graph_shape(self):
         graph = ibmq5_connectivity()
         assert graph.n_physical == 5
-        assert graph.degree(2) == 4
+        degree = [sum(q in edge for edge in graph.edges) for q in range(5)]
+        assert degree[2] == 4
         # the hub is the only qubit coupled to all four others
-        assert [q for q in range(5) if graph.degree(q) == 4] == [2]
+        assert [q for q in range(5) if degree[q] == 4] == [2]
 
     def test_experiment_circuit_is_placeable(self):
         circ = decompose(

@@ -147,7 +147,7 @@ class TestPrepareState:
         assert layout.m_bits == 2
         m_vals = np.arange(state.amplitudes.size) >> (2 + layout.i_bits)
         assert np.all(state.amplitudes[m_vals == 3] == 0)
-        assert state.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_mismatch(self):
         train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
@@ -471,6 +471,42 @@ class TestReadBatch:
         with pytest.raises(ImpossibleBranchError):
             interfere_and_read(prepare_state(train, -v))
         assert_matches_statevector(train, X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 4), M=st.integers(1, 9),
+           N=st.integers(1, 7), k=st.integers(1, 6), antipodal=st.booleans())
+    def test_batch_of_sets_equals_one_set_at_a_time(self, seed, R, M, N, k, antipodal):
+        # with antipodal, set 0 repeats one vector and its first input points
+        # the other way, so that row reads (0, nan) in both forms
+        rng = np.random.default_rng(seed)
+        sets = [random_instance(rng, M, N)[0] for _ in range(R)]
+        X = rng.normal(size=(R, k, N))
+        X /= np.linalg.norm(X, axis=-1, keepdims=True)
+        if antipodal:
+            v = sets[0].vectors[0]
+            sets[0] = TrainingSet(vectors=np.tile(v, (M, 1)), labels=sets[0].labels)
+            X[0, 0] = -v
+        batch = TrainingSet(vectors=np.stack([s.vectors for s in sets]),
+                            labels=np.stack([s.labels for s in sets]))
+        p_acc, p_minus = read_batch(batch, X)
+        assert p_acc.shape == p_minus.shape == (R, k)
+        for r, train in enumerate(sets):
+            one_acc, one_minus = read_batch(train, X[r])
+            np.testing.assert_array_equal(p_acc[r], one_acc)
+            np.testing.assert_array_equal(p_minus[r], one_minus)
+        if antipodal:
+            assert p_acc[0, 0] == 0.0 and math.isnan(p_minus[0, 0])
+
+    def test_batch_needs_matching_input_batch(self):
+        v = unit([1.0, 2.0])
+        batch = TrainingSet(vectors=[[v, v], [v, -v]], labels=[[-1, 1], [1, -1]])
+        assert (batch.M, batch.dimension) == (2, 2)
+        with pytest.raises(ValueError):
+            read_batch(batch, [v])
+        with pytest.raises(ValueError):
+            read_batch(batch, [[v], [v], [v]])
+        with pytest.raises(ValueError, match="one training set"):
+            prepare_state(batch, v)
 
     def test_reference_inputs(self):
         X = np.array([preset_input("xprime"), preset_input("xdoubleprime")])

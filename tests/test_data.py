@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from qic.classifier import TrainingSet, interfere_and_read, prepare_state
 from qic.data import (
+    CHUNK,
     TABLE2_ROWS,
+    TRAIN_FRACTION,
     benchmark_dataset,
     circles,
     iris,
@@ -11,6 +16,34 @@ from qic.data import (
 )
 from qic.dataset import LabeledDataset
 from qic.encoding import Pipeline
+from qic.errors import ImpossibleBranchError
+
+
+def statevector_reference(ds, reps, copies, master_seed):
+    """run_benchmark one split and one test point at a time, through the
+    statevector readout: (per-rep errors, per-rep mean p_acc, impossible)."""
+    impossible, errors, p_accs = 0, [], []
+    for rep in range(reps):
+        seed = np.random.SeedSequence((master_seed, rep))
+        train_raw, test_raw = split(ds, TRAIN_FRACTION, seed)
+        pipe = Pipeline(copies)
+        train = pipe.fit_transform(train_raw)
+        test = pipe.transform(test_raw)
+        training = TrainingSet(vectors=train.rows, labels=train.labels)
+        wrong, rep_p_acc = 0, []
+        for xt, yt in zip(test.rows, test.labels):
+            try:
+                outcome = interfere_and_read(prepare_state(training, xt))
+            except ImpossibleBranchError:
+                impossible += 1
+                wrong += 1
+                continue
+            rep_p_acc.append(outcome.p_acc)
+            wrong += outcome.predicted != yt
+        errors.append(wrong / test.n_samples)
+        if rep_p_acc:
+            p_accs.append(math.fsum(rep_p_acc) / len(rep_p_acc))
+    return errors, p_accs, impossible
 
 
 class TestIris:
@@ -94,6 +127,19 @@ class TestSplit:
         b = split(ds, 0.8, seed=11)[0]
         assert np.array_equal(a.rows, b.rows)
 
+    def test_list_of_seeds_stacks_the_single_splits(self):
+        ds = iris(classes=(1, 3))
+        seeds = [np.random.SeedSequence((4, rep)) for rep in range(3)]
+        train, test = split(ds, 0.8, seeds)
+        assert train.rows.shape == (3, 80, 4) and test.labels.shape == (3, 20)
+        assert (train.n_samples, test.n_samples, train.n_features) == (80, 20, 4)
+        for r, seed in enumerate(seeds):
+            one_train, one_test = split(ds, 0.8, seed)
+            assert np.array_equal(train.rows[r], one_train.rows)
+            assert np.array_equal(train.labels[r], one_train.labels)
+            assert np.array_equal(test.rows[r], one_test.rows)
+            assert np.array_equal(test.labels[r], one_test.labels)
+
     def test_empty_side_rejected(self):
         # with the floor rule the train side empties out for tiny fractions
         ds = circles(n_per_class=5, seed=0)
@@ -120,6 +166,19 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="2 rows but 3 labels"):
             LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0]], labels=[1, -1, 1])
 
+    def test_batch_checks_labels_and_rows_of_every_matrix(self):
+        rows = np.ones((2, 3, 2))
+        with pytest.raises(ValueError, match="2x3 rows but 3 labels"):
+            LabeledDataset(rows=rows, labels=[1, -1, 1])
+        with pytest.raises(ValueError, match="labels must be -1 or"):
+            LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, 0, 1]])
+        batch = LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
+        with pytest.raises(ValueError, match="not of a batch"):
+            batch.subset([0])
+        rows[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="rows must be finite"):
+            LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
+
 
 class TestRunBenchmark:
     def test_deterministic_report(self):
@@ -130,24 +189,9 @@ class TestRunBenchmark:
 
     def test_variance_is_population_variance_of_rep_errors(self):
         # recompute per-repetition errors independently and compare
-        from qic.classifier import TrainingSet, interfere_and_read, prepare_state
-
         ds = iris(classes=(2, 3))
         report = run_benchmark(ds, 6, master_seed=9)
-
-        errors = []
-        for rep in range(6):
-            seed = np.random.SeedSequence((9, rep))
-            train_raw, test_raw = split(ds, 0.8, seed)
-            pipe = Pipeline()
-            train = pipe.fit_transform(train_raw)
-            test = pipe.transform(test_raw)
-            training = TrainingSet(vectors=train.rows, labels=train.labels)
-            wrong = sum(
-                interfere_and_read(prepare_state(training, xt)).predicted != yt
-                for xt, yt in zip(test.rows, test.labels)
-            )
-            errors.append(wrong / test.n_samples)
+        errors, _, _ = statevector_reference(ds, 6, 1, master_seed=9)
         assert report.mean_error == pytest.approx(np.mean(errors), abs=1e-12)
         assert report.error_variance == pytest.approx(np.var(errors), abs=1e-12)
 
@@ -222,3 +266,22 @@ class TestRunBenchmark:
         for spec in TABLE2_ROWS:
             ds = benchmark_dataset(spec.key)
             assert ds.n_samples == 100
+
+    @pytest.mark.parametrize("key", ["circlesXYZ", "iris-2-3-bogus", "iris"])
+    def test_only_table2_keys_resolve(self, key):
+        with pytest.raises(ValueError, match="unknown benchmark row"):
+            benchmark_dataset(key)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_chunked_run_matches_per_split_statevector_loop(self, copies):
+        # CHUNK + 1 repetitions: one full chunk, then a chunk of a single split
+        ds = iris(classes=(2, 3))
+        reps = CHUNK + 1
+        report = run_benchmark(ds, reps, copies, master_seed=5)
+        errors, p_accs, impossible = statevector_reference(ds, reps, copies, master_seed=5)
+        assert report.repetitions == reps
+        assert report.mean_error > 0.0
+        assert report.mean_error == pytest.approx(np.mean(errors), abs=1e-12)
+        assert report.error_variance == pytest.approx(np.var(errors), abs=1e-12)
+        assert report.mean_p_acc == pytest.approx(np.mean(p_accs), abs=1e-12)
+        assert report.impossible_branch_count == impossible

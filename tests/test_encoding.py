@@ -136,6 +136,9 @@ class TestTensorCopyMap:
             expected.append(out)
         assert np.array_equal(kron_power(rows, k), np.stack(expected))
         assert np.array_equal(kron_power(rows[2], k), expected[2])
+        # a batch of matrices maps each matrix
+        batch = np.stack([rows, rows[::-1]])
+        assert np.array_equal(kron_power(batch, k), np.stack([expected, expected[::-1]]))
 
     def test_copies_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -200,6 +203,33 @@ class TestPipeline:
     def test_copies_must_be_positive(self):
         with pytest.raises(ValueError, match="copies must be >= 1"):
             Pipeline(0).fit_transform(toy_dataset([(1, 2), (3, 4)]))
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_batch_of_splits_equals_split_by_split(self, copies):
+        rng = np.random.default_rng(copies)
+        train_rows, test_rows = rng.normal(size=(3, 12, 3)), rng.normal(size=(3, 5, 3))
+        train_labels, test_labels = np.tile([-1, 1], (3, 6)), np.tile([-1, 1, 1, -1, 1], (3, 1))
+        batch = Pipeline(copies)
+        fitted = batch.fit_transform(LabeledDataset(train_rows, train_labels))
+        held_out = batch.transform(LabeledDataset(test_rows, test_labels))
+        assert batch.means.shape == batch.stds.shape == (3, 3 ** copies)
+        for r in range(3):
+            one = Pipeline(copies)
+            one_fitted = one.fit_transform(LabeledDataset(train_rows[r], train_labels[r]))
+            one_held_out = one.transform(LabeledDataset(test_rows[r], test_labels[r]))
+            assert np.array_equal(batch.means[r], one.means)
+            assert np.array_equal(batch.stds[r], one.stds)
+            assert np.array_equal(fitted.rows[r], one_fitted.rows)
+            assert np.array_equal(held_out.rows[r], one_held_out.rows)
+            assert np.array_equal(held_out.labels[r], test_labels[r])
+
+    def test_zero_variance_column_of_any_split_rejected(self):
+        rows = np.random.default_rng(0).normal(size=(2, 6, 3))
+        rows[1, :, 2] = 4.0
+        pipe = Pipeline()
+        with pytest.raises(DegenerateFeatureError, match=r"column\(s\) \[2\]"):
+            pipe.fit_transform(LabeledDataset(rows, np.tile([-1, 1], (2, 3))))
+        assert pipe.means is None
 
     @settings(max_examples=80, deadline=None)
     @given(

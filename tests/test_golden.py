@@ -15,6 +15,9 @@ from qic.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = [
+    (("reproduce", "--table", "2", "--reps", "1000", "--seed", "1234"),
+     "table2_reps1000_seed1234.csv"),
+] + [
     (("reproduce", "--table", "2", "--reps", "25", "--seed", str(seed)),
      f"table2_reps25_seed{seed}.csv")
     for seed in (0, 42, 99999)
