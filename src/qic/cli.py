@@ -346,8 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main call and reused: building it costs about as much as
+# parsing. parse_args leaves it unchanged and returns a fresh Namespace.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args, args.parser)
     except (ImpossibleBranchError, EstimationFailedError) as exc:

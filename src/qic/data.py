@@ -3,6 +3,8 @@ harness that drives the classifier over many random separations."""
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -17,22 +19,20 @@ from .encoding import Pipeline
 IRIS_SHA256 = "c8a2fdaf394fc79fd145487203d7d69163f0e6d0053ea46afe97fa3542d12822"
 IRIS_FEATURES = ("sepal_length", "sepal_width", "petal_length", "petal_width")
 
-_iris_cache: tuple[np.ndarray, np.ndarray] | None = None
-
-
+@functools.cache
 def _load_iris_csv() -> tuple[np.ndarray, np.ndarray]:
-    global _iris_cache
-    if _iris_cache is None:
-        text = resources.files("qic").joinpath("iris.csv").read_text()
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        if digest != IRIS_SHA256:
-            raise RuntimeError(
-                f"iris.csv checksum mismatch: expected {IRIS_SHA256}, got {digest}"
-            )
-        body = text.strip().splitlines()[1:]
-        values = np.array([[float(v) for v in line.split(",")] for line in body])
-        _iris_cache = (values[:, :4], values[:, 4].astype(int))
-    return _iris_cache
+    text = resources.files("qic").joinpath("iris.csv").read_text()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    if digest != IRIS_SHA256:
+        raise RuntimeError(
+            f"iris.csv checksum mismatch: expected {IRIS_SHA256}, got {digest}"
+        )
+    body = text.strip().splitlines()[1:]
+    values = np.array([[float(v) for v in line.split(",")] for line in body])
+    targets = values[:, 4].astype(int)
+    # shared by every later call, so a stray write must fail, not spread
+    values.flags.writeable = targets.flags.writeable = False
+    return values[:, :4], targets
 
 
 def iris(
@@ -221,19 +221,32 @@ TABLE2_ROWS: tuple[BenchmarkRowSpec, ...] = (
 )
 
 
+@functools.cache
+def _shared_benchmark_dataset(key: str) -> LabeledDataset:
+    if key not in {spec.key for spec in TABLE2_ROWS}:
+        raise ValueError(f"unknown benchmark row {key!r}")
+    if key.startswith("iris"):
+        parts = key.split("-")
+        ds = iris(classes=(int(parts[1]), int(parts[2])))
+    else:
+        ds = circles()
+    ds.rows.flags.writeable = ds.labels.flags.writeable = False
+    return ds
+
+
 def benchmark_dataset(key: str) -> LabeledDataset:
     """Materialize the fixed dataset behind a canonical benchmark row key.
 
     The circles instance is generated with the generator defaults (seed 0) so
     that, like iris, the benchmark rows always refer to one fixed dataset;
     the master seed randomizes only the train/test separations.
+
+    Each dataset is built once per process and its arrays are read-only.
+    Every call returns its own LabeledDataset over them, so neither a write
+    nor a rebound attribute reaches a later caller; split copies the rows it
+    selects, so its outputs are writable.
     """
-    if key not in {spec.key for spec in TABLE2_ROWS}:
-        raise ValueError(f"unknown benchmark row {key!r}")
-    if key.startswith("iris"):
-        parts = key.split("-")
-        return iris(classes=(int(parts[1]), int(parts[2])))
-    return circles()
+    return copy.copy(_shared_benchmark_dataset(key))
 
 
 def run_table2(

@@ -3,6 +3,8 @@ import pytest
 from qic import circuit
 from qic import statevector as sv
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture
 def faulted_toffoli(monkeypatch):

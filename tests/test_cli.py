@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qic import __version__, cli
-from qic.cli import main
+from qic.cli import build_parser, main
 from qic.qasm import parse_qasm
 
 
@@ -94,6 +94,19 @@ class TestClassify:
         assert code == 2
         assert "QIC_SEED must be an integer" in captured.err
         assert captured.out == ""
+
+    def test_env_seed_read_on_every_call(self, capsys, monkeypatch):
+        argv = ("classify", "--preset", "xprime", "--shots", "100", "--format", "json")
+        outputs = {}
+        for seed in ("5", "6"):
+            monkeypatch.setenv("QIC_SEED", seed)
+            assert run_cli(*argv) == (0, None)
+            outputs[seed] = capsys.readouterr().out
+        monkeypatch.delenv("QIC_SEED")
+        for seed, out in outputs.items():
+            run_cli(*argv, "--seed", seed)
+            assert out == capsys.readouterr().out
+        assert outputs["5"] != outputs["6"]
 
     def test_orthogonal_input_reports_check_failure(self, capsys):
         # input opposite to every training vector never survives postselection
@@ -310,3 +323,34 @@ def test_package_runs_as_module():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+GOLDEN_25 = Path(__file__).resolve().parent / "golden" / "table2_reps25_seed0.csv"
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("before, code", [
+        (("classify", "--preset", "xprime", "--format", "json"), 0),
+        (("classify", "--input", "0,0"), 2),
+        (("reproduce", "--table", "1", "--reps", "5"), 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+    def test_earlier_call_leaves_table2_unchanged(self, before, code, capsys):
+        assert run_cli(*before)[0] == code
+        capsys.readouterr()
+        assert run_cli("reproduce", "--table", "2", "--reps", "25", "--seed", "0") == (0, None)
+        assert capsys.readouterr().out.encode() == GOLDEN_25.read_bytes()
+
+    def test_parser_is_built_at_most_once(self, monkeypatch, capsys):
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        run_cli("classify", "--preset", "xprime")
+        run_cli("classify", "--input", "0,0")
+        run_cli("shots", "--eps", "0.01")
+        run_cli("verify-decompositions")
+        assert built == [1]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qic import data
 from qic.classifier import TrainingSet, interfere_and_read, prepare_state
 from qic.data import (
     CHUNK,
@@ -79,6 +80,22 @@ class TestIris:
         assert np.allclose(out.rows[28], [-0.549, 0.836], atol=0.02)
         assert np.allclose(out.rows[36], [0.053, 0.999], atol=0.02)
         assert np.allclose(out.rows[85], [0.789, 0.615], atol=0.02)
+
+    def test_cached_csv_arrays_are_read_only(self):
+        values, targets = data._load_iris_csv()
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            targets[0] = 3
+        assert data._load_iris_csv()[0][0, 0] == 5.1
+
+    def test_output_is_a_writable_copy(self):
+        ds = iris(classes=(1, 2))
+        ds.rows[0, 0] = -1.0
+        ds.labels[0] = +1
+        again = iris(classes=(1, 2))
+        assert again.rows[0, 0] == 5.1
+        assert again.labels[0] == -1
 
 
 class TestCircles:
@@ -204,7 +221,6 @@ class TestRunBenchmark:
         # rows have mean 0, so they cannot all point away from one input.
         import math
 
-        from qic import data
         from qic.classifier import TrainingSet, classify
         from qic.dataset import LabeledDataset
         from qic.encoding import kron_power, normalize
@@ -285,3 +301,47 @@ class TestRunBenchmark:
         assert report.error_variance == pytest.approx(np.var(errors), abs=1e-12)
         assert report.mean_p_acc == pytest.approx(np.mean(p_accs), abs=1e-12)
         assert report.impossible_branch_count == impossible
+
+
+TABLE2_KEYS = [spec.key for spec in TABLE2_ROWS]
+
+
+class TestBenchmarkDataset:
+    @pytest.mark.parametrize("key", TABLE2_KEYS)
+    def test_arrays_are_read_only(self, key):
+        ds = benchmark_dataset(key)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.rows[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[0] = -ds.labels[0]
+        with pytest.raises(ValueError, match="read-only"):
+            ds.rows += 1.0
+
+    @pytest.mark.parametrize("key", TABLE2_KEYS)
+    def test_rebound_attributes_do_not_reach_the_next_caller(self, key):
+        first = benchmark_dataset(key)
+        rows, labels = first.rows.copy(), first.labels.copy()
+        first.rows = np.zeros_like(rows)
+        first.labels = -labels
+        first.name = "changed"
+        again = benchmark_dataset(key)
+        assert again is not first
+        # the second call returns the arrays the first call was handed
+        assert np.array_equal(again.rows, rows)
+        assert np.array_equal(again.labels, labels)
+        assert again.name != "changed"
+
+    @pytest.mark.parametrize("key", ["iris-2-3-featmap", "circles"])
+    def test_split_and_pipeline_outputs_are_writable(self, key):
+        spec = next(spec for spec in TABLE2_ROWS if spec.key == key)
+        seeds = [np.random.SeedSequence((1234, rep)) for rep in range(3)]
+        for seed in (seeds[0], seeds):
+            train_raw, test_raw = split(benchmark_dataset(key), TRAIN_FRACTION, seed)
+            pipe = Pipeline(spec.copies)
+            outputs = [train_raw, test_raw, pipe.fit_transform(train_raw),
+                       pipe.transform(test_raw)]
+            for ds in outputs:
+                assert ds.rows.flags.writeable
+                assert ds.labels.flags.writeable
+                ds.rows[..., 0, 0] = 0.0
+        assert benchmark_dataset(key).rows[0, 0] != 0.0
