@@ -23,7 +23,13 @@ from .circuit import (
     verify_decompositions,
     with_interference,
 )
-from .classifier import TrainingSet, classify
+from .classifier import (
+    TrainingSet,
+    classify,
+    interfere_and_read,
+    interfere_and_sample,
+    prepare_state,
+)
 from .data import run_table2
 from .encoding import normalize
 from .errors import EstimationFailedError, ImpossibleBranchError, ZeroVectorError
@@ -169,9 +175,9 @@ def _table1_rows(seed: int) -> list[dict]:
     train = training_set()
     rows = []
     for name in PRESET_NAMES:
-        x_tilde = preset_input(name)
-        exact = classify(train, x_tilde)
-        sampled = classify(train, x_tilde, shots=8192, seed=seed)
+        state = prepare_state(train, preset_input(name))
+        exact = interfere_and_read(state)
+        sampled = interfere_and_sample(state, 8192, seed)
         rows.append(
             {
                 "input": name,

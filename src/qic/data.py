@@ -53,7 +53,10 @@ def iris(
         raise ValueError(f"features must come from {{0, 1, 2, 3}}, got {features}")
     data, targets = _load_iris_csv()
     feats = list(features)
-    rows = np.vstack([data[targets == first][:, feats], data[targets == second][:, feats]])
+    # C-ordered for the split and pipeline; the column selections are Fortran-ordered
+    rows = np.ascontiguousarray(
+        np.vstack([data[targets == first][:, feats], data[targets == second][:, feats]])
+    )
     labels = np.concatenate(
         [np.full(np.sum(targets == first), -1), np.full(np.sum(targets == second), +1)]
     )

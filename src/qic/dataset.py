@@ -2,18 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
+
+
+def _check_row_count(rows: np.ndarray, labels: np.ndarray) -> None:
+    if labels.shape != rows.shape[:-1]:
+        dims = ["x".join(map(str, shape)) for shape in (rows.shape[:-1], labels.shape)]
+        raise ValueError(f"{dims[0]} rows but {dims[1]} labels")
+
+
+def _finite_matrix(rows) -> np.ndarray:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim < 2:
+        raise ValueError(f"rows must be a matrix, got shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("rows must be finite")
+    return rows
 
 
 def check_labels(rows: np.ndarray, labels) -> np.ndarray:
     """The labels as ints, one per row (of each matrix in a batch), each
     exactly -1 or +1 (1.5 is not truncated)."""
     values = np.asarray(labels)
-    if values.shape != rows.shape[:-1]:
-        dims = ["x".join(map(str, shape)) for shape in (rows.shape[:-1], values.shape)]
-        raise ValueError(f"{dims[0]} rows but {dims[1]} labels")
+    _check_row_count(rows, values)
     if not np.all((values == 1) | (values == -1)):
         raise ValueError("labels must be -1 or +1")
     return values.astype(int, copy=False)
@@ -22,19 +36,18 @@ def check_labels(rows: np.ndarray, labels) -> np.ndarray:
 @dataclass
 class LabeledDataset:
     """Feature matrix with labels in {-1, +1}, or a batch of them stacked
-    along leading axes (rows (..., n, d), labels (..., n))."""
+    along leading axes (rows (..., n, d), labels (..., n)).
+
+    Construction checks rows and labels; subset and with_rows derive from a
+    checked dataset and check only what they bring in."""
 
     rows: np.ndarray
     labels: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=float)
-        if self.rows.ndim < 2:
-            raise ValueError(f"rows must be a matrix, got shape {self.rows.shape}")
+        self.rows = _finite_matrix(self.rows)
         self.labels = check_labels(self.rows, self.labels)
-        if not np.all(np.isfinite(self.rows)):
-            raise ValueError("rows must be finite")
 
     @property
     def n_samples(self) -> int:
@@ -44,12 +57,20 @@ class LabeledDataset:
     def n_features(self) -> int:
         return self.rows.shape[-1]
 
+    def _derived(self, rows: np.ndarray, labels: np.ndarray) -> "LabeledDataset":
+        out = copy.copy(self)  # copies skip __post_init__
+        out.rows, out.labels = rows, labels
+        return out
+
     def with_rows(self, rows: np.ndarray) -> "LabeledDataset":
-        return replace(self, rows=rows)
+        """The same labels on new rows, which must be finite, one per label."""
+        rows = _finite_matrix(rows)
+        _check_row_count(rows, self.labels)
+        return self._derived(rows, self.labels)
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         """Rows of a single dataset at indices; an (R, k) index array gives a
         batch of R subsets."""
         if self.rows.ndim != 2:
             raise ValueError("subset takes rows of one dataset, not of a batch")
-        return replace(self, rows=self.rows[indices], labels=self.labels[indices])
+        return self._derived(self.rows[indices], self.labels[indices])

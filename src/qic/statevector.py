@@ -9,6 +9,7 @@ target> ordered 00, 01, 10, 11.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -204,24 +205,47 @@ def _check_indices(n_qubits: int, qubits: tuple[int, ...]):
             raise IndexError(f"qubit {q} out of range for {n_qubits}-qubit state")
 
 
-def _apply_matrix(
-    amps: np.ndarray, n_qubits: int, matrix: np.ndarray, qubits: tuple[int, ...]
-) -> np.ndarray:
-    """Apply the matrix to the listed qubits of amplitudes shaped (2**n,) or
-    (2**n, B); any trailing axis is a batch of states. Returns the input's shape."""
+# bound on the step plans kept, at most about 1 KB each at MAX_QUBITS; the
+# experiment circuit, composed and lowered, needs under a hundred
+_PLAN_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _step_plan(
+    n_qubits: int, order: tuple[int, ...], qubits: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transpose that brings the qubits' axes to the front of an array whose
+    position p holds original axis order[p], and the axis order it leaves.
+    Raises IndexError for an out-of-range qubit (lru_cache keeps no failure)."""
+    _check_indices(n_qubits, qubits)
     # numpy axis 0 is the most significant bit; qubit q lives on axis n-1-q
-    axes = [n_qubits - 1 - q for q in qubits]
-    perm = axes + [a for a in range(n_qubits + amps.ndim - 1) if a not in axes]
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    psi = amps.reshape((2,) * n_qubits + amps.shape[1:]).transpose(perm)
-    psi = (matrix @ psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
+    front = [order.index(n_qubits - 1 - q) for q in qubits]
+    perm = tuple(front + [p for p in range(len(order)) if p not in front])
+    return perm, tuple(order[p] for p in perm)
+
+
+def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
+    """Apply the ops in order to amplitudes shaped (2**n,) or (2**n, B); any
+    trailing axis is a batch of states. Returns the input's shape.
+
+    Each gate copies the state once, into the operand of its matmul (not at all
+    when its qubits already lead). The product stays in that axis order, and
+    the original order is restored once, after the last gate.
+    """
+    psi = amps.reshape((2,) * n_qubits + amps.shape[1:])
+    order = tuple(range(psi.ndim))
+    for op in ops:
+        perm, order = _step_plan(n_qubits, order, op.qubits)
+        psi = psi.transpose(perm)
+        matrix = gate_matrix(op)
+        psi = (matrix @ psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
+    inverse = sorted(range(len(order)), key=order.__getitem__)
     return psi.transpose(inverse).reshape(amps.shape)
 
 
 def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
     """Return the state transformed by the op's unitary; input is not mutated."""
-    _check_indices(state.n_qubits, op.qubits)
-    amps = _apply_matrix(state.amplitudes, state.n_qubits, gate_matrix(op), op.qubits)
+    amps = _apply_ops(state.amplitudes, state.n_qubits, (op,))
     return QuantumState(state.n_qubits, amps, state.layout)
 
 
@@ -294,18 +318,10 @@ def sample_shots(
     }
 
 
-def _run(circuit, amps: np.ndarray) -> np.ndarray:
-    """Apply the circuit's gates in order to amplitudes shaped (2**n,) or (2**n, B)."""
-    for op in circuit.ops:
-        _check_indices(circuit.n_qubits, op.qubits)
-        amps = _apply_matrix(amps, circuit.n_qubits, gate_matrix(op), op.qubits)
-    return amps
-
-
 def simulate(circuit, initial: QuantumState | None = None) -> QuantumState:
     """Run a circuit on |0...0> (or on the given initial state)."""
     state = zero_state(circuit.n_qubits) if initial is None else initial.copy()
-    state.amplitudes = _run(circuit, state.amplitudes)
+    state.amplitudes = _apply_ops(state.amplitudes, circuit.n_qubits, circuit.ops)
     return state
 
 
@@ -319,4 +335,5 @@ def circuit_unitary(circuit) -> np.ndarray:
             f"circuit_unitary supports at most {MAX_UNITARY_QUBITS} qubits, "
             f"got {circuit.n_qubits}"
         )
-    return _run(circuit, np.eye(1 << circuit.n_qubits, dtype=complex))
+    return _apply_ops(np.eye(1 << circuit.n_qubits, dtype=complex), circuit.n_qubits,
+                      circuit.ops)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from qic import __version__, cli
+from qic.classifier import prepare_state
 from qic.cli import build_parser, main
+from qic.presets import PRESET_NAMES
 from qic.qasm import parse_qasm
 
 
@@ -128,6 +130,18 @@ class TestReproduce:
         for row in payload["results"]:
             assert row["predicted"] == -1
             assert abs(row["sim_p_acc"] - row["theory_p_acc"]) < 0.02
+
+    def test_table1_builds_each_state_once(self, monkeypatch, capsys):
+        built = []
+
+        def counting_prepare(train, x_tilde):
+            built.append(x_tilde)
+            return prepare_state(train, x_tilde)
+
+        monkeypatch.setattr(cli, "prepare_state", counting_prepare)
+        code, _ = run_cli("reproduce", "--table", "1")
+        assert code == 0
+        assert len(built) == len(PRESET_NAMES)
 
     def test_table2_csv_schema(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"

@@ -197,6 +197,38 @@ class TestLabeledDataset:
             LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
 
 
+    def test_with_rows_checks_the_new_rows(self):
+        ds = LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0]], labels=[1, -1])
+        with pytest.raises(ValueError, match="rows must be finite"):
+            ds.with_rows([[1.0, np.nan], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="3 rows but 2 labels"):
+            ds.with_rows(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="rows must be a matrix"):
+            ds.with_rows([1.0, 2.0])
+        batch = ds.subset(np.array([[1, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="rows must be finite"):
+            batch.with_rows(np.full((2, 2, 3), np.inf))
+        with pytest.raises(ValueError, match="2x1 rows but 2x2 labels"):
+            batch.with_rows(np.ones((2, 1, 3)))
+
+    def test_subset_and_with_rows_do_not_recheck_labels(self, monkeypatch):
+        from qic import dataset
+
+        ds = LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], labels=[1, -1, 1])
+
+        def recheck(*args):
+            raise AssertionError("a derived dataset re-checked its labels")
+
+        monkeypatch.setattr(dataset, "check_labels", recheck)
+        batch = ds.subset(np.array([[2, 0], [1, 2]]))
+        assert batch.labels.tolist() == [[1, 1], [-1, 1]]
+        assert batch.rows[1, 0].tolist() == [3.0, 4.0]
+        out = batch.with_rows(-batch.rows)
+        assert out.labels is batch.labels
+        assert out.rows[0, 0].tolist() == [-5.0, -6.0]
+        assert out.name == ds.name
+
+
 class TestRunBenchmark:
     def test_deterministic_report(self):
         ds = iris(classes=(1, 2))
@@ -316,6 +348,10 @@ class TestBenchmarkDataset:
             ds.labels[0] = -ds.labels[0]
         with pytest.raises(ValueError, match="read-only"):
             ds.rows += 1.0
+
+    @pytest.mark.parametrize("key", TABLE2_KEYS)
+    def test_rows_are_c_contiguous(self, key):
+        assert benchmark_dataset(key).rows.flags.c_contiguous
 
     @pytest.mark.parametrize("key", TABLE2_KEYS)
     def test_rebound_attributes_do_not_reach_the_next_caller(self, key):

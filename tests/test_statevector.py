@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,12 +49,14 @@ def embed(op: sv.GateOp, n_qubits: int) -> np.ndarray:
 
 
 @st.composite
-def circuits(draw):
-    """Random circuits over every gate kind on 3 to 7 qubits."""
-    n = draw(st.integers(3, 7))
+def circuits(draw, min_qubits=3, max_qubits=7):
+    """Random circuits over every gate kind that fits, on min_qubits to
+    max_qubits qubits."""
+    n = draw(st.integers(min_qubits, max_qubits))
+    kinds = sorted(kind for kind, arity in sv.GATE_ARITY.items() if arity <= n)
     ops = []
     for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(sorted(sv.GATE_ARITY)))
+        kind = draw(st.sampled_from(kinds))
         qubits = tuple(draw(st.permutations(range(n)))[: sv.GATE_ARITY[kind]])
         theta = draw(st.floats(-2 * math.pi, 2 * math.pi))
         ops.append(sv.GateOp(kind, qubits, theta if kind in sv.ROTATION_KINDS else None))
@@ -185,6 +188,67 @@ class TestApplyGate:
         assert got.amplitudes.shape == (32,)
         assert np.array_equal(got.amplitudes, stepped.amplitudes)
         assert np.allclose(got.amplitudes, expected, atol=1e-12, rtol=0.0)
+
+
+class TestGateLoop:
+    """simulate and circuit_unitary keep the state in the axis order of the
+    last matmul and restore the original order after the last gate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(circ=circuits(1, 2))
+    def test_one_and_two_qubit_circuits_match_dense_product(self, circ):
+        expected = np.eye(1 << circ.n_qubits, dtype=complex)
+        for op in circ.ops:
+            expected = embed(op, circ.n_qubits) @ expected
+        assert np.allclose(sv.circuit_unitary(circ), expected,
+                           atol=sv.EXACT_TOL, rtol=0.0)
+        assert np.allclose(sv.simulate(circ).amplitudes, expected[:, 0],
+                           atol=sv.EXACT_TOL, rtol=0.0)
+
+    @pytest.mark.parametrize("ops", [
+        # each gate after the first acts on the qubits the previous one left
+        # leading, so its matmul reads the previous product in place
+        (sv.h(2), sv.ry(0.3, 2), sv.t(2), sv.x(2)),
+        (sv.cx(1, 3), sv.cry(-0.7, 1, 3), sv.swap(1, 3), sv.cx(1, 3)),
+        (sv.h(0), sv.ccx(0, 4, 2), sv.ccry(1.9, 0, 4, 2), sv.ccx(0, 4, 2), sv.s(0)),
+        (sv.swap(0, 3), sv.swap(3, 0), sv.tdg(2), sv.tdg(2), sv.cx(3, 0)),
+    ], ids=["one-qubit", "two-qubit", "three-qubit", "reordered"])
+    def test_repeated_qubits_equal_apply_gate_chain(self, ops):
+        circ = Circuit(5, ops)
+        state = random_state(5, 77)
+        stepped = state
+        for op in ops:
+            stepped = sv.apply_gate(stepped, op)
+        assert np.array_equal(sv.simulate(circ, state).amplitudes, stepped.amplitudes)
+
+    def test_out_of_range_qubit_after_valid_gates_raises_every_time(self):
+        # Circuit rejects the op itself, so the loop gets a bare op sequence
+        ops = (sv.h(0), sv.cx(0, 1), sv.ry(0.4, 2), sv.cx(2, 0), sv.h(3))
+        bad = SimpleNamespace(n_qubits=3, ops=ops)
+        for _ in range(2):
+            with pytest.raises(IndexError, match="qubit 3 out of range"):
+                sv.simulate(bad)
+            with pytest.raises(IndexError, match="qubit 3 out of range"):
+                sv.circuit_unitary(bad)
+            with pytest.raises(IndexError, match="qubit 3 out of range"):
+                sv.apply_gate(sv.zero_state(3), ops[-1])
+
+    @pytest.mark.parametrize("ops", [
+        (),
+        (sv.h(3),),  # the most significant qubit already leads: no reorder
+        (sv.h(0),),
+        (sv.cx(0, 2), sv.ccry(0.5, 1, 3, 0), sv.swap(2, 1)),
+        # leaves the axes in their original order, so nothing is transposed back
+        (sv.h(0), sv.ry(0.3, 1), sv.cx(2, 3), sv.cx(3, 2)),
+    ], ids=["empty", "leading", "trailing", "mixed", "ends-in-order"])
+    def test_outputs_are_c_contiguous_in_the_input_shape(self, ops):
+        circ = Circuit(4, ops)
+        state = sv.simulate(circ, random_state(4, 5))
+        u = sv.circuit_unitary(circ)
+        assert state.amplitudes.shape == (16,)
+        assert u.shape == (16, 16)
+        assert state.amplitudes.flags.c_contiguous
+        assert u.flags.c_contiguous
 
 
 class TestQubitProbabilities:
