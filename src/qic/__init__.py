@@ -20,11 +20,9 @@ from .classifier import (
     ClassificationOutcome,
     RegisterLayout,
     TrainingSet,
-    classical_classify,
     classify,
     interfere_and_read,
     interfere_and_sample,
-    kernel,
     prepare_state,
 )
 from .data import (
@@ -45,14 +43,12 @@ from .statevector import (
     circuit_unitary,
     postselect,
     qubit_probabilities,
-    sample_shots,
     simulate,
     zero_state,
 )
 from .stats import (
     IntervalEstimate,
     shots_for_error,
-    wald,
     wald_worst_case,
     wilson,
     wilson_worst_case,

@@ -44,20 +44,8 @@ class RegisterLayout:
         return self.m_bits + self.i_bits + 2
 
     @property
-    def class_bit(self) -> int:
-        return 0
-
-    @property
     def ancilla_bit(self) -> int:
         return 1 + self.i_bits
-
-    def basis_index(self, m: int, ancilla: int, i: int, class_bit: int) -> int:
-        return (
-            class_bit
-            | (i << 1)
-            | (ancilla << (1 + self.i_bits))
-            | (m << (2 + self.i_bits))
-        )
 
 
 @dataclass
@@ -249,29 +237,6 @@ def _require_layout(state: QuantumState) -> RegisterLayout:
     if state.layout is None:
         raise ValueError("state has no register layout; build it with prepare_state")
     return state.layout
-
-
-def kernel(x, x_prime, M: int) -> float:
-    """Quadratic-decay distance kernel: 1 - |x - x'|^2 / (4M)."""
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(x_prime, dtype=float)
-    if x.shape != xp.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {xp.shape}")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    return 1.0 - float(np.sum((x - xp) ** 2)) / (4 * M)
-
-
-def classical_classify(train: TrainingSet, x_tilde) -> tuple[float, int]:
-    """Kernel-sum decision rule evaluated classically.
-
-    Returns (score, label) with score = sum_m y^m * kernel(x~, x^m, M) and
-    label = sign(score); a zero score predicts +1.
-    """
-    xt = _check_input(train, x_tilde)
-    sq_dists = np.sum((train.vectors - xt) ** 2, axis=1)
-    score = float(np.sum(train.labels * (1.0 - sq_dists / (4 * train.M))))
-    return score, (-1 if score < 0 else +1)
 
 
 def classify(train: TrainingSet, x_tilde, shots: int | None = None,

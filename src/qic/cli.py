@@ -35,7 +35,7 @@ from .encoding import normalize
 from .errors import EstimationFailedError, ImpossibleBranchError, ZeroVectorError
 from .presets import PRESET_NAMES, X0, X1, preset_input, training_set
 from .qasm import export_qasm
-from .stats import shots_for_error, wald_worst_case, wilson_worst_case
+from .stats import WORST_CASE, shots_for_error
 
 DEFAULT_SEED = 1234
 ENV_SEED = "QIC_SEED"
@@ -277,6 +277,8 @@ def _cmd_export_qasm(args, parser) -> int:
 
 
 def _cmd_shots(args, parser) -> int:
+    # only the JSON payload reports the seed, but a bad QIC_SEED fails either format
+    seed = _default_seed(parser)
     if not 0 < args.eps < 0.5:
         parser.error(f"--eps must be in (0, 0.5), got {args.eps}")
     if not (np.isfinite(args.z) and args.z > 0):
@@ -285,12 +287,12 @@ def _cmd_shots(args, parser) -> int:
         count = shots_for_error(args.eps, args.z, args.method)
     except ValueError as exc:  # the count overflows
         parser.error(str(exc))
-    bound = (wald_worst_case if args.method == "wald" else wilson_worst_case)(count, args.z)
+    bound = WORST_CASE[args.method](count, args.z)
     if args.format == "json":
         result = {"shots": count, "bound_at_shots": bound}
         config = {"epsilon": args.eps, "z": args.z, "method": args.method}
         return _write_output(
-            _json_payload("shots", _default_seed(parser), config, result), args.output
+            _json_payload("shots", seed, config, result), args.output
         )
     return _write_output(
         f"shots          : {count}\nbound at shots : {bound:.6f}\n", args.output

@@ -17,7 +17,6 @@ from .dataset import LabeledDataset
 from .encoding import Pipeline
 
 IRIS_SHA256 = "c8a2fdaf394fc79fd145487203d7d69163f0e6d0053ea46afe97fa3542d12822"
-IRIS_FEATURES = ("sepal_length", "sepal_width", "petal_length", "petal_width")
 
 @functools.cache
 def _load_iris_csv() -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,10 @@ from .statevector import GateOp
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
 _QUBIT_RE = re.compile(r"q\[(\d+)\]")
-_GATE_RE = re.compile(r"^(?P<name>[a-z]+)(?:\((?P<angle>[^)]+)\))?\s+(?P<args>.+)$")
+# operands are exactly comma-separated q[N] items; anything else fails the match
+_GATE_RE = re.compile(
+    r"^(?P<name>[a-z]+)(?:\((?P<angle>[^)]+)\))?\s+(?P<args>q\[\d+\](?:\s*,\s*q\[\d+\])*)$"
+)
 
 
 def export_qasm(circuit: Circuit) -> str:

@@ -284,40 +284,6 @@ def postselect(
     return QuantumState(state.n_qubits, amps, state.layout), accept
 
 
-def sample_shots(
-    state: QuantumState, qubits: list[int] | tuple[int, ...], shots: int, seed: int
-) -> dict[str, int]:
-    """Sample a histogram of measurement outcomes over the listed qubits.
-
-    Keys are bitstrings where character j is the measured bit of qubits[j];
-    outcomes with zero counts are omitted. Sampling is seeded and draws from
-    the exact marginal distribution.
-    """
-    if len(qubits) == 0:
-        raise ValueError("qubit list must not be empty")
-    _check_indices(state.n_qubits, tuple(qubits))
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"qubit indices must be distinct, got {qubits}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-
-    probs = state.probabilities()
-    idx = np.arange(probs.size)
-    k = len(qubits)
-    # outcome index: first listed qubit is the most significant bit
-    out_idx = np.zeros(probs.size, dtype=np.int64)
-    for j, q in enumerate(qubits):
-        out_idx |= (((idx >> q) & 1) << (k - 1 - j)).astype(np.int64)
-    marginal = np.bincount(out_idx, weights=probs, minlength=1 << k)
-    marginal = marginal / marginal.sum()
-
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, marginal)
-    return {
-        format(o, f"0{k}b"): int(c) for o, c in enumerate(counts) if c > 0
-    }
-
-
 def simulate(circuit, initial: QuantumState | None = None) -> QuantumState:
     """Run a circuit on |0...0> (or on the given initial state)."""
     state = zero_state(circuit.n_qubits) if initial is None else initial.copy()

@@ -1,5 +1,5 @@
-"""Binomial-proportion estimators for shot statistics: Wald and Wilson point
-estimates, maximum-error bounds, and shot-budget planning."""
+"""Binomial-proportion statistics for shot counts: the Wilson estimate, Wald
+and Wilson worst-case error bounds, and shot-budget planning."""
 
 from __future__ import annotations
 
@@ -11,10 +11,6 @@ from dataclasses import dataclass
 class IntervalEstimate:
     p_hat: float
     max_error: float
-    method: str  # "wald" | "wilson"
-    z: float
-    shots: int
-    degenerate: bool = False
 
 
 def _check_counts(successes: int, shots: int, z: float):
@@ -30,25 +26,6 @@ def _check_z(z: float):
         raise ValueError(f"z must be positive and finite, got {z}")
 
 
-def wald(successes: int, shots: int, z: float) -> IntervalEstimate:
-    """Normal-approximation estimate: p_hat = S/R, error z*sqrt(p(1-p)/R).
-
-    Degenerates to a zero-width interval at p_hat in {0, 1}; the degenerate
-    flag marks that case so callers can fall back to wilson.
-    """
-    _check_counts(successes, shots, z)
-    p_hat = successes / shots
-    max_error = z * math.sqrt(p_hat * (1.0 - p_hat) / shots)
-    return IntervalEstimate(
-        p_hat=p_hat,
-        max_error=max_error,
-        method="wald",
-        z=z,
-        shots=shots,
-        degenerate=(max_error == 0.0),
-    )
-
-
 def wilson(successes: int, shots: int, z: float) -> IntervalEstimate:
     """Score-interval estimate, shrunk toward 1/2; well behaved near p=0 or 1.
 
@@ -62,9 +39,7 @@ def wilson(successes: int, shots: int, z: float) -> IntervalEstimate:
     max_error = (z / damp) * math.sqrt(
         p_raw * (1.0 - p_raw) / shots + z * z / (4 * shots * shots)
     )
-    return IntervalEstimate(
-        p_hat=p_hat, max_error=max_error, method="wilson", z=z, shots=shots
-    )
+    return IntervalEstimate(p_hat=p_hat, max_error=max_error)
 
 
 def wald_worst_case(shots: int, z: float) -> float:
@@ -77,7 +52,8 @@ def wilson_worst_case(shots: int, z: float) -> float:
     return math.sqrt(z * z * (shots + z * z) / (4.0 * shots * shots))
 
 
-_WORST_CASE = {"wald": wald_worst_case, "wilson": wilson_worst_case}
+# method -> worst-case error bound at a shot count, bound(shots, z)
+WORST_CASE = {"wald": wald_worst_case, "wilson": wilson_worst_case}
 
 
 def shots_for_error(epsilon: float, z: float, method: str = "wald") -> int:
@@ -86,7 +62,7 @@ def shots_for_error(epsilon: float, z: float, method: str = "wald") -> int:
         raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
     _check_z(z)
     try:
-        bound = _WORST_CASE[method]
+        bound = WORST_CASE[method]
     except KeyError:
         raise ValueError(f"method must be 'wald' or 'wilson', got {method!r}") from None
 

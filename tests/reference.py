@@ -1,0 +1,46 @@
+"""Independent references the tests hold the program to: the encoded
+register's basis index, from its documented bit order, and the paper's
+classical kernel-sum decision rule."""
+
+import numpy as np
+
+from qic.statevector import check_unit
+
+# bit order, least significant first: class bit, data bits, ancilla bit, index bits
+CLASS_BIT = 0
+
+
+def basis_index(layout, m: int, ancilla: int, i: int, class_bit: int) -> int:
+    """Index of basis state |m>|ancilla>|i>|class bit> in a RegisterLayout."""
+    return (
+        class_bit
+        | (i << 1)
+        | (ancilla << (1 + layout.i_bits))
+        | (m << (2 + layout.i_bits))
+    )
+
+
+def kernel(x, x_prime, M: int) -> float:
+    """Quadratic-decay distance kernel: 1 - |x - x'|^2 / (4M)."""
+    x = np.asarray(x, dtype=float)
+    xp = np.asarray(x_prime, dtype=float)
+    if x.shape != xp.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {xp.shape}")
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    return 1.0 - float(np.sum((x - xp) ** 2)) / (4 * M)
+
+
+def classical_classify(train, x_tilde) -> tuple[float, int]:
+    """Kernel-sum decision rule evaluated classically.
+
+    Returns (score, label) with score = sum_m y^m * kernel(x~, x^m, M) and
+    label = sign(score); a zero score predicts +1.
+    """
+    xt = np.asarray(x_tilde, dtype=float)
+    if xt.shape != (train.dimension,):
+        raise ValueError(f"input dimension {xt.shape} does not match ({train.dimension},)")
+    check_unit(xt, "input")
+    sq_dists = np.sum((train.vectors - xt) ** 2, axis=1)
+    score = float(np.sum(train.labels * (1.0 - sq_dists / (4 * train.M))))
+    return score, (-1 if score < 0 else +1)

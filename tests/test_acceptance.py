@@ -23,7 +23,6 @@ from qic.circuit import (
 )
 from qic.classifier import (
     TrainingSet,
-    classical_classify,
     classify,
     interfere_and_read,
     interfere_and_sample,
@@ -33,6 +32,8 @@ from qic.data import TABLE2_ROWS, iris, run_table2
 from qic.errors import ImpossibleBranchError
 from qic.presets import X0, X1, preset_input, training_set
 from qic.stats import wald_worst_case, wilson, wilson_worst_case
+
+from reference import classical_classify
 
 REFERENCE_THEORY = {
     "xprime": {"p_acc": 0.729, "p_c0": 0.629},

@@ -10,11 +10,9 @@ from qic.circuit import build_experiment_circuit
 from qic.classifier import (
     RegisterLayout,
     TrainingSet,
-    classical_classify,
     classify,
     interfere_and_read,
     interfere_and_sample,
-    kernel,
     prepare_state,
     read_batch,
 )
@@ -24,6 +22,8 @@ from qic.errors import (
     NormalizationError,
 )
 from qic.presets import X1, preset_input, training_set
+
+from reference import CLASS_BIT, basis_index, classical_classify, kernel
 
 
 def unit(v):
@@ -50,7 +50,7 @@ def gate_path(state):
     layout = state.layout
     interfered = sv.apply_gate(state, sv.h(layout.ancilla_bit))
     kept, p_acc = sv.postselect(interfered, layout.ancilla_bit, 0)
-    return (p_acc, *sv.qubit_probabilities(kept, layout.class_bit))
+    return (p_acc, *sv.qubit_probabilities(kept, CLASS_BIT))
 
 
 def formula_outcome(train, x_tilde):
@@ -65,9 +65,10 @@ class TestRegisterLayout:
     def test_bit_positions(self):
         layout = RegisterLayout(m_bits=2, i_bits=3)
         assert layout.n_qubits == 7
-        assert layout.class_bit == 0
         assert layout.ancilla_bit == 4
-        assert layout.basis_index(m=1, ancilla=1, i=2, class_bit=1) == (
+        assert basis_index(layout, m=0, ancilla=1, i=0, class_bit=0) == 1 << layout.ancilla_bit
+        assert basis_index(layout, m=0, ancilla=0, i=0, class_bit=1) == 1 << CLASS_BIT
+        assert basis_index(layout, m=1, ancilla=1, i=2, class_bit=1) == (
             1 | (2 << 1) | (1 << 4) | (1 << 5)
         )
 
@@ -103,8 +104,8 @@ class TestPrepareState:
         state = prepare_state(train, [1.0, 0.0])
         # both ancilla branches carry the same vector at amplitude 1/sqrt(2)
         layout = state.layout
-        i0a0 = layout.basis_index(m=0, ancilla=0, i=0, class_bit=0)
-        i0a1 = layout.basis_index(m=0, ancilla=1, i=0, class_bit=0)
+        i0a0 = basis_index(layout, m=0, ancilla=0, i=0, class_bit=0)
+        i0a1 = basis_index(layout, m=0, ancilla=1, i=0, class_bit=0)
         expected = np.zeros(state.amplitudes.size)
         expected[i0a0] = expected[i0a1] = 1 / math.sqrt(2)
         assert np.allclose(state.amplitudes, expected)
@@ -118,8 +119,8 @@ class TestPrepareState:
         for m in range(train.M):
             c = 0 if train.labels[m] == -1 else 1
             for i in range(4):
-                a0 = layout.basis_index(m, 0, i, c)
-                a1 = layout.basis_index(m, 1, i, c)
+                a0 = basis_index(layout, m, 0, i, c)
+                a1 = basis_index(layout, m, 1, i, c)
                 assert state.amplitudes[a0] == pytest.approx(w * x_tilde[i])
                 assert state.amplitudes[a1] == pytest.approx(w * train.vectors[m, i])
 
@@ -134,8 +135,8 @@ class TestPrepareState:
         for m in range(M):
             c = 0 if train.labels[m] == -1 else 1
             for i in range(N):
-                expected[layout.basis_index(m, 0, i, c)] = w * x_tilde[i]
-                expected[layout.basis_index(m, 1, i, c)] = w * train.vectors[m, i]
+                expected[basis_index(layout, m, 0, i, c)] = w * x_tilde[i]
+                expected[basis_index(layout, m, 1, i, c)] = w * train.vectors[m, i]
         assert np.array_equal(state.amplitudes, expected)
 
     def test_unused_index_branches_are_zero(self):
@@ -330,13 +331,6 @@ class TestInterfereAndSample:
         assert outcome.accepted == accepted
         assert outcome.p_class_minus == minus_count / accepted
         assert outcome.p_acc == accepted / shots
-
-    def test_histogram_of_interfered_ancilla(self):
-        # 8192 raw shots of the ancilla reproduce the acceptance probability
-        state = prepare_state(training_set(), preset_input("xdoubleprime"))
-        interfered = sv.apply_gate(state, sv.h(state.layout.ancilla_bit))
-        hist = sv.sample_shots(interfered, [state.layout.ancilla_bit], 8192, seed=4)
-        assert hist.get("0", 0) / 8192 == pytest.approx(0.913, abs=0.02)
 
     def test_no_accepted_shots(self):
         # force the impossible branch through a hand-built state: all mass on

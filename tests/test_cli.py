@@ -79,6 +79,8 @@ class TestClassify:
         ("classify", "--preset", "xprime", "--shots", "100"),
         ("reproduce", "--table", "1"),
         ("reproduce", "--table", "2", "--reps", "1"),
+        ("shots", "--eps", "0.1", "--format", "table"),
+        ("shots", "--eps", "0.1", "--format", "json"),
     ], ids=" ".join)
     def test_negative_env_seed_is_usage_error(self, argv, capsys, monkeypatch):
         monkeypatch.setenv("QIC_SEED", "-1")
@@ -91,11 +93,16 @@ class TestClassify:
 
     def test_env_seed_not_an_integer_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("QIC_SEED", "abc")
-        code, _ = run_cli("classify", "--preset", "xprime")
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "QIC_SEED must be an integer" in captured.err
-        assert captured.out == ""
+        for argv in (
+            ("classify", "--preset", "xprime"),
+            ("shots", "--eps", "0.1", "--format", "table"),
+            ("shots", "--eps", "0.1", "--format", "json"),
+        ):
+            code, _ = run_cli(*argv)
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert "QIC_SEED must be an integer" in captured.err
+            assert captured.out == ""
 
     def test_env_seed_read_on_every_call(self, capsys, monkeypatch):
         argv = ("classify", "--preset", "xprime", "--shots", "100", "--format", "json")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,3 +110,18 @@ def test_parse_rejects_unknown_gate():
 def test_parse_requires_register():
     with pytest.raises(ValueError):
         parse_qasm("OPENQASM 2.0;\nh q[0];\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["h r[0], q[1];", "h q[0], junk;", "ry(0.5) q[0] extra;", "cx q[0] q[1];"],
+)
+def test_parse_rejects_operands_other_than_qubit_list(line):
+    text = f'OPENQASM 2.0;\nqreg q[2];\n{line}\n'
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        parse_qasm(text)
+
+
+def test_parse_allows_whitespace_around_operand_commas():
+    text = "OPENQASM 2.0;\nqreg q[2];\ncx q[0] , q[1];\nh  q[1];\n"
+    assert parse_qasm(text).ops == (sv.cx(0, 1), sv.h(1))

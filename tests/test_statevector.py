@@ -302,40 +302,6 @@ class TestPostselect:
             sv.postselect(sv.zero_state(1), 0, 1)
 
 
-class TestSampleShots:
-    def test_deterministic_state(self):
-        state = sv.apply_gate(sv.zero_state(1), sv.x(0))
-        assert sv.sample_shots(state, [0], 8192, seed=1) == {"1": 8192}
-
-    def test_same_seed_same_histogram(self):
-        state = random_state(3, 11)
-        a = sv.sample_shots(state, [0, 2], 500, seed=42)
-        b = sv.sample_shots(state, [0, 2], 500, seed=42)
-        assert a == b
-
-    def test_totals_equal_shots(self):
-        state = random_state(3, 12)
-        hist = sv.sample_shots(state, [0, 1, 2], 1000, seed=5)
-        assert sum(hist.values()) == 1000
-
-    def test_empty_qubit_list(self):
-        with pytest.raises(ValueError):
-            sv.sample_shots(sv.zero_state(1), [], 10, seed=0)
-
-    def test_empirical_frequencies_match_marginal(self):
-        # 1e5 seeded shots against the exact distribution, 3-sigma per outcome
-        state = random_state(3, 21)
-        shots = 100_000
-        hist = sv.sample_shots(state, [0, 1, 2], shots, seed=9)
-        probs = state.probabilities()
-        for i in range(8):
-            key = format(i, "03b")[::-1]  # character j holds qubit j's bit
-            p = float(probs[i])
-            freq = hist.get(key, 0) / shots
-            bound = 3 * math.sqrt(p * (1 - p) / shots)
-            assert abs(freq - p) <= bound + 1e-12
-
-
 class TestCheckUnit:
     def test_unit_vector_and_rows_pass(self):
         sv.check_unit(np.array([0.6, 0.8]), "v")

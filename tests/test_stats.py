@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qic.stats import (
     shots_for_error,
-    wald,
     wald_worst_case,
     wilson,
     wilson_worst_case,
@@ -15,34 +14,25 @@ from qic.stats import (
 
 
 class TestWald:
-    def test_half_successes_at_8192(self):
-        est = wald(4096, 8192, z=2.58)
-        assert est.p_hat == 0.5
-        assert est.max_error == pytest.approx(2.58 / (2 * math.sqrt(8192)), abs=1e-12)
-        assert est.max_error == pytest.approx(0.01425, abs=1e-5)
-
     def test_worst_case_bound_matches_half(self):
         assert wald_worst_case(8192, 2.58) == pytest.approx(0.01425, abs=1e-5)
 
-    def test_degenerate_at_extremes(self):
-        est = wald(8192, 8192, z=2.58)
-        assert est.max_error == 0.0
-        assert est.degenerate
-        assert wald(0, 10, z=2.58).degenerate
-
     def test_argument_checks(self):
+        # the shot-count checks every estimate runs, through the one estimator
         with pytest.raises(ValueError):
-            wald(1, 0, z=2.58)
+            wilson(1, 0, z=2.58)
         with pytest.raises(ValueError):
-            wald(5, 4, z=2.58)
+            wilson(5, 4, z=2.58)
         with pytest.raises(ValueError):
-            wald(1, 4, z=0.0)
+            wilson(1, 4, z=0.0)
 
     def test_bound_maximized_at_half(self):
-        shots = 500
-        grid = np.linspace(0, 1, 101)
-        errors = [wald(int(round(p * shots)), shots, 2.58).max_error for p in grid]
-        assert int(np.argmax(errors)) == 50
+        # the worst case bounds the Wald error z*sqrt(p(1-p)/R) at every p
+        shots, z = 500, 2.58
+        bound = wald_worst_case(shots, z)
+        errors = [z * math.sqrt(p * (1 - p) / shots) for p in np.linspace(0, 1, 101)]
+        assert max(errors) <= bound
+        assert errors[50] == pytest.approx(bound, rel=1e-15)
 
 
 class TestWilson:
@@ -127,9 +117,8 @@ class TestShotsForError:
 
     @pytest.mark.parametrize("z", [math.inf, math.nan])
     def test_non_finite_z_rejected(self, z):
-        for call in (wald, wilson):
-            with pytest.raises(ValueError, match="positive and finite"):
-                call(1, 4, z)
+        with pytest.raises(ValueError, match="positive and finite"):
+            wilson(1, 4, z)
         with pytest.raises(ValueError, match="positive and finite"):
             shots_for_error(0.01, z)
 
