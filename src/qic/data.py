@@ -7,6 +7,7 @@ import copy
 import functools
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 
@@ -98,8 +99,10 @@ def split(
     """Seeded shuffle split; train gets floor(fraction*n) rows, test the rest.
 
     seed is one seed (an int or a SeedSequence) for one split, or a list of
-    seeds for a batch of splits, stacked along a leading axis; each split of
-    a batch is the one its seed gives alone.
+    seeds for a batch of splits, stacked along a new axis before the rows;
+    each split of a batch is the one its seed gives alone. A batch of
+    datasets (rows (G, n, d)) is split with one draw per seed: every matrix
+    loses the same rows, and each equals the split of its dataset alone.
     """
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -138,9 +141,9 @@ class BenchmarkReport:
 def run_benchmark(
     dataset: LabeledDataset,
     repetitions: int,
-    copies: int = 1,
+    copies: int | Sequence[int] = 1,
     master_seed: int = 1234,
-) -> BenchmarkReport:
+) -> BenchmarkReport | list[BenchmarkReport]:
     """Repeatedly split, preprocess (fitted on the training part only), and
     classify every test point with the exact interference readout.
 
@@ -148,45 +151,63 @@ def run_benchmark(
     repetitions go through split, Pipeline and classifier.read_batch as one
     batch of splits. Test points whose acceptance probability vanishes are
     counted as misclassified and tallied separately.
+
+    A batch of G datasets of one shape (rows (G, n, d), a tuple of G names)
+    takes one copies per dataset and returns one report per dataset, each
+    the report its dataset gives alone. Each chunk is split once for the
+    whole batch and read in one Pipeline and read_batch pass per distinct
+    copies. A single dataset runs as a batch of one and returns its report.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    single = dataset.rows.ndim == 2
+    if single:
+        dataset = LabeledDataset(dataset.rows[None], dataset.labels[None], (dataset.name,))
+        copies = (copies,)
+    names, copies = dataset.name, tuple(copies)
+    if not (isinstance(names, tuple) and dataset.rows.ndim == 3
+            and len(copies) == len(names) == len(dataset.rows)):
+        raise ValueError("a batch of datasets takes rows (G, n, d), G names and G copies")
 
-    errors: list[float] = []
-    p_accs: list[float] = []
-    impossible = 0
+    errors: list[list[float]] = [[] for _ in names]
+    p_accs: list[list[float]] = [[] for _ in names]
+    impossible = [0] * len(names)
     for start in range(0, repetitions, CHUNK):
         reps = range(start, min(start + CHUNK, repetitions))
         seeds = [np.random.SeedSequence((master_seed, rep)) for rep in reps]
-        train_raw, test_raw = split(dataset, TRAIN_FRACTION, seeds)
-        pipe = Pipeline(copies)
-        train = pipe.fit_transform(train_raw)
-        test = pipe.transform(test_raw)
-        training = TrainingSet(vectors=train.rows, labels=train.labels)
+        train_raw, test_raw = split(dataset, TRAIN_FRACTION, seeds)  # (datasets, reps, ...)
+        for c in dict.fromkeys(copies):
+            which = [g for g, cg in enumerate(copies) if cg == c]
+            pipe = Pipeline(c)
+            train = pipe.fit_transform(train_raw.pick(which))
+            test = pipe.transform(test_raw.pick(which))
+            training = TrainingSet(vectors=train.rows, labels=train.labels)
 
-        p_acc, p_minus = read_batch(training, test.rows)  # (reps, test points)
-        accepted = p_acc > 0.0
-        n_accepted = accepted.sum(axis=1)
-        impossible += int(accepted.size - n_accepted.sum())
-        predicted = np.where(p_minus > 0.5, -1, +1)
-        wrong = np.count_nonzero(~accepted | (predicted != test.labels), axis=1)
-        errors.extend((wrong / test.n_samples).tolist())
-        # rejected points hold p_acc = 0, which leaves the exact fsum unchanged
-        p_accs.extend(
-            math.fsum(row) / n for row, n in zip(p_acc.tolist(), n_accepted.tolist()) if n
-        )
+            p_acc, p_minus = read_batch(training, test.rows)  # (datasets, reps, test points)
+            accepted = p_acc > 0.0
+            n_accepted = accepted.sum(axis=-1)
+            predicted = np.where(p_minus > 0.5, -1, +1)
+            wrong = np.count_nonzero(~accepted | (predicted != test.labels), axis=-1)
+            for g, rows, counts, errs in zip(
+                which, p_acc.tolist(), n_accepted.tolist(), (wrong / test.n_samples).tolist()
+            ):
+                impossible[g] += test.n_samples * len(counts) - sum(counts)
+                errors[g].extend(errs)
+                # rejected points hold p_acc = 0, which leaves the exact fsum unchanged
+                p_accs[g].extend(math.fsum(row) / n for row, n in zip(rows, counts) if n)
 
-    mean_error = math.fsum(errors) / len(errors)
-    variance = math.fsum((e - mean_error) ** 2 for e in errors) / len(errors)
-    mean_p_acc = math.fsum(p_accs) / len(p_accs) if p_accs else 0.0
-    return BenchmarkReport(
-        dataset=dataset.name,
-        repetitions=repetitions,
-        mean_error=mean_error,
-        error_variance=variance,
-        mean_p_acc=mean_p_acc,
-        impossible_branch_count=impossible,
-    )
+    reports = []
+    for name, errs, accs, n_impossible in zip(names, errors, p_accs, impossible):
+        mean_error = math.fsum(errs) / len(errs)
+        reports.append(BenchmarkReport(
+            dataset=name,
+            repetitions=repetitions,
+            mean_error=mean_error,
+            error_variance=math.fsum((e - mean_error) ** 2 for e in errs) / len(errs),
+            mean_p_acc=math.fsum(accs) / len(accs) if accs else 0.0,
+            impossible_branch_count=n_impossible,
+        ))
+    return reports[0] if single else reports
 
 
 @dataclass(frozen=True)
@@ -236,6 +257,23 @@ def _shared_benchmark_dataset(key: str) -> LabeledDataset:
     return ds
 
 
+@functools.cache
+def _shared_benchmark_groups() -> tuple[tuple[tuple[BenchmarkRowSpec, ...], LabeledDataset], ...]:
+    """TABLE2_ROWS grouped by dataset shape, in row order, each group's
+    datasets stacked into one read-only batch (rows (G, n, d))."""
+    groups: dict[tuple[int, ...], list[BenchmarkRowSpec]] = {}
+    for spec in TABLE2_ROWS:
+        groups.setdefault(_shared_benchmark_dataset(spec.key).rows.shape, []).append(spec)
+    out = []
+    for specs in groups.values():
+        parts = [_shared_benchmark_dataset(spec.key) for spec in specs]
+        rows = np.stack([ds.rows for ds in parts])
+        labels = np.stack([ds.labels for ds in parts])
+        rows.flags.writeable = labels.flags.writeable = False
+        out.append((tuple(specs), LabeledDataset(rows, labels, tuple(ds.name for ds in parts))))
+    return tuple(out)
+
+
 def benchmark_dataset(key: str) -> LabeledDataset:
     """Materialize the fixed dataset behind a canonical benchmark row key.
 
@@ -254,9 +292,14 @@ def benchmark_dataset(key: str) -> LabeledDataset:
 def run_table2(
     repetitions: int = 1000, master_seed: int = 1234
 ) -> list[tuple[BenchmarkRowSpec, BenchmarkReport]]:
-    """Run all canonical benchmark rows and pair each with its reference spec."""
-    results = []
-    for spec in TABLE2_ROWS:
-        ds = benchmark_dataset(spec.key)
-        results.append((spec, run_benchmark(ds, repetitions, spec.copies, master_seed)))
-    return results
+    """Run all canonical benchmark rows and pair each with its reference spec.
+
+    Rows whose datasets share a shape run as one batch (one run_benchmark
+    call), so each chunk of repetitions is split once per shape; every report
+    equals the one its row's dataset gives alone.
+    """
+    reports: dict[BenchmarkRowSpec, BenchmarkReport] = {}
+    for specs, batch in _shared_benchmark_groups():
+        copies = [spec.copies for spec in specs]
+        reports.update(zip(specs, run_benchmark(batch, repetitions, copies, master_seed)))
+    return [(spec, reports[spec]) for spec in TABLE2_ROWS]

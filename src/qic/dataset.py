@@ -38,12 +38,16 @@ class LabeledDataset:
     """Feature matrix with labels in {-1, +1}, or a batch of them stacked
     along leading axes (rows (..., n, d), labels (..., n)).
 
-    Construction checks rows and labels; subset and with_rows derive from a
-    checked dataset and check only what they bring in."""
+    A batch of distinct datasets (rows (G, n, d)) names each of them: name
+    is then a tuple of G names. A batch of splits of one dataset keeps its
+    name.
+
+    Construction checks rows and labels; subset, pick and with_rows derive
+    from a checked dataset and check only what they bring in."""
 
     rows: np.ndarray
     labels: np.ndarray
-    name: str = ""
+    name: str | tuple[str, ...] = ""
 
     def __post_init__(self):
         self.rows = _finite_matrix(self.rows)
@@ -69,8 +73,16 @@ class LabeledDataset:
         return self._derived(rows, self.labels)
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        """Rows of a single dataset at indices; an (R, k) index array gives a
-        batch of R subsets."""
-        if self.rows.ndim != 2:
-            raise ValueError("subset takes rows of one dataset, not of a batch")
-        return self._derived(self.rows[indices], self.labels[indices])
+        """Rows at indices, the same ones from every matrix of a batch; an
+        (R, k) index array gives a batch of R subsets of each matrix, so rows
+        (n, d) give (R, k, d) and rows (G, n, d) give (G, R, k, d)."""
+        return self._derived(
+            np.take(self.rows, indices, axis=-2), np.take(self.labels, indices, axis=-1)
+        )
+
+    def pick(self, which: list[int]) -> "LabeledDataset":
+        """The datasets at positions which of a batch of distinct datasets
+        (the first axis), with their names."""
+        out = self._derived(self.rows[which], self.labels[which])
+        out.name = tuple(self.name[g] for g in which)
+        return out

@@ -51,28 +51,29 @@ def parse_qasm(text: str) -> Circuit:
             raise ValueError(f"missing ';' in line: {raw!r}")
         line = line[:-1].strip()
         if line.startswith("qreg"):
-            m = re.match(r"qreg\s+q\[(\d+)\]$", line)
+            m = re.match(r"qreg\s+q\[([1-9]\d*)\]$", line)
             if not m:
                 raise ValueError(f"unsupported register declaration: {raw!r}")
             if n_qubits is not None:
-                raise ValueError("multiple quantum registers are not supported")
+                raise ValueError(f"multiple quantum registers are not supported: {raw!r}")
             n_qubits = int(m.group(1))
             continue
+        if n_qubits is None:
+            raise ValueError(f"gate before the qreg declaration: {raw!r}")
         m = _GATE_RE.match(line)
         if not m:
             raise ValueError(f"cannot parse line: {raw!r}")
-        name = m.group("name")
+        name, angle = m.group("name", "angle")
         if name not in RESTRICTED_KINDS:
-            raise UnsupportedGateError(f"unsupported gate {name!r} in QASM input")
+            raise UnsupportedGateError(f"unsupported gate {name!r} in line: {raw!r}")
         qubits = tuple(int(q) for q in _QUBIT_RE.findall(m.group("args")))
-        if name == "ry":
-            if m.group("angle") is None:
-                raise ValueError(f"ry without an angle: {raw!r}")
-            ops.append(GateOp("ry", qubits, float(m.group("angle"))))
-        else:
-            if m.group("angle") is not None:
-                raise ValueError(f"{name} takes no angle: {raw!r}")
-            ops.append(GateOp(name, qubits))
+        try:
+            op = GateOp(name, qubits, None if angle is None else float(angle))
+        except ValueError as exc:
+            raise ValueError(f"{exc} in line: {raw!r}") from exc
+        if max(qubits) >= n_qubits:
+            raise ValueError(f"qubit {max(qubits)} is outside qreg q[{n_qubits}] in line: {raw!r}")
+        ops.append(op)
     if n_qubits is None:
         raise ValueError("no qreg declaration found")
     return Circuit(n_qubits, tuple(ops))

@@ -190,8 +190,14 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="labels must be -1 or"):
             LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, 0, 1]])
         batch = LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
-        with pytest.raises(ValueError, match="not of a batch"):
-            batch.subset([0])
+        pair = [iris(classes=(1, 2)), iris(classes=(2, 3))]
+        stacked = LabeledDataset(rows=np.stack([ds.rows for ds in pair]),
+                                 labels=np.stack([ds.labels for ds in pair]))
+        for seed in (11, [np.random.SeedSequence((5, rep)) for rep in range(3)]):
+            for g, ds in enumerate(pair):
+                for got, alone in zip(split(stacked, 0.8, seed), split(ds, 0.8, seed)):
+                    assert np.array_equal(got.rows[g], alone.rows)
+                    assert np.array_equal(got.labels[g], alone.labels)
         rows[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="rows must be finite"):
             LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
@@ -309,6 +315,45 @@ class TestRunBenchmark:
     def test_rep_count_validation(self):
         with pytest.raises(ValueError):
             run_benchmark(iris(classes=(1, 2)), 0)
+
+    def test_batch_needs_one_name_and_copies_per_dataset(self):
+        ds = iris(classes=(1, 2))
+        batch = LabeledDataset(rows=np.stack([ds.rows] * 2), labels=np.stack([ds.labels] * 2),
+                               name=("a", "b"))
+        with pytest.raises(ValueError, match="G names and G copies"):
+            run_benchmark(batch, 1, [1])
+        with pytest.raises(ValueError, match="G names and G copies"):
+            run_benchmark(batch.pick([0]), 1, [1, 1])
+
+    @pytest.mark.parametrize("seed", [0, 77])
+    @pytest.mark.parametrize("reps", [1, CHUNK, CHUNK + 1])
+    def test_table2_rows_equal_their_datasets_run_alone(self, reps, seed):
+        for spec, report in data.run_table2(reps, seed):
+            alone = run_benchmark(benchmark_dataset(spec.key), reps, spec.copies, seed)
+            assert report == alone
+
+    def test_table2_splits_once_per_shape_and_fits_once_per_copies(self, monkeypatch):
+        # a return to one split -> Pipeline -> read_batch pass per row fails here
+        calls = {"split": 0, "fit": 0}
+        real_split, real_fit = data.split, Pipeline.fit_transform
+
+        def counted_split(*args):
+            calls["split"] += 1
+            return real_split(*args)
+
+        def counted_fit(self, dataset):
+            calls["fit"] += 1
+            return real_fit(self, dataset)
+
+        monkeypatch.setattr(data, "split", counted_split)
+        monkeypatch.setattr(Pipeline, "fit_transform", counted_fit)
+        data.run_table2(CHUNK + 1, 3)
+        shapes = {benchmark_dataset(spec.key).rows.shape for spec in TABLE2_ROWS}
+        passes = {(benchmark_dataset(spec.key).rows.shape, spec.copies) for spec in TABLE2_ROWS}
+        chunks = 2
+        assert (len(shapes), len(passes)) == (2, 4)
+        assert calls["split"] <= len(shapes) * chunks
+        assert calls["fit"] == len(passes) * chunks
 
     def test_row_keys_resolve(self):
         for spec in TABLE2_ROWS:

@@ -113,10 +113,32 @@ def test_parse_requires_register():
 
 
 @pytest.mark.parametrize(
+    "body, line",
+    [
+        ("h q[0];\nqreg q[2];", "h q[0];"),  # a gate before the register
+        ("qreg q[0];", "qreg q[0];"),
+        ("qreg q[2];\nqreg q[3];", "qreg q[3];"),
+    ],
+)
+def test_parse_register_errors_quote_the_line(body, line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        parse_qasm(f"OPENQASM 2.0;\n{body}\n")
+
+
+@pytest.mark.parametrize(
     "line",
     ["h r[0], q[1];", "h q[0], junk;", "ry(0.5) q[0] extra;", "cx q[0] q[1];"],
 )
 def test_parse_rejects_operands_other_than_qubit_list(line):
+    text = f'OPENQASM 2.0;\nqreg q[2];\n{line}\n'
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        parse_qasm(text)
+
+
+@pytest.mark.parametrize(
+    "line", ["rz(0.3) q[0];", "ry(pi/2) q[0];", "cx q[0],q[0];", "h q[5];", "ry(nan) q[0];"]
+)
+def test_parse_errors_after_the_gate_pattern_matches_quote_the_line(line):
     text = f'OPENQASM 2.0;\nqreg q[2];\n{line}\n'
     with pytest.raises(ValueError, match=re.escape(repr(line))):
         parse_qasm(text)
