@@ -19,6 +19,7 @@ p_acc = (1/4M) sum_m |x~ + x^m|^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,11 @@ import numpy as np
 from .dataset import check_labels
 from .errors import EstimationFailedError, ImpossibleBranchError
 from .statevector import BRANCH_FLOOR, QuantumState, check_unit, gate_matrix, h, zero_state
+
+# interfere_and_sample draws its uniforms this many at a time, so its memory
+# stays bounded whatever the shot count; a Generator gives the same stream in
+# blocks as in one call
+SAMPLE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,7 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
     view[m_idx, 0, :N, c_bits] = weight * xt
     view[m_idx, 1, :N, c_bits] = weight * train.vectors
 
+    amps.setflags(write=False)
     state.layout = layout
     return state
 
@@ -136,13 +143,24 @@ def _read_kept_branch(state: QuantumState) -> tuple[float, float, float]:
 
     Only row 0 of the Hadamard is applied, to the (above, ancilla, below)
     view of the amplitudes, so the discarded ancilla=1 half is never built.
+    The masses of a read-only array that owns its buffer (as prepare_state
+    builds it) are kept on the state and reused while the state still holds
+    that array and layout; any other state is read afresh on every call.
     """
     layout = _require_layout(state)
+    amps = state.amplitudes
+    memo = getattr(state, "_kept_branch", None)
+    frozen = not amps.flags.writeable and amps.flags.owndata
+    if frozen and memo is not None and memo[0] is amps and memo[1] == layout:
+        return memo[2]
     below = 1 << layout.ancilla_bit
-    kept = gate_matrix(h(layout.ancilla_bit))[0] @ state.amplitudes.reshape(-1, 2, below)
+    kept = gate_matrix(h(layout.ancilla_bit))[0] @ amps.reshape(-1, 2, below)
     probs = np.abs(kept) ** 2
     by_class = probs.reshape(-1, 2)  # class bit is the least significant
-    return float(np.sum(probs)), float(by_class[:, 0].sum()), float(by_class[:, 1].sum())
+    masses = float(np.sum(probs)), float(by_class[:, 0].sum()), float(by_class[:, 1].sum())
+    if frozen:
+        state._kept_branch = (amps, layout, masses)
+    return masses
 
 
 def interfere_and_read(state: QuantumState) -> ClassificationOutcome:
@@ -177,18 +195,20 @@ def interfere_and_sample(
     measured. p_acc is estimated as accepted/shots and the class
     probabilities from the accepted shots alone.
     """
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p_acc_true, minus, _ = _read_kept_branch(state)
     p_minus_true = minus / p_acc_true if p_acc_true > 0.0 else 0.0
 
     rng = np.random.default_rng(seed)
-    accepted = int(np.count_nonzero(rng.random(shots) < p_acc_true))
+    accepted = _count_below(rng, shots, p_acc_true)
     if accepted == 0:
         raise EstimationFailedError(
             f"no shots accepted out of {shots}", accepted=0
         )
-    minus_count = int(np.count_nonzero(rng.random(accepted) < p_minus_true))
+    minus_count = _count_below(rng, accepted, p_minus_true)
 
     p_minus = minus_count / accepted
     return ClassificationOutcome(
@@ -199,6 +219,15 @@ def interfere_and_sample(
         shots=shots,
         accepted=accepted,
     )
+
+
+def _count_below(rng: np.random.Generator, n: int, p: float) -> int:
+    """How many of n uniform draws from rng fall below p, drawn in blocks of
+    SAMPLE_BLOCK."""
+    count = 0
+    for start in range(0, n, SAMPLE_BLOCK):
+        count += int(np.count_nonzero(rng.random(min(SAMPLE_BLOCK, n - start)) < p))
+    return count
 
 
 def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
@@ -236,6 +265,11 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
 def _require_layout(state: QuantumState) -> RegisterLayout:
     if state.layout is None:
         raise ValueError("state has no register layout; build it with prepare_state")
+    if state.layout.n_qubits != state.n_qubits:
+        raise ValueError(
+            f"register layout of {state.layout.n_qubits} qubits does not fit a "
+            f"{state.n_qubits}-qubit state"
+        )
     return state.layout
 
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qic import classifier
 from qic import statevector as sv
 from qic.circuit import build_experiment_circuit
 from qic.classifier import (
+    SAMPLE_BLOCK,
     RegisterLayout,
     TrainingSet,
     classify,
@@ -51,6 +53,20 @@ def gate_path(state):
     interfered = sv.apply_gate(state, sv.h(layout.ancilla_bit))
     kept, p_acc = sv.postselect(interfered, layout.ancilla_bit, 0)
     return (p_acc, *sv.qubit_probabilities(kept, CLASS_BIT))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Records each pass of the readout kernel, which builds one Hadamard
+    matrix per pass."""
+    calls = []
+
+    def counting(op):
+        calls.append(op)
+        return sv.gate_matrix(op)
+
+    monkeypatch.setattr(classifier, "gate_matrix", counting)
+    return calls
 
 
 def formula_outcome(train, x_tilde):
@@ -138,6 +154,12 @@ class TestPrepareState:
                 expected[basis_index(layout, m, 0, i, c)] = w * x_tilde[i]
                 expected[basis_index(layout, m, 1, i, c)] = w * train.vectors[m, i]
         assert np.array_equal(state.amplitudes, expected)
+
+    def test_amplitudes_are_read_only(self):
+        state = prepare_state(training_set(), preset_input("xprime"))
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 1.0
 
     def test_unused_index_branches_are_zero(self):
         rng = np.random.default_rng(1)
@@ -277,6 +299,87 @@ class TestThreeWayEquivalence:
         assert a.predicted == b.predicted
 
 
+def readouts(state, shots, seed, exact_first):
+    """Exact, sampled and again the first readout of one state; an error
+    stands as its type and message."""
+    found = []
+    for exact in (exact_first, not exact_first, exact_first):
+        try:
+            found.append(interfere_and_read(state) if exact
+                          else interfere_and_sample(state, shots, seed))
+        except (ImpossibleBranchError, EstimationFailedError) as err:
+            found.append((type(err), str(err)))
+    return found
+
+
+class TestKeptBranchReadOnce:
+    """A prepared state's kept branch is read once for both readouts; any
+    other state is read afresh on every call."""
+
+    def test_exact_and_sampled_readouts_share_one_pass(self, kernel_calls):
+        state = prepare_state(training_set(), preset_input("xprime"))
+        interfere_and_read(state)
+        interfere_and_sample(state, shots=100, seed=0)
+        interfere_and_read(state)
+        assert len(kernel_calls) == 1
+
+    def test_writable_copy_is_read_on_every_call(self, kernel_calls):
+        state = prepare_state(training_set(), preset_input("xprime")).copy()
+        interfere_and_read(state)
+        interfere_and_sample(state, shots=100, seed=0)
+        assert len(kernel_calls) == 2
+
+    def test_rebinding_amplitudes_reads_afresh(self):
+        train = training_set()
+        state = prepare_state(train, preset_input("xprime"))
+        other = prepare_state(train, preset_input("xdoubleprime"))
+        interfere_and_read(state)
+        state.amplitudes = other.amplitudes
+        assert interfere_and_read(state) == interfere_and_read(other.copy())
+
+    def test_rebinding_layout_reads_afresh(self):
+        train, x_tilde = random_instance(np.random.default_rng(5), M=4, N=4)
+        state = prepare_state(train, x_tilde)
+        before = interfere_and_read(state)
+        # the same 6 qubits, with the ancilla one bit higher
+        state.layout = RegisterLayout(m_bits=1, i_bits=3)
+        after = interfere_and_read(state)
+        assert after == interfere_and_read(state.copy())
+        assert after != before
+
+    def test_read_only_view_of_writable_buffer_is_read_afresh(self):
+        train = training_set()
+        first = prepare_state(train, preset_input("xprime"))
+        second = prepare_state(train, preset_input("xdoubleprime"))
+        buffer = first.amplitudes.copy()
+        view = buffer[:]
+        view.setflags(write=False)
+        state = sv.QuantumState(first.n_qubits, view, first.layout)
+        assert readouts(state, 500, 3, True) == readouts(first, 500, 3, True)
+        buffer[:] = second.amplitudes
+        assert readouts(state, 500, 3, True) == readouts(second, 500, 3, True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
+           shots=st.integers(1, 3000), exact_first=st.booleans())
+    def test_memoised_outcomes_equal_a_writable_copy(self, seed, M, N, shots, exact_first):
+        train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
+        state = prepare_state(train, x_tilde)
+        assert (readouts(state, shots, seed, exact_first)
+                == readouts(state.copy(), shots, seed, exact_first))
+
+    @pytest.mark.parametrize("N, layout", [(4, RegisterLayout(1, 1)), (2, RegisterLayout(1, 2))])
+    def test_layout_must_fit_the_state(self, N, layout):
+        train, x_tilde = random_instance(np.random.default_rng(0), M=2, N=N)
+        state = prepare_state(train, x_tilde)
+        state.layout = layout
+        message = f"layout of {layout.n_qubits} qubits does not fit a {state.n_qubits}-qubit"
+        with pytest.raises(ValueError, match=message):
+            interfere_and_read(state)
+        with pytest.raises(ValueError, match=message):
+            interfere_and_sample(state, shots=100, seed=0)
+
+
 class TestInterfereAndSample:
     def test_deterministic_given_seed(self):
         state = prepare_state(training_set(), preset_input("xprime"))
@@ -331,6 +434,43 @@ class TestInterfereAndSample:
         assert outcome.accepted == accepted
         assert outcome.p_class_minus == minus_count / accepted
         assert outcome.p_acc == accepted / shots
+
+    @pytest.mark.parametrize("shots", [1, SAMPLE_BLOCK, 3 * SAMPLE_BLOCK + 5])
+    def test_blocked_draws_equal_one_call(self, shots, monkeypatch):
+        state = prepare_state(training_set(), preset_input("xprime"))
+        p_acc, p_minus, _ = gate_path(state)
+        rng = np.random.default_rng(7)
+        accepted = int(np.count_nonzero(rng.random(shots) < p_acc))
+        minus_count = int(np.count_nonzero(rng.random(accepted) < p_minus))
+
+        sizes, make_rng = [], np.random.default_rng
+
+        class RecordingRng:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def random(self, size):
+                sizes.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+        outcome = interfere_and_sample(state, shots, seed=7)
+        assert outcome.accepted == accepted
+        assert outcome.p_class_minus == minus_count / accepted
+        assert max(sizes) <= SAMPLE_BLOCK
+        assert sum(sizes) == shots + accepted
+
+    @pytest.mark.parametrize("shots", [True, False, np.bool_(True), 10.5, 100.0, "100"])
+    def test_rejects_non_integer_shots(self, shots):
+        state = prepare_state(training_set(), preset_input("xprime"))
+        with pytest.raises(ValueError, match="shots must be an integer") as info:
+            interfere_and_sample(state, shots, seed=0)
+        assert repr(shots) in str(info.value)
+
+    @pytest.mark.parametrize("shots", [np.int64(500), np.uint16(500)])
+    def test_accepts_numpy_integer_shots(self, shots):
+        state = prepare_state(training_set(), preset_input("xprime"))
+        assert interfere_and_sample(state, shots, seed=3) == interfere_and_sample(state, 500, 3)
 
     def test_no_accepted_shots(self):
         # force the impossible branch through a hand-built state: all mass on
