@@ -4,7 +4,9 @@ against the 5-qubit device coupling map."""
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,20 +28,26 @@ INDEX_WIRE = 3
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate sequence over n_qubits."""
+    """Ordered gate sequence over n_qubits, stored as an int and a tuple."""
 
     n_qubits: int
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        n = self.n_qubits
+        if type(n) is not int:
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+                raise ValueError(f"n_qubits must be an integer, got {n!r}")
+            n = int(n)
+            object.__setattr__(self, "n_qubits", n)
+        if n < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {n}")
+        if type(self.ops) is not tuple:
+            object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             for q in op.qubits:
-                if q >= self.n_qubits:
-                    raise ValueError(
-                        f"op {op} references qubit {q} on a {self.n_qubits}-qubit circuit"
-                    )
+                if q >= n:
+                    raise ValueError(f"op {op} references qubit {q} on a {n}-qubit circuit")
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -144,11 +152,24 @@ def _decompose_ccry(theta: float, c1: int, c2: int, t: int) -> list[GateOp]:
     ]
 
 
+# bound on the angle-free expansions kept, one per (function, qubits), of at
+# most 16 ops each; the experiment circuit needs two
+_FIXED_EXPANSION_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_FIXED_EXPANSION_CACHE_SIZE)
+def _fixed_expansion(expand, qubits: tuple[int, ...]) -> tuple[GateOp, ...]:
+    """expand(*qubits), built once per function and qubits; the frozen ops are
+    shared by every circuit that holds them."""
+    return tuple(expand(*qubits))
+
+
 # kind -> expansion of one op; its own extended gates are expanded in turn. The
-# names resolve at call time, so a patched _decompose_* (a planted fault) is used
+# names resolve at call time, and the cache is keyed by the function, so a
+# patched _decompose_* (a planted fault) is used even after the cache is warm
 _EXPANSIONS = {
-    "swap": lambda op: _decompose_swap(*op.qubits),
-    "ccx": lambda op: _decompose_ccx(*op.qubits),
+    "swap": lambda op: _fixed_expansion(_decompose_swap, op.qubits),
+    "ccx": lambda op: _fixed_expansion(_decompose_ccx, op.qubits),
     "cry": lambda op: _decompose_cry(op.theta, *op.qubits),
     "ccry": lambda op: _decompose_ccry(op.theta, *op.qubits),
 }

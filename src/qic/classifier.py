@@ -270,6 +270,11 @@ def _require_layout(state: QuantumState) -> RegisterLayout:
             f"register layout of {state.layout.n_qubits} qubits does not fit a "
             f"{state.n_qubits}-qubit state"
         )
+    if state.amplitudes.size != 1 << state.layout.n_qubits:
+        raise ValueError(
+            f"register layout of {state.layout.n_qubits} qubits needs "
+            f"{1 << state.layout.n_qubits} amplitudes, got {state.amplitudes.size}"
+        )
     return state.layout
 
 

@@ -6,13 +6,15 @@ written with repr precision so a parse round-trip reproduces identical ops.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .circuit import RESTRICTED_KINDS, Circuit
 from .errors import UnsupportedGateError
 from .statevector import GateOp
 
-_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+_VERSION = "OPENQASM 2.0;"
+_INCLUDE = 'include "qelib1.inc";'
 
 _QUBIT_RE = re.compile(r"q\[(\d+)\]")
 # operands are exactly comma-separated q[N] items; anything else fails the match
@@ -23,7 +25,7 @@ _GATE_RE = re.compile(
 
 def export_qasm(circuit: Circuit) -> str:
     """Emit a decomposed circuit as OpenQASM 2.0 text."""
-    lines = [_HEADER + f"qreg q[{circuit.n_qubits}];"]
+    lines = [_VERSION, _INCLUDE, f"qreg q[{circuit.n_qubits}];"]
     for op in circuit.ops:
         if op.kind not in RESTRICTED_KINDS:
             raise UnsupportedGateError(
@@ -38,14 +40,31 @@ def export_qasm(circuit: Circuit) -> str:
 
 
 def parse_qasm(text: str) -> Circuit:
-    """Parse OpenQASM 2.0 text produced by export_qasm back into a Circuit."""
+    """Parse OpenQASM 2.0 text produced by export_qasm back into a Circuit.
+
+    The first statement must be ``OPENQASM 2.0;``, and ``include
+    "qelib1.inc";`` may follow it once, before the qreg declaration. An angle
+    must be written as export_qasm writes it: the repr of a finite float.
+    """
     n_qubits = None
+    versioned = included = False
     ops: list[GateOp] = []
     for raw in text.splitlines():
-        line = raw.split("//")[0].strip()
+        line = raw.partition("//")[0].strip()
         if not line:
             continue
-        if line.startswith("OPENQASM") or line.startswith("include"):
+        if not versioned:
+            if line != _VERSION:
+                raise ValueError(f"the first statement must be {_VERSION!r}, got {raw!r}")
+            versioned = True
+            continue
+        if line.startswith(("OPENQASM", "include")):
+            if line != _INCLUDE or included or n_qubits is not None:
+                raise ValueError(
+                    f"unsupported header line (expected {_VERSION!r} first, then at most "
+                    f"one {_INCLUDE!r} before qreg): {raw!r}"
+                )
+            included = True
             continue
         if not line.endswith(";"):
             raise ValueError(f"missing ';' in line: {raw!r}")
@@ -63,17 +82,30 @@ def parse_qasm(text: str) -> Circuit:
         m = _GATE_RE.match(line)
         if not m:
             raise ValueError(f"cannot parse line: {raw!r}")
-        name, angle = m.group("name", "angle")
+        name, angle, args = m.groups()
         if name not in RESTRICTED_KINDS:
             raise UnsupportedGateError(f"unsupported gate {name!r} in line: {raw!r}")
-        qubits = tuple(int(q) for q in _QUBIT_RE.findall(m.group("args")))
+        qubits = tuple(map(int, _QUBIT_RE.findall(args)))
         try:
-            op = GateOp(name, qubits, None if angle is None else float(angle))
+            op = GateOp(name, qubits, None if angle is None else _angle(angle))
         except ValueError as exc:
             raise ValueError(f"{exc} in line: {raw!r}") from exc
         if max(qubits) >= n_qubits:
             raise ValueError(f"qubit {max(qubits)} is outside qreg q[{n_qubits}] in line: {raw!r}")
         ops.append(op)
+    if not versioned:
+        raise ValueError(f"no {_VERSION!r} version line found")
     if n_qubits is None:
         raise ValueError("no qreg declaration found")
     return Circuit(n_qubits, tuple(ops))
+
+
+def _angle(text: str) -> float:
+    """The float whose repr is text, if it is finite."""
+    try:
+        theta = float(text)
+    except ValueError:
+        theta = math.nan
+    if not math.isfinite(theta) or repr(theta) != text:
+        raise ValueError(f"angle {text!r} is not the repr of a finite float")
+    return theta

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -57,7 +58,8 @@ ROTATION_KINDS = frozenset({"ry", "cry", "ccry"})
 class GateOp:
     """A single gate: kind, target/control qubit indices, optional angle.
 
-    For controlled gates the controls come first and the target last.
+    For controlled gates the controls come first and the target last. Qubits
+    are stored as a tuple of int and a rotation's angle as a float.
     """
 
     kind: str
@@ -65,21 +67,47 @@ class GateOp:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != GATE_ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind} expects {GATE_ARITY[self.kind]} qubits, got {self.qubits}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"qubit indices must be distinct, got {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"qubit indices must be non-negative, got {self.qubits}")
-        if self.kind in ROTATION_KINDS:
-            if self.theta is None or not math.isfinite(self.theta):
-                raise ValueError(f"{self.kind} needs a finite angle, got {self.theta}")
-        elif self.theta is not None:
-            raise ValueError(f"{self.kind} takes no angle")
+        kind, qubits, theta = self.kind, self.qubits, self.theta
+        arity = GATE_ARITY.get(kind)
+        # the valid, already-normalized case, tested first and cheaply; the
+        # step-by-step checks, which name the first rule broken, run only when
+        # it fails
+        if (
+            type(qubits) is tuple and len(qubits) == arity and len(set(qubits)) == arity
+            and (type(theta) is float and math.isfinite(theta) if kind in ROTATION_KINDS
+                 else theta is None)
+        ):
+            for q in qubits:
+                if type(q) is not int or q < 0:
+                    break
+            else:
+                return
+        if kind not in GATE_ARITY:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if len(qubits) != arity:
+            raise ValueError(f"{kind} expects {arity} qubits, got {qubits}")
+        if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in qubits):
+            raise ValueError(f"qubit indices must be integers, got {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"qubit indices must be distinct, got {qubits}")
+        if any(q < 0 for q in qubits):
+            raise ValueError(f"qubit indices must be non-negative, got {qubits}")
+        if kind in ROTATION_KINDS:
+            if not (isinstance(theta, numbers.Real) and not isinstance(theta, bool)
+                    and math.isfinite(theta)):
+                raise ValueError(f"{kind} needs a finite angle, got {theta}")
+            object.__setattr__(self, "theta", float(theta))
+        elif theta is not None:
+            raise ValueError(f"{kind} takes no angle")
+        object.__setattr__(self, "qubits", tuple(map(int, qubits)))
+
+    @functools.cached_property
+    def _rotation_matrix(self) -> np.ndarray:
+        """A rotation's dense unitary, built on first use and kept (read-only)."""
+        u = _ry_matrix(self.theta)
+        m = u if self.kind == "ry" else _controlled(u, len(self.qubits) - 1)
+        m.setflags(write=False)
+        return m
 
 
 def h(q: int) -> GateOp:
@@ -103,7 +131,7 @@ def s(q: int) -> GateOp:
 
 
 def ry(theta: float, q: int) -> GateOp:
-    return GateOp("ry", (q,), float(theta))
+    return GateOp("ry", (q,), theta)
 
 
 def cx(control: int, target: int) -> GateOp:
@@ -119,11 +147,11 @@ def ccx(control1: int, control2: int, target: int) -> GateOp:
 
 
 def cry(theta: float, control: int, target: int) -> GateOp:
-    return GateOp("cry", (control, target), float(theta))
+    return GateOp("cry", (control, target), theta)
 
 
 def ccry(theta: float, control1: int, control2: int, target: int) -> GateOp:
-    return GateOp("ccry", (control1, control2, target), float(theta))
+    return GateOp("ccry", (control1, control2, target), theta)
 
 
 def _ry_matrix(theta: float) -> np.ndarray:
@@ -150,12 +178,10 @@ for _m in _FIXED.values():  # shared by every gate_matrix caller, so read-only
 
 
 def gate_matrix(op: GateOp) -> np.ndarray:
-    """Dense unitary of the op over its listed qubits (read-only for fixed gates)."""
+    """Dense unitary of the op over its listed qubits, read-only: a fixed
+    gate's is shared by kind, a rotation's is built once per op."""
     fixed = _FIXED.get(op.kind)
-    if fixed is not None:
-        return fixed
-    u = _ry_matrix(op.theta)
-    return u if op.kind == "ry" else _controlled(u, len(op.qubits) - 1)
+    return op._rotation_matrix if fixed is None else fixed
 
 
 @dataclass
@@ -238,7 +264,7 @@ def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
         perm, order = _step_plan(n_qubits, order, op.qubits)
         psi = psi.transpose(perm)
         matrix = gate_matrix(op)
-        psi = (matrix @ psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
+        psi = matrix.dot(psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
     inverse = sorted(range(len(order)), key=order.__getitem__)
     return psi.transpose(inverse).reshape(amps.shape)
 

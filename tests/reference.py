@@ -1,10 +1,12 @@
 """Independent references the tests hold the program to: the encoded
-register's basis index, from its documented bit order, and the paper's
-classical kernel-sum decision rule."""
+register's basis index, from its documented bit order, the paper's
+classical kernel-sum decision rule, and the gate rules checked one at a time."""
+
+import math
 
 import numpy as np
 
-from qic.statevector import check_unit
+from qic.statevector import GATE_ARITY, ROTATION_KINDS, check_unit
 
 # bit order, least significant first: class bit, data bits, ancilla bit, index bits
 CLASS_BIT = 0
@@ -44,3 +46,26 @@ def classical_classify(train, x_tilde) -> tuple[float, int]:
     sq_dists = np.sum((train.vectors - xt) ** 2, axis=1)
     score = float(np.sum(train.labels * (1.0 - sq_dists / (4 * train.M))))
     return score, (-1 if score < 0 else +1)
+
+
+def gate_op_error(kind, qubits, theta) -> str | None:
+    """The ValueError message of the first gate rule these fields break, the
+    rules taken one at a time in order, or None for a valid gate."""
+    if kind not in GATE_ARITY:
+        return f"unknown gate kind {kind!r}"
+    if len(qubits) != GATE_ARITY[kind]:
+        return f"{kind} expects {GATE_ARITY[kind]} qubits, got {qubits}"
+    for q in qubits:
+        if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+            return f"qubit indices must be integers, got {qubits}"
+    if len(set(qubits)) != len(qubits):
+        return f"qubit indices must be distinct, got {qubits}"
+    if any(q < 0 for q in qubits):
+        return f"qubit indices must be non-negative, got {qubits}"
+    if kind in ROTATION_KINDS:
+        real = isinstance(theta, (int, float, np.integer, np.floating))
+        if isinstance(theta, bool) or not real or not math.isfinite(theta):
+            return f"{kind} needs a finite angle, got {theta}"
+    elif theta is not None:
+        return f"{kind} takes no angle"
+    return None

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -54,6 +55,17 @@ class TestCircuit:
     def test_rejects_out_of_range_op(self):
         with pytest.raises(ValueError):
             Circuit(1, (sv.cx(0, 1),))
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, np.bool_(True), "2"])
+    def test_n_qubits_must_be_an_integer_and_not_bool(self, n):
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            Circuit(n, (sv.h(0),))
+
+    def test_fields_are_stored_as_int_and_tuple(self):
+        circ = Circuit(np.int64(2), [sv.h(0), sv.cx(0, 1)])
+        assert type(circ.n_qubits) is int and type(circ.ops) is tuple
+        assert circ == Circuit(2, (sv.h(0), sv.cx(0, 1)))
+        assert hash(circ) == hash(Circuit(2, (sv.h(0), sv.cx(0, 1))))
 
 
 class TestBuildExperimentCircuit:
@@ -183,6 +195,43 @@ class TestDecompose:
     def test_gate_budget(self):
         circ = with_interference(build_experiment_circuit(preset_input("xprime"), X0, X1))
         assert len(decompose(circ)) <= 80
+
+
+class TestExpansionCache:
+    """swap and ccx expansions are built once per (function, qubits) and shared."""
+
+    def test_repeated_calls_return_equal_circuits_sharing_expansions(self):
+        circ = Circuit(4, (sv.ccx(0, 1, 2), sv.swap(3, 0), sv.ccx(0, 1, 2)))
+        first, second = decompose(circ), decompose(circ)
+        assert first == second
+        assert all(a is b for a, b in zip(first.ops, second.ops))
+        assert all(a is b for a, b in zip(first.ops[:16], first.ops[-16:]))
+        rotated = Circuit(4, (sv.ccry(0.3, 1, 2, 3), sv.cry(-0.7, 3, 0)))
+        assert decompose(rotated) == decompose(rotated)
+
+    def test_patched_expansion_is_used_after_the_cache_is_warm(self, monkeypatch):
+        circ = Circuit(3, (sv.ccx(2, 0, 1),))
+        exact = decompose(circ)
+        exact_ccx = circuit._decompose_ccx
+
+        def faulted(*qubits):
+            return [sv.tdg(op.qubits[0]) if op.kind == "t" else op for op in exact_ccx(*qubits)]
+
+        monkeypatch.setattr(circuit, "_decompose_ccx", faulted)
+        planted = decompose(circ)
+        assert planted.ops == tuple(faulted(2, 0, 1)) != exact.ops
+        monkeypatch.undo()
+        assert decompose(circ) == exact
+
+    def test_cache_is_bounded(self):
+        size = circuit._FIXED_EXPANSION_CACHE_SIZE
+        n = 10  # 720 ordered qubit triples, more than the cache keeps
+        assert n * (n - 1) * (n - 2) > size
+        ops = tuple(sv.ccx(*q) for q in itertools.permutations(range(n), 3))
+        lowered = decompose(Circuit(n, ops))
+        assert len(lowered) == 16 * len(ops)
+        info = circuit._fixed_expansion.cache_info()
+        assert info.maxsize == size and info.currsize == size
 
 
 class TestConnectivity:

@@ -379,6 +379,17 @@ class TestKeptBranchReadOnce:
         with pytest.raises(ValueError, match=message):
             interfere_and_sample(state, shots=100, seed=0)
 
+    @pytest.mark.parametrize("size", [8, 32])
+    def test_amplitude_count_must_fit_the_layout(self, size):
+        state = prepare_state(training_set(), preset_input("xprime"))
+        interfere_and_read(state)
+        state.amplitudes = np.resize(state.amplitudes, size)
+        message = f"layout of 4 qubits needs 16 amplitudes, got {size}"
+        with pytest.raises(ValueError, match=message):
+            interfere_and_read(state)
+        with pytest.raises(ValueError, match=message):
+            interfere_and_sample(state, shots=100, seed=0)
+
 
 class TestInterfereAndSample:
     def test_deterministic_given_seed(self):

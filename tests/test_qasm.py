@@ -147,3 +147,66 @@ def test_parse_errors_after_the_gate_pattern_matches_quote_the_line(line):
 def test_parse_allows_whitespace_around_operand_commas():
     text = "OPENQASM 2.0;\nqreg q[2];\ncx q[0] , q[1];\nh  q[1];\n"
     assert parse_qasm(text).ops == (sv.cx(0, 1), sv.h(1))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "OPENQASM 2.0;\nqreg q[1];\nh q[0];\n",
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\n',
+        '// header\n\nOPENQASM 2.0; // version\n\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\n',
+    ],
+    ids=["version-only", "version-and-include", "comments-and-blank-lines"],
+)
+def test_parse_accepts_the_version_line_and_one_include(text):
+    assert parse_qasm(text) == Circuit(1, (sv.h(0),))
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("OPENQASM 3.0;\nqreg q[1];\n", "OPENQASM 3.0;"),
+        ("OPENQASM garbage\nqreg q[1];\n", "OPENQASM garbage"),
+        ("qreg q[1];\nh q[0];\n", "qreg q[1];"),
+        ('include "qelib1.inc";\nOPENQASM 2.0;\nqreg q[1];\n', 'include "qelib1.inc";'),
+        ("OPENQASM 2.0;\nOPENQASM 2.0;\nqreg q[1];\n", "OPENQASM 2.0;"),
+        ("OPENQASM 2.0;\nqreg q[2];\ninclude_me q[1];\n", "include_me q[1];"),
+        ('OPENQASM 2.0;\ninclude "other.inc";\nqreg q[1];\n', 'include "other.inc";'),
+        ('OPENQASM 2.0;\ninclude "qelib1.inc";\ninclude "qelib1.inc";\nqreg q[1];\n',
+         'include "qelib1.inc";'),
+        ('OPENQASM 2.0;\nqreg q[1];\ninclude "qelib1.inc";\n', 'include "qelib1.inc";'),
+    ],
+    ids=["version-3", "version-garbage", "no-version-line", "include-first", "second-version",
+         "include-prefix", "other-include", "second-include", "include-after-qreg"],
+)
+def test_parse_rejects_header_lines_out_of_rule_quoting_them(text, line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        parse_qasm(text)
+
+
+@pytest.mark.parametrize("text", ["", "// nothing\n\n"])
+def test_parse_rejects_text_without_a_version_line(text):
+    with pytest.raises(ValueError, match="no 'OPENQASM 2.0;' version line"):
+        parse_qasm(text)
+
+
+@pytest.mark.parametrize(
+    "angle", ["1_000", "1000", "0.50", "+0.5", " 0.5", "1E-05", "1e-5", ".5", "inf", "nan", "0x1p-2"]
+)
+def test_parse_rejects_angles_not_written_as_a_finite_float_repr(angle):
+    line = f"ry({angle}) q[0];"
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\n{line}\n")
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.0, 1e-05, 1e16, 5e-324, -1.7976931348623157e308])
+def test_parse_accepts_every_finite_float_repr(theta):
+    text = f"OPENQASM 2.0;\nqreg q[1];\nry({theta!r}) q[0];\n"
+    assert parse_qasm(text).ops == (sv.ry(theta, 0),)
+
+
+def test_numpy_angle_round_trips():
+    # verify_decompositions draws its angles as numpy floats
+    circ = Circuit(1, (sv.GateOp("ry", (0,), np.float64(0.3)),))
+    assert "ry(0.3) q[0];" in export_qasm(circ)
+    assert parse_qasm(export_qasm(circ)) == circ

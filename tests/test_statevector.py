@@ -10,6 +10,8 @@ from qic import statevector as sv
 from qic.circuit import Circuit
 from qic.errors import CapacityError, ImpossibleBranchError, NormalizationError
 
+from reference import gate_op_error
+
 SQRT2_INV = 1 / math.sqrt(2)
 
 
@@ -63,6 +65,28 @@ def circuits(draw, min_qubits=3, max_qubits=7):
     return Circuit(n, tuple(ops))
 
 
+@st.composite
+def gate_fields(draw):
+    """Fields of a gate, often valid: a known or unknown kind with 0-4 qubits
+    (often the kind's arity), in a tuple or a list, some replaced by a repeat,
+    a negative, a bool, a float or a numpy int; and an angle that may be
+    absent, non-finite, bool, an int or a numpy float."""
+    kind = draw(st.one_of(st.sampled_from(sorted(sv.GATE_ARITY) + ["rz", "CX", ""]),
+                          st.sampled_from(sorted(sv.ROTATION_KINDS))))
+    size = draw(st.one_of(st.just(sv.GATE_ARITY.get(kind, 1)), st.integers(0, 4)))
+    qubits = draw(st.permutations(range(7)))[:size]
+    odd_qubit = st.one_of(st.integers(-2, 6), st.booleans(), st.floats(-2, 6),
+                          st.integers(0, 6).map(np.int64), st.integers(0, 6).map(np.int32))
+    for i in draw(st.lists(st.integers(0, max(size - 1, 0)), max_size=size)):
+        qubits[i] = draw(odd_qubit)
+    fitting_theta = st.floats(-10, 10) if kind in sv.ROTATION_KINDS else st.none()
+    theta = draw(st.one_of(
+        fitting_theta, fitting_theta, st.none(), st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.just(True), st.floats(-10, 10).map(np.float64), st.integers(-3, 3),
+    ))
+    return kind, draw(st.sampled_from([tuple, tuple, list]))(qubits), theta
+
+
 class TestZeroState:
     def test_single_qubit(self):
         assert np.allclose(sv.zero_state(1).amplitudes, [1, 0])
@@ -94,10 +118,38 @@ class TestGateOp:
         with pytest.raises(ValueError):
             sv.GateOp("rz", (0,))
 
+    @pytest.mark.parametrize("qubits", [(1.5,), (True,), (np.float64(1.0),), (np.bool_(True),)])
+    def test_qubit_must_be_an_integer_and_not_bool(self, qubits):
+        with pytest.raises(ValueError, match="qubit indices must be integers"):
+            sv.GateOp("h", qubits)
+
+    def test_fields_are_stored_as_python_types(self):
+        op = sv.GateOp("cry", [np.int64(2), np.int32(0)], np.float64(0.3))
+        assert op == sv.cry(0.3, 2, 0)
+        assert type(op.qubits) is tuple
+        assert [type(q) for q in op.qubits] == [int, int]
+        assert type(op.theta) is float
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=gate_fields())
+    def test_fused_check_agrees_with_step_by_step_rules(self, fields):
+        kind, qubits, theta = fields
+        expected = gate_op_error(kind, qubits, theta)
+        if expected is not None:
+            with pytest.raises(ValueError) as info:
+                sv.GateOp(kind, qubits, theta)
+            assert str(info.value) == expected
+            return
+        op = sv.GateOp(kind, qubits, theta)
+        assert (op.kind, op.qubits, op.theta) == (kind, tuple(qubits), theta)
+        assert type(op.qubits) is tuple and all(type(q) is int for q in op.qubits)
+        assert type(op.theta) is (type(None) if theta is None else float)
+
 
 class TestGateMatrix:
     @pytest.mark.parametrize("op", [sv.h(0), sv.x(0), sv.t(0), sv.tdg(0), sv.s(0),
-                                    sv.cx(0, 1), sv.swap(0, 1), sv.ccx(0, 1, 2)],
+                                    sv.cx(0, 1), sv.swap(0, 1), sv.ccx(0, 1, 2),
+                                    sv.ry(0.3, 0), sv.cry(0.5, 0, 1), sv.ccry(0.7, 0, 1, 2)],
                              ids=lambda op: op.kind)
     def test_shared_matrices_are_read_only(self, op):
         m = sv.gate_matrix(op)
@@ -105,6 +157,24 @@ class TestGateMatrix:
         with pytest.raises(ValueError):
             m[0, 0] = 5.0
         assert np.array_equal(sv.gate_matrix(op), before)
+
+    def test_rotation_matrix_is_built_once_per_op(self, monkeypatch):
+        built = []
+        exact = sv._ry_matrix
+
+        def counting(theta):
+            built.append(theta)
+            return exact(theta)
+
+        monkeypatch.setattr(sv, "_ry_matrix", counting)
+        circ = Circuit(3, (sv.ry(0.3, 0), sv.h(1), sv.cry(0.5, 0, 1),
+                           sv.ccry(0.7, 2, 0, 1), sv.ry(0.3, 0)))
+        for _ in range(2):
+            sv.circuit_unitary(circ)
+            sv.simulate(circ)
+            sv.apply_gate(sv.zero_state(3), circ.ops[2])
+        assert built == [0.3, 0.5, 0.7, 0.3]
+        assert sv.gate_matrix(circ.ops[3]) is sv.gate_matrix(circ.ops[3])
 
 
 class TestApplyGate:
