@@ -32,6 +32,10 @@ from .statevector import BRANCH_FLOOR, QuantumState, check_unit, gate_matrix, h,
 # stays bounded whatever the shot count; a Generator gives the same stream in
 # blocks as in one call
 SAMPLE_BLOCK = 1 << 20
+# the kept-branch readout reads the state this many amplitudes (256 KiB) at
+# a time, so each block's interfered half stays in cache between its matmul,
+# abs and square, and no temporary the size of the state is built
+READ_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,10 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
     view[m_idx, 0, :N, c_bits] = weight * xt
     view[m_idx, 1, :N, c_bits] = weight * train.vectors
 
+    # a view of a read-only owner cannot be made writable again, which keeps
+    # the masses _read_kept_branch memoises on the state from going stale
     amps.setflags(write=False)
+    state.amplitudes = amps.view()
     state.layout = layout
     return state
 
@@ -143,19 +150,32 @@ def _read_kept_branch(state: QuantumState) -> tuple[float, float, float]:
 
     Only row 0 of the Hadamard is applied, to the (above, ancilla, below)
     view of the amplitudes, so the discarded ancilla=1 half is never built.
-    The masses of a read-only array that owns its buffer (as prepare_state
-    builds it) are kept on the state and reused while the state still holds
-    that array and layout; any other state is read afresh on every call.
+    The view is read READ_BLOCK amplitudes at a time; each block's kept
+    probabilities go into one (above, below) buffer, so the read holds the
+    state plus about a quarter of its bytes. The masses of a read-only view
+    of a read-only array that owns its buffer (as prepare_state builds it)
+    are kept on the state and reused while the state still holds that view
+    and layout; any other state is read afresh on every call.
     """
     layout = _require_layout(state)
     amps = state.amplitudes
     memo = getattr(state, "_kept_branch", None)
-    frozen = not amps.flags.writeable and amps.flags.owndata
+    owner = amps.base
+    frozen = (not amps.flags.writeable and isinstance(owner, np.ndarray)
+              and not owner.flags.writeable and owner.flags.owndata)
     if frozen and memo is not None and memo[0] is amps and memo[1] == layout:
         return memo[2]
     below = 1 << layout.ancilla_bit
-    kept = gate_matrix(h(layout.ancilla_bit))[0] @ amps.reshape(-1, 2, below)
-    probs = np.abs(kept) ** 2
+    view = amps.reshape(-1, 2, below)
+    row = gate_matrix(h(layout.ancilla_bit))[0]
+    probs = np.empty((view.shape[0], below))
+    rows, cols = max(1, READ_BLOCK // (2 * below)), min(below, READ_BLOCK // 2)
+    for i in range(0, view.shape[0], rows):
+        for j in range(0, below, cols):
+            block = np.abs(row @ view[i:i + rows, :, j:j + cols],
+                           out=probs[i:i + rows, j:j + cols])
+            np.square(block, out=block)
+    # one pairwise sum over the whole half, as postselect takes its mass
     by_class = probs.reshape(-1, 2)  # class bit is the least significant
     masses = float(np.sum(probs)), float(by_class[:, 0].sum()), float(by_class[:, 1].sum())
     if frozen:

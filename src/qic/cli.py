@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -306,11 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qic",
         description="amplitude-encoded interference classifier and simulator",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # options match only in full: a prefix such as --inp would otherwise bind
+    # to whichever option it starts, and one added later could change that
+    add_command = functools.partial(
+        parser.add_subparsers(dest="command", required=True).add_parser, allow_abbrev=False
+    )
 
-    p = sub.add_parser("classify", help="classify one input vector")
+    p = add_command("classify", help="classify one input vector")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=PRESET_NAMES)
     group.add_argument("--input", type=_parse_vector,
@@ -324,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_classify, parser=p)
 
-    p = sub.add_parser("reproduce", help="rerun the bundled reference scenarios")
+    p = add_command("reproduce", help="rerun the bundled reference scenarios")
     p.add_argument("--table", type=int, choices=(1, 2), required=True)
     p.add_argument("--reps", type=_positive_int, default=None,
                    help="repetitions for the benchmark grid (table 2 only; default 1000)")
@@ -334,16 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_reproduce, parser=p)
 
-    p = sub.add_parser("verify-decompositions",
-                       help="check every decomposition against its ideal unitary")
+    p = add_command("verify-decompositions",
+                    help="check every decomposition against its ideal unitary")
     p.set_defaults(func=_cmd_verify, parser=p)
 
-    p = sub.add_parser("export-qasm", help="write the decomposed circuit as OpenQASM 2.0")
+    p = add_command("export-qasm", help="write the decomposed circuit as OpenQASM 2.0")
     p.add_argument("--preset", choices=PRESET_NAMES, required=True)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_export_qasm, parser=p)
 
-    p = sub.add_parser("shots", help="shot budget for a target estimation error")
+    p = add_command("shots", help="shot budget for a target estimation error")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--z", type=float, default=2.58)
     p.add_argument("--method", choices=("wald", "wilson"), default="wald")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qic import classifier
 from qic import statevector as sv
 from qic.circuit import build_experiment_circuit
 from qic.classifier import (
+    READ_BLOCK,
     SAMPLE_BLOCK,
     RegisterLayout,
     TrainingSet,
@@ -243,6 +245,33 @@ class TestInterfereAndRead:
         assert abs(outcome.p_class_minus - p_minus) <= 1e-12
         assert abs(outcome.p_class_plus - p_plus) <= 1e-12
 
+    @pytest.mark.parametrize("M, N, split_rows", [(5000, 3, False), (2, 8193, True)],
+                             ids=["many-blocks", "rows-wider-than-a-block"])
+    def test_states_of_several_blocks_match_gate_path(self, M, N, split_rows):
+        train, x_tilde = random_instance(np.random.default_rng(M + N), M, N)
+        state = prepare_state(train, x_tilde)
+        assert state.amplitudes.size >= 8 * READ_BLOCK
+        # a row of the (above, ancilla, below) view spans 2 * below amplitudes
+        assert (2 << state.layout.ancilla_bit > READ_BLOCK) == split_rows
+        p_acc, p_minus, p_plus = gate_path(state)
+        outcome = interfere_and_read(state)
+        assert outcome.p_acc == p_acc
+        assert abs(outcome.p_class_minus - p_minus) <= 1e-12
+        assert abs(outcome.p_class_plus - p_plus) <= 1e-12
+        assert readouts(state, 5000, M, True) == readouts(state.copy(), 5000, M, True)
+
+    def test_read_holds_about_a_quarter_of_the_state(self):
+        train, x_tilde = random_instance(np.random.default_rng(2), M=1 << 12, N=16)
+        state = prepare_state(train, x_tilde).copy()
+        assert state.amplitudes.size == 1 << 18
+        tracemalloc.start()
+        try:
+            interfere_and_read(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.amplitudes.nbytes / 3
+
     @pytest.mark.parametrize("eps", [0.0, 1e-8])
     def test_below_floor_is_impossible_branch(self, eps):
         # acceptance eps^2/4: zero, and 2.5e-17 under the floor but not zero
@@ -346,6 +375,17 @@ class TestKeptBranchReadOnce:
         after = interfere_and_read(state)
         assert after == interfere_and_read(state.copy())
         assert after != before
+
+    def test_prepared_amplitudes_cannot_be_made_writable(self):
+        train = training_set()
+        state = prepare_state(train, preset_input("xprime"))
+        other = prepare_state(train, preset_input("xdoubleprime"))
+        before = interfere_and_read(state)
+        with pytest.raises(ValueError):
+            state.amplitudes.setflags(write=True)
+        with pytest.raises(ValueError):
+            state.amplitudes[:] = other.amplitudes
+        assert interfere_and_read(state) == before == interfere_and_read(state.copy())
 
     def test_read_only_view_of_writable_buffer_is_read_afresh(self):
         train = training_set()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -322,6 +323,55 @@ def test_usage_error_names_its_subcommand(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"usage: qic {argv[0]} ")
     assert message in captured.err
+
+
+# every long option of each subcommand, written in full; "--x1=-1,1" is how a
+# vector that starts with "-" is passed
+FULL_OPTIONS = {
+    "classify": (["--preset", "xprime", "--shots", "9", "--seed", "4", "--format", "json",
+                  "--output", "out.json"],
+                 ["--input", "0.6,0.8", "--x0", "0,1", "--x1=-1,1"]),
+    "reproduce": (["--table", "2", "--reps", "3", "--seed", "4", "--format", "csv",
+                   "--output", "grid.csv"],),
+    "verify-decompositions": ([],),
+    "export-qasm": (["--preset", "xdoubleprime", "--output", "circuit.qasm"],),
+    "shots": (["--eps", "0.1", "--z", "2", "--method", "wilson", "--format", "json",
+               "--output", "shots.json"],),
+}
+
+
+@pytest.mark.parametrize("command", FULL_OPTIONS)
+def test_every_long_option_parses_in_full(command, capsys):
+    assert run_cli(command, "--help")[0] == 0
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) - {"--help"}
+    parsed = [build_parser().parse_args([command, *argv]) for argv in FULL_OPTIONS[command]]
+    assert [args.command for args in parsed] == [command] * len(parsed)
+    used = {a.split("=")[0] for argv in FULL_OPTIONS[command] for a in argv if a.startswith("--")}
+    assert used == documented
+    if command == "classify":
+        assert list(parsed[1].x1) == [-1.0, 1.0]
+
+
+ABBREVIATED = [
+    ("classify", "--inp", "0,1"),
+    ("classify", "--pre", "xprime"),
+    ("classify", "--preset", "xprime", "--sh", "10"),
+    ("reproduce", "--tab", "1"),
+    ("reproduce", "--table", "2", "--rep", "2"),
+    ("export-qasm", "--pres", "xprime"),
+    ("shots", "--ep", "0.1"),
+    ("shots", "--eps", "0.1", "--meth", "wilson"),
+    ("--vers",),
+]
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED, ids=" ".join)
+def test_abbreviated_option_is_usage_error(argv, capsys):
+    code, _ = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qic")
 
 
 def test_console_entry_point_runs():
