@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import check_labels
 from .errors import EstimationFailedError, ImpossibleBranchError
-from .statevector import BRANCH_FLOOR, QuantumState, check_unit, gate_matrix, h, zero_state
+from .statevector import BRANCH_FLOOR, QuantumState, check_capacity, check_unit, gate_matrix, h
 
 # interfere_and_sample draws its uniforms this many at a time, so its memory
 # stays bounded whatever the shot count; a Generator gives the same stream in
@@ -125,9 +125,8 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
     i_bits = max(1, (N - 1).bit_length()) if N > 1 else 1
     layout = RegisterLayout(m_bits=m_bits, i_bits=i_bits)
 
-    state = zero_state(layout.n_qubits)
-    amps = state.amplitudes
-    amps[0] = 0.0
+    check_capacity(layout.n_qubits)
+    amps = np.zeros(1 << layout.n_qubits, dtype=complex)
 
     weight = 1.0 / math.sqrt(2 * M)
     # axes (m, ancilla, i, class bit), most significant first
@@ -136,12 +135,9 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
     view[m_idx, 0, :N, c_bits] = weight * xt
     view[m_idx, 1, :N, c_bits] = weight * train.vectors
 
-    # a view of a read-only owner cannot be made writable again, which keeps
-    # the masses _read_kept_branch memoises on the state from going stale
+    # read-only and owning its data, so the state keeps it without a copy
     amps.setflags(write=False)
-    state.amplitudes = amps.view()
-    state.layout = layout
-    return state
+    return QuantumState(layout.n_qubits, amps, layout)
 
 
 def _read_kept_branch(state: QuantumState) -> tuple[float, float, float]:
@@ -152,21 +148,16 @@ def _read_kept_branch(state: QuantumState) -> tuple[float, float, float]:
     view of the amplitudes, so the discarded ancilla=1 half is never built.
     The view is read READ_BLOCK amplitudes at a time; each block's kept
     probabilities go into one (above, below) buffer, so the read holds the
-    state plus about a quarter of its bytes. The masses of a read-only view
-    of a read-only array that owns its buffer (as prepare_state builds it)
-    are kept on the state and reused while the state still holds that view
-    and layout; any other state is read afresh on every call.
+    state plus about a quarter of its bytes. A state cannot change, so its
+    masses are kept on it after the first read and returned by every later
+    one.
     """
+    masses = getattr(state, "_kept_branch", None)
+    if masses is not None:
+        return masses
     layout = _require_layout(state)
-    amps = state.amplitudes
-    memo = getattr(state, "_kept_branch", None)
-    owner = amps.base
-    frozen = (not amps.flags.writeable and isinstance(owner, np.ndarray)
-              and not owner.flags.writeable and owner.flags.owndata)
-    if frozen and memo is not None and memo[0] is amps and memo[1] == layout:
-        return memo[2]
     below = 1 << layout.ancilla_bit
-    view = amps.reshape(-1, 2, below)
+    view = state.amplitudes.reshape(-1, 2, below)
     row = gate_matrix(h(layout.ancilla_bit))[0]
     probs = np.empty((view.shape[0], below))
     rows, cols = max(1, READ_BLOCK // (2 * below)), min(below, READ_BLOCK // 2)
@@ -178,8 +169,7 @@ def _read_kept_branch(state: QuantumState) -> tuple[float, float, float]:
     # one pairwise sum over the whole half, as postselect takes its mass
     by_class = probs.reshape(-1, 2)  # class bit is the least significant
     masses = float(np.sum(probs)), float(by_class[:, 0].sum()), float(by_class[:, 1].sum())
-    if frozen:
-        state._kept_branch = (amps, layout, masses)
+    object.__setattr__(state, "_kept_branch", masses)
     return masses
 
 
@@ -219,6 +209,8 @@ def interfere_and_sample(
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     p_acc_true, minus, _ = _read_kept_branch(state)
     p_minus_true = minus / p_acc_true if p_acc_true > 0.0 else 0.0
 
@@ -285,16 +277,6 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
 def _require_layout(state: QuantumState) -> RegisterLayout:
     if state.layout is None:
         raise ValueError("state has no register layout; build it with prepare_state")
-    if state.layout.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"register layout of {state.layout.n_qubits} qubits does not fit a "
-            f"{state.n_qubits}-qubit state"
-        )
-    if state.amplitudes.size != 1 << state.layout.n_qubits:
-        raise ValueError(
-            f"register layout of {state.layout.n_qubits} qubits needs "
-            f"{1 << state.layout.n_qubits} amplitudes, got {state.amplitudes.size}"
-        )
     return state.layout
 
 

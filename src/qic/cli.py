@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # built by the first main call and reused: building it costs about as much as
-# parsing. parse_args leaves it unchanged and returns a fresh Namespace.
+# parsing. parse_known_args leaves it unchanged and returns a fresh Namespace.
 _parser: argparse.ArgumentParser | None = None
 
 
@@ -369,7 +369,10 @@ def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    # leftovers are reported by the subcommand's parser, so its usage is shown
+    args, extras = _parser.parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args, args.parser)
     except (ImpossibleBranchError, EstimationFailedError) as exc:

@@ -184,34 +184,53 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     return op._rotation_matrix if fixed is None else fixed
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Length-2**n complex amplitude vector with optional register layout."""
+    """Immutable length-2**n complex amplitude vector with optional register
+    layout.
+
+    A read-only complex array that owns its data is kept as it is; any other
+    input (a view, a writable array, a list) is copied once and the copy made
+    read-only. The field holds a view of that array, which numpy refuses to
+    make writable again (its .base, the array itself, still can be).
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
     layout: "RegisterLayout | None" = None
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (1 << self.n_qubits,):
+        amps = self.amplitudes
+        if not (type(amps) is np.ndarray and amps.dtype == complex
+                and amps.flags.owndata and not amps.flags.writeable):
+            amps = np.array(amps, dtype=complex)
+            amps.setflags(write=False)
+        if amps.shape != (1 << self.n_qubits,):
+            raise ValueError(f"expected {1 << self.n_qubits} amplitudes, got {amps.shape}")
+        if self.layout is not None and self.layout.n_qubits != self.n_qubits:
             raise ValueError(
-                f"expected {1 << self.n_qubits} amplitudes, got {self.amplitudes.shape}"
+                f"register layout of {self.layout.n_qubits} qubits does not fit a "
+                f"{self.n_qubits}-qubit state"
             )
+        object.__setattr__(self, "amplitudes", amps.view())
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.n_qubits, self.amplitudes.copy(), self.layout)
+
+def check_capacity(n_qubits: int) -> None:
+    """Raise CapacityError unless a state of n_qubits fits the MAX_QUBITS cap,
+    which keeps memory desk-scale; run before allocating the state."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
 def zero_state(n_qubits: int) -> QuantumState:
-    """All-qubits-|0> state. Capped at MAX_QUBITS to keep memory desk-scale."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    """All-qubits-|0> state."""
+    check_capacity(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[0] = 1.0
+    amps.setflags(write=False)
     return QuantumState(n_qubits, amps)
 
 
@@ -229,6 +248,14 @@ def _check_indices(n_qubits: int, qubits: tuple[int, ...]):
     for q in qubits:
         if not 0 <= q < n_qubits:
             raise IndexError(f"qubit {q} out of range for {n_qubits}-qubit state")
+
+
+def _check_qubit(n_qubits: int, qubit) -> None:
+    """Raise ValueError for a bool or non-integer qubit, IndexError for one
+    out of range."""
+    if isinstance(qubit, bool) or not isinstance(qubit, numbers.Integral):
+        raise ValueError(f"qubit must be an integer, got {qubit!r}")
+    _check_indices(n_qubits, (qubit,))
 
 
 # bound on the step plans kept, at most about 1 KB each at MAX_QUBITS; the
@@ -277,7 +304,7 @@ def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
 
 def qubit_probabilities(state: QuantumState, qubit: int) -> tuple[float, float]:
     """Marginal (p0, p1) of measuring one qubit of a unit-norm state."""
-    _check_indices(state.n_qubits, (qubit,))
+    _check_qubit(state.n_qubits, qubit)
     probs = state.probabilities()
     bits = (np.arange(probs.size) >> qubit) & 1
     p1 = float(probs[bits == 1].sum())
@@ -296,9 +323,10 @@ def postselect(
     Returns the renormalized state and the pre-renormalization mass of the
     kept branch (the acceptance probability).
     """
-    _check_indices(state.n_qubits, (qubit,))
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+    _check_qubit(state.n_qubits, qubit)
+    if (isinstance(outcome, bool) or not isinstance(outcome, numbers.Integral)
+            or outcome not in (0, 1)):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
     bits = (np.arange(state.amplitudes.size) >> qubit) & 1
     keep = bits == outcome
     accept = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
@@ -307,14 +335,17 @@ def postselect(
             f"branch qubit {qubit}={outcome} has probability {accept:.3e}"
         )
     amps = np.where(keep, state.amplitudes, 0.0) / math.sqrt(accept)
+    amps.setflags(write=False)
     return QuantumState(state.n_qubits, amps, state.layout), accept
 
 
 def simulate(circuit, initial: QuantumState | None = None) -> QuantumState:
-    """Run a circuit on |0...0> (or on the given initial state)."""
-    state = zero_state(circuit.n_qubits) if initial is None else initial.copy()
-    state.amplitudes = _apply_ops(state.amplitudes, circuit.n_qubits, circuit.ops)
-    return state
+    """Run a circuit on |0...0> (or on the given initial state, whose layout
+    the result keeps)."""
+    if initial is None:
+        initial = zero_state(circuit.n_qubits)
+    amps = _apply_ops(initial.amplitudes, circuit.n_qubits, circuit.ops)
+    return QuantumState(circuit.n_qubits, amps, initial.layout)
 
 
 def circuit_unitary(circuit) -> np.ndarray:

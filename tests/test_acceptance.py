@@ -7,6 +7,7 @@ takes roughly half a minute.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,8 +339,7 @@ def test_criterion_6_three_way_equivalence():
                     vectors=train.vectors[::-1], labels=train.labels[::-1]
                 )
             circ = build_experiment_circuit(x_tilde, train.vectors[0], train.vectors[1])
-            simulated = sv.simulate(circ)
-            simulated.layout = state.layout
+            simulated = replace(sv.simulate(circ), layout=state.layout)
             gate_path = interfere_and_read(simulated)
             circuit_checked += 1
             prob_ok &= abs(gate_path.p_acc - quantum.p_acc) <= 1e-10

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qic.classifier import (
     read_batch,
 )
 from qic.errors import (
+    CapacityError,
     EstimationFailedError,
     ImpossibleBranchError,
     NormalizationError,
@@ -46,6 +48,12 @@ def random_instance(rng, M, N):
         rng.shuffle(labels)
     x_tilde = unit(rng.normal(size=N))
     return TrainingSet(vectors=vectors, labels=labels), x_tilde
+
+
+def fresh(state):
+    """A new state built from the same amplitudes and layout, with nothing
+    kept from an earlier readout."""
+    return sv.QuantumState(state.n_qubits, state.amplitudes, state.layout)
 
 
 def gate_path(state):
@@ -163,6 +171,31 @@ class TestPrepareState:
         with pytest.raises(ValueError, match="read-only"):
             state.amplitudes[0] = 1.0
 
+    def test_state_is_built_without_a_copy(self):
+        train, x_tilde = random_instance(np.random.default_rng(3), M=1 << 12, N=16)
+        tracemalloc.start()
+        try:
+            state = prepare_state(train, x_tilde)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the state plus its M x N fill values; a copy would add the state again
+        assert peak <= 1.5 * state.amplitudes.nbytes
+        assert state.amplitudes.base.flags.owndata
+
+    def test_rejects_a_layout_over_the_qubit_cap_before_allocating(self):
+        # 13 index bits, 10 data bits, ancilla and class: 25 qubits, 512 MiB
+        train, x_tilde = random_instance(np.random.default_rng(4), M=(1 << 12) + 1,
+                                         N=(1 << 9) + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"\\[1, {sv.MAX_QUBITS}\\], got 25"):
+                prepare_state(train, x_tilde)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
     def test_unused_index_branches_are_zero(self):
         rng = np.random.default_rng(1)
         train, x_tilde = random_instance(rng, M=3, N=2)
@@ -258,11 +291,11 @@ class TestInterfereAndRead:
         assert outcome.p_acc == p_acc
         assert abs(outcome.p_class_minus - p_minus) <= 1e-12
         assert abs(outcome.p_class_plus - p_plus) <= 1e-12
-        assert readouts(state, 5000, M, True) == readouts(state.copy(), 5000, M, True)
+        assert readouts(state, 5000, M, True) == readouts(fresh(state), 5000, M, True)
 
     def test_read_holds_about_a_quarter_of_the_state(self):
         train, x_tilde = random_instance(np.random.default_rng(2), M=1 << 12, N=16)
-        state = prepare_state(train, x_tilde).copy()
+        state = fresh(prepare_state(train, x_tilde))
         assert state.amplitudes.size == 1 << 18
         tracemalloc.start()
         try:
@@ -319,8 +352,7 @@ class TestThreeWayEquivalence:
             train = TrainingSet(vectors=train.vectors[::-1], labels=train.labels[::-1])
         direct = prepare_state(train, x_tilde)
         circ = build_experiment_circuit(x_tilde, train.vectors[0], train.vectors[1])
-        simulated = sv.simulate(circ)
-        simulated.layout = direct.layout
+        simulated = replace(sv.simulate(circ), layout=direct.layout)
         a = interfere_and_read(direct)
         b = interfere_and_read(simulated)
         assert a.p_acc == pytest.approx(b.p_acc, abs=1e-10)
@@ -342,8 +374,8 @@ def readouts(state, shots, seed, exact_first):
 
 
 class TestKeptBranchReadOnce:
-    """A prepared state's kept branch is read once for both readouts; any
-    other state is read afresh on every call."""
+    """A state cannot change, so its kept branch is read once for every
+    readout of it, whoever built it."""
 
     def test_exact_and_sampled_readouts_share_one_pass(self, kernel_calls):
         state = prepare_state(training_set(), preset_input("xprime"))
@@ -352,29 +384,39 @@ class TestKeptBranchReadOnce:
         interfere_and_read(state)
         assert len(kernel_calls) == 1
 
-    def test_writable_copy_is_read_on_every_call(self, kernel_calls):
-        state = prepare_state(training_set(), preset_input("xprime")).copy()
-        interfere_and_read(state)
-        interfere_and_sample(state, shots=100, seed=0)
-        assert len(kernel_calls) == 2
+    def test_any_state_is_read_once(self, kernel_calls):
+        train, x_tilde = training_set(), preset_input("xprime")
+        prepared = prepare_state(train, x_tilde)
+        circ = build_experiment_circuit(x_tilde, *train.vectors)
+        writable = np.array(prepared.amplitudes)
+        states = {
+            "prepared": prepared,
+            "simulated": sv.simulate(circ, replace(sv.zero_state(4), layout=prepared.layout)),
+            "from a list": sv.QuantumState(4, list(prepared.amplitudes), prepared.layout),
+            "from a writable array": sv.QuantumState(4, writable, prepared.layout),
+            "from a view": sv.QuantumState(4, writable[:], prepared.layout),
+        }
+        for name, state in states.items():
+            before = len(kernel_calls)
+            found = readouts(state, 100, 0, True)
+            assert len(kernel_calls) == before + 1, name
+            expected = readouts(fresh(prepared), 100, 0, True)
+            assert [o.predicted for o in found] == [o.predicted for o in expected], name
+            for got, ref in zip(found, expected):
+                assert abs(got.p_acc - ref.p_acc) <= 1e-12, name
+                assert abs(got.p_class_minus - ref.p_class_minus) <= 1e-12, name
 
-    def test_rebinding_amplitudes_reads_afresh(self):
+    def test_rebinding_a_field_raises(self):
         train = training_set()
         state = prepare_state(train, preset_input("xprime"))
         other = prepare_state(train, preset_input("xdoubleprime"))
-        interfere_and_read(state)
-        state.amplitudes = other.amplitudes
-        assert interfere_and_read(state) == interfere_and_read(other.copy())
-
-    def test_rebinding_layout_reads_afresh(self):
-        train, x_tilde = random_instance(np.random.default_rng(5), M=4, N=4)
-        state = prepare_state(train, x_tilde)
         before = interfere_and_read(state)
-        # the same 6 qubits, with the ancilla one bit higher
-        state.layout = RegisterLayout(m_bits=1, i_bits=3)
-        after = interfere_and_read(state)
-        assert after == interfere_and_read(state.copy())
-        assert after != before
+        with pytest.raises(FrozenInstanceError):
+            state.amplitudes = other.amplitudes
+        with pytest.raises(FrozenInstanceError):
+            # the same 4 qubits, with the ancilla one bit higher
+            state.layout = RegisterLayout(m_bits=0, i_bits=2)
+        assert interfere_and_read(state) == before == interfere_and_read(fresh(state))
 
     def test_prepared_amplitudes_cannot_be_made_writable(self):
         train = training_set()
@@ -385,50 +427,51 @@ class TestKeptBranchReadOnce:
             state.amplitudes.setflags(write=True)
         with pytest.raises(ValueError):
             state.amplitudes[:] = other.amplitudes
-        assert interfere_and_read(state) == before == interfere_and_read(state.copy())
+        assert interfere_and_read(state) == before == interfere_and_read(fresh(state))
 
-    def test_read_only_view_of_writable_buffer_is_read_afresh(self):
+    @pytest.mark.parametrize("source", ["buffer", "view", "read-only view"])
+    def test_state_does_not_follow_its_source_buffer(self, source):
         train = training_set()
         first = prepare_state(train, preset_input("xprime"))
         second = prepare_state(train, preset_input("xdoubleprime"))
-        buffer = first.amplitudes.copy()
-        view = buffer[:]
-        view.setflags(write=False)
-        state = sv.QuantumState(first.n_qubits, view, first.layout)
+        buffer = np.array(first.amplitudes)
+        amps = buffer if source == "buffer" else buffer[:]
+        if source == "read-only view":
+            amps.setflags(write=False)
+        state = sv.QuantumState(first.n_qubits, amps, first.layout)
         assert readouts(state, 500, 3, True) == readouts(first, 500, 3, True)
         buffer[:] = second.amplitudes
-        assert readouts(state, 500, 3, True) == readouts(second, 500, 3, True)
+        assert np.array_equal(state.amplitudes, first.amplitudes)
+        assert readouts(state, 500, 3, True) == readouts(first, 500, 3, True)
+        assert readouts(fresh(state), 500, 3, False) == readouts(first, 500, 3, False)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
            shots=st.integers(1, 3000), exact_first=st.booleans())
-    def test_memoised_outcomes_equal_a_writable_copy(self, seed, M, N, shots, exact_first):
+    def test_memoised_outcomes_equal_a_fresh_state(self, seed, M, N, shots, exact_first):
         train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
         state = prepare_state(train, x_tilde)
         assert (readouts(state, shots, seed, exact_first)
-                == readouts(state.copy(), shots, seed, exact_first))
+                == readouts(fresh(state), shots, seed, exact_first))
 
     @pytest.mark.parametrize("N, layout", [(4, RegisterLayout(1, 1)), (2, RegisterLayout(1, 2))])
     def test_layout_must_fit_the_state(self, N, layout):
         train, x_tilde = random_instance(np.random.default_rng(0), M=2, N=N)
         state = prepare_state(train, x_tilde)
-        state.layout = layout
         message = f"layout of {layout.n_qubits} qubits does not fit a {state.n_qubits}-qubit"
         with pytest.raises(ValueError, match=message):
-            interfere_and_read(state)
+            sv.QuantumState(state.n_qubits, state.amplitudes, layout)
         with pytest.raises(ValueError, match=message):
-            interfere_and_sample(state, shots=100, seed=0)
+            replace(state, layout=layout)
 
     @pytest.mark.parametrize("size", [8, 32])
     def test_amplitude_count_must_fit_the_layout(self, size):
         state = prepare_state(training_set(), preset_input("xprime"))
-        interfere_and_read(state)
-        state.amplitudes = np.resize(state.amplitudes, size)
-        message = f"layout of 4 qubits needs 16 amplitudes, got {size}"
+        message = f"expected 16 amplitudes, got \\({size},\\)"
         with pytest.raises(ValueError, match=message):
-            interfere_and_read(state)
+            sv.QuantumState(4, np.resize(state.amplitudes, size), state.layout)
         with pytest.raises(ValueError, match=message):
-            interfere_and_sample(state, shots=100, seed=0)
+            replace(state, amplitudes=np.resize(state.amplitudes, size))
 
 
 class TestInterfereAndSample:
@@ -517,6 +560,20 @@ class TestInterfereAndSample:
         with pytest.raises(ValueError, match="shots must be an integer") as info:
             interfere_and_sample(state, shots, seed=0)
         assert repr(shots) in str(info.value)
+
+    @pytest.mark.parametrize("seed", [True, False, np.bool_(False), None, 3.0, "3"])
+    def test_rejects_non_integer_seed(self, seed):
+        train, x_tilde = training_set(), preset_input("xprime")
+        with pytest.raises(ValueError, match="seed must be an integer") as sampled:
+            interfere_and_sample(prepare_state(train, x_tilde), 100, seed)
+        with pytest.raises(ValueError, match="seed must be an integer") as classified:
+            classify(train, x_tilde, shots=100, seed=seed)
+        assert repr(seed) in str(sampled.value)
+        assert str(classified.value) == str(sampled.value)
+
+    def test_accepts_numpy_integer_seed(self):
+        state = prepare_state(training_set(), preset_input("xprime"))
+        assert interfere_and_sample(state, 500, np.int64(3)) == interfere_and_sample(state, 500, 3)
 
     @pytest.mark.parametrize("shots", [np.int64(500), np.uint16(500)])
     def test_accepts_numpy_integer_shots(self, shots):

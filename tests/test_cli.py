@@ -374,6 +374,27 @@ def test_abbreviated_option_is_usage_error(argv, capsys):
     assert captured.err.startswith("usage: qic")
 
 
+# an unknown option or a stray argument after each subcommand, and what is left over
+LEFTOVERS = [
+    (("classify", "--preset", "xprime", "--bogus"), "--bogus"),
+    (("classify", "--preset", "xprime", "stray"), "stray"),
+    (("reproduce", "--table", "1", "--bogus", "1"), "--bogus 1"),
+    (("verify-decompositions", "stray"), "stray"),
+    (("export-qasm", "--preset", "xprime", "--bogus"), "--bogus"),
+    (("shots", "--eps", "0.1", "--meth", "wilson"), "--meth wilson"),
+]
+
+
+@pytest.mark.parametrize("argv, leftover", LEFTOVERS, ids=[" ".join(a) for a, _ in LEFTOVERS])
+def test_leftover_arguments_show_the_subcommand_usage(argv, leftover, capsys):
+    code, _ = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: qic {argv[0]} ")
+    assert captured.err.endswith(f"qic {argv[0]}: error: unrecognized arguments: {leftover}\n")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qic.cli", "classify", "--preset", "xprime"],

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from qic import statevector as sv
 from qic.circuit import Circuit
+from qic.classifier import prepare_state
 from qic.errors import CapacityError, ImpossibleBranchError, NormalizationError
+from qic.presets import preset_input, training_set
 
 from reference import gate_op_error
 
@@ -99,6 +102,62 @@ class TestZeroState:
             sv.zero_state(25)
         with pytest.raises(CapacityError):
             sv.zero_state(0)
+
+
+# every function that returns a state, each run on a small input
+PRODUCERS = {
+    "zero_state": lambda: sv.zero_state(2),
+    "apply_gate": lambda: sv.apply_gate(random_state(2, 1), sv.h(0)),
+    "postselect": lambda: sv.postselect(random_state(2, 2), 1, 0)[0],
+    "simulate": lambda: sv.simulate(Circuit(2, (sv.h(1), sv.cx(1, 0)))),
+    "simulate-from-initial": lambda: sv.simulate(Circuit(2, (sv.x(0),)), random_state(2, 3)),
+    "simulate-empty": lambda: sv.simulate(Circuit(2, ()), random_state(2, 4)),
+    "prepare_state": lambda: prepare_state(training_set(), preset_input("xprime")),
+    "constructor": lambda: sv.QuantumState(1, [1.0, 0.0]),
+}
+
+
+class TestQuantumState:
+    @pytest.mark.parametrize("producer", PRODUCERS.values(), ids=PRODUCERS.keys())
+    def test_producers_return_frozen_read_only_states(self, producer):
+        state = producer()
+        amps = state.amplitudes.copy()
+        for field, value in [("amplitudes", np.zeros_like(amps)), ("layout", None),
+                             ("n_qubits", state.n_qubits + 1)]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(state, field, value)
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 0.5
+        with pytest.raises(ValueError):
+            state.amplitudes.setflags(write=True)
+        assert np.array_equal(state.amplitudes, amps)
+
+    @pytest.mark.parametrize("source", ["buffer", "view", "read-only view", "float owner"])
+    def test_state_does_not_follow_later_writes_to_its_source(self, source):
+        buffer = random_state(3, 5).amplitudes.copy()
+        if source == "float owner":
+            buffer = buffer.real.copy()
+            buffer.setflags(write=False)
+        amps = buffer if source in ("buffer", "float owner") else buffer[:]
+        if source == "read-only view":
+            amps.setflags(write=False)
+        state = sv.QuantumState(3, amps)
+        before = state.amplitudes.copy()
+        assert state.amplitudes.dtype == complex
+        if source == "float owner":
+            buffer.setflags(write=True)
+        buffer[:] = 0.0
+        assert np.array_equal(state.amplitudes, before)
+
+    def test_read_only_complex_owner_is_kept_without_a_copy(self):
+        amps = random_state(3, 6).amplitudes.copy()
+        amps.setflags(write=False)
+        state = sv.QuantumState(3, amps)
+        assert state.amplitudes.base is amps
+
+    def test_amplitude_count_must_match(self):
+        with pytest.raises(ValueError, match=r"expected 8 amplitudes, got \(4,\)"):
+            sv.QuantumState(3, np.zeros(4, dtype=complex))
 
 
 class TestGateOp:
@@ -342,6 +401,16 @@ class TestQubitProbabilities:
         with pytest.raises(IndexError):
             sv.qubit_probabilities(sv.zero_state(2), 2)
 
+    @pytest.mark.parametrize("qubit", [True, False, np.bool_(True), 1.0, "1", None])
+    def test_qubit_must_be_an_integer_and_not_bool(self, qubit):
+        with pytest.raises(ValueError, match="qubit must be an integer") as info:
+            sv.qubit_probabilities(random_state(2, 8), qubit)
+        assert repr(qubit) in str(info.value)
+
+    def test_numpy_integer_qubit_is_accepted(self):
+        state = random_state(2, 8)
+        assert sv.qubit_probabilities(state, np.int64(1)) == sv.qubit_probabilities(state, 1)
+
     def test_unnormalized_state_rejected(self):
         state = random_state(3, 11)
         scaled = sv.QuantumState(3, 2 * state.amplitudes)
@@ -371,6 +440,25 @@ class TestPostselect:
         with pytest.raises(ImpossibleBranchError):
             sv.postselect(sv.zero_state(1), 0, 1)
 
+    @pytest.mark.parametrize("qubit", [True, 0.0, np.float64(1.0), None])
+    def test_qubit_must_be_an_integer_and_not_bool(self, qubit):
+        with pytest.raises(ValueError, match="qubit must be an integer") as info:
+            sv.postselect(random_state(2, 9), qubit, 0)
+        assert repr(qubit) in str(info.value)
+
+    @pytest.mark.parametrize("outcome", [True, False, 1.0, 0.0, np.float64(1.0), 2, -1, "0"])
+    def test_outcome_must_be_integer_0_or_1(self, outcome):
+        with pytest.raises(ValueError, match="outcome must be 0 or 1") as info:
+            sv.postselect(random_state(2, 9), 0, outcome)
+        assert repr(outcome) in str(info.value)
+
+    def test_numpy_integers_are_accepted(self):
+        state = random_state(2, 9)
+        kept, p = sv.postselect(state, np.int64(1), np.uint8(1))
+        ref, p_ref = sv.postselect(state, 1, 1)
+        assert p == p_ref
+        assert np.array_equal(kept.amplitudes, ref.amplitudes)
+
 
 class TestCheckUnit:
     def test_unit_vector_and_rows_pass(self):
@@ -391,11 +479,14 @@ class TestCheckUnit:
 class TestSimulate:
     def test_empty_circuit_returns_a_copy_of_initial(self):
         initial = random_state(2, 0)
-        before = initial.amplitudes.copy()
         out = sv.simulate(Circuit(2, ()), initial)
-        assert out.amplitudes is not initial.amplitudes
-        out.amplitudes[0] = 0.0
-        assert np.array_equal(initial.amplitudes, before)
+        assert np.array_equal(out.amplitudes, initial.amplitudes)
+        assert not np.shares_memory(out.amplitudes, initial.amplitudes)
+
+    def test_result_keeps_the_initial_layout(self):
+        state = prepare_state(training_set(), preset_input("xprime"))
+        out = sv.simulate(Circuit(4, (sv.h(state.layout.ancilla_bit),)), state)
+        assert out.layout == state.layout
 
 
 class TestCircuitUnitary:
