@@ -406,17 +406,33 @@ class TestKeptBranchReadOnce:
                 assert abs(got.p_acc - ref.p_acc) <= 1e-12, name
                 assert abs(got.p_class_minus - ref.p_class_minus) <= 1e-12, name
 
-    def test_rebinding_a_field_raises(self):
+    def test_rebinding_amplitudes_reads_afresh(self, kernel_calls):
         train = training_set()
         state = prepare_state(train, preset_input("xprime"))
         other = prepare_state(train, preset_input("xdoubleprime"))
         before = interfere_and_read(state)
         with pytest.raises(FrozenInstanceError):
             state.amplitudes = other.amplitudes
+        # the new amplitudes come only as a new state, which keeps nothing read
+        rebound = replace(state, amplitudes=other.amplitudes)
+        assert interfere_and_read(rebound) == interfere_and_read(fresh(other))
+        assert interfere_and_read(state) == before
+        assert len(kernel_calls) == 3
+
+    def test_rebinding_layout_reads_afresh(self, kernel_calls):
+        train, x_tilde = random_instance(np.random.default_rng(5), M=4, N=4)
+        state = prepare_state(train, x_tilde)
+        before = interfere_and_read(state)
+        # the same 6 qubits, with the ancilla one bit higher
+        layout = RegisterLayout(m_bits=1, i_bits=3)
         with pytest.raises(FrozenInstanceError):
-            # the same 4 qubits, with the ancilla one bit higher
-            state.layout = RegisterLayout(m_bits=0, i_bits=2)
-        assert interfere_and_read(state) == before == interfere_and_read(fresh(state))
+            state.layout = layout
+        rebound = replace(state, layout=layout)
+        after = interfere_and_read(rebound)
+        assert after == interfere_and_read(fresh(rebound))
+        assert after != before
+        assert interfere_and_read(state) == before
+        assert len(kernel_calls) == 3
 
     def test_prepared_amplitudes_cannot_be_made_writable(self):
         train = training_set()
