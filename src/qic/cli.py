@@ -8,6 +8,7 @@ default seed can be overridden with the QIC_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -303,6 +304,37 @@ def _cmd_shots(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. argparse checks for missing required options
+    before it hands back the arguments it did not recognize, so a misspelt
+    required option (``classify --inp 0,1``) would be reported only as
+    missing. When an option is not recognized, the arguments are first parsed
+    with no option required, and any leftovers go back to main to report."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if any(a.startswith("--") and a.partition("=")[0] not in self._option_string_actions
+               for a in args):
+            required = [item for item in (*self._actions, *self._mutually_exclusive_groups)
+                        if item.required]
+            for item in required:
+                item.required = False
+            # any error or help here comes again from the parse below, which
+            # shows the usage with its required options
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    parsed = super().parse_known_args(args, namespace)
+            except SystemExit:
+                parsed = None
+            finally:
+                for item in required:
+                    item.required = True
+            if parsed is not None and parsed[1]:
+                return parsed
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qic",
@@ -313,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     # options match only in full: a prefix such as --inp would otherwise bind
     # to whichever option it starts, and one added later could change that
     add_command = functools.partial(
-        parser.add_subparsers(dest="command", required=True).add_parser, allow_abbrev=False
+        parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser).add_parser,
+        allow_abbrev=False,
     )
 
     p = add_command("classify", help="classify one input vector")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +61,10 @@ class LabeledDataset:
         return self.rows.shape[-1]
 
     def _derived(self, rows: np.ndarray, labels: np.ndarray) -> "LabeledDataset":
-        out = copy.copy(self)  # copies skip __post_init__
-        out.rows, out.labels = rows, labels
+        # built without __init__, so __post_init__ does not check again what
+        # the caller has checked
+        out = object.__new__(LabeledDataset)
+        out.rows, out.labels, out.name = rows, labels, self.name
         return out
 
     def with_rows(self, rows: np.ndarray) -> "LabeledDataset":

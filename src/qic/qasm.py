@@ -22,20 +22,43 @@ _GATE_RE = re.compile(
     r"^(?P<name>[a-z]+)(?:\((?P<angle>[^)]+)\))?\s+(?P<args>q\[\d+\](?:\s*,\s*q\[\d+\])*)$"
 )
 
+# bound on the entries each statement table below keeps: a register of n
+# qubits has 5n + n(n-1) angle-free statements, 672 at statevector.MAX_QUBITS
+# and 32 for the 4-qubit experiment circuit
+_STATEMENT_CACHE_SIZE = 1024
+# angle-free statements already handled, so the gates every circuit repeats
+# (67 of the 73 statements of the lowered experiment circuit) skip the
+# per-line work. Only successful work fills them; ry statements never enter.
+# A parsed op is shared by every circuit that holds it (GateOp is frozen).
+_parsed: dict[str, GateOp] = {}  # raw gate line -> its op
+_emitted: dict[tuple[str, tuple[int, ...]], str] = {}  # (kind, qubits) -> its line
+
+
+def _remember(table: dict, key, value) -> None:
+    """Keep key -> value in a statement table, dropping its oldest entry when
+    the table is full."""
+    if len(table) >= _STATEMENT_CACHE_SIZE:
+        del table[next(iter(table))]
+    table[key] = value
+
 
 def export_qasm(circuit: Circuit) -> str:
     """Emit a decomposed circuit as OpenQASM 2.0 text."""
     lines = [_VERSION, _INCLUDE, f"qreg q[{circuit.n_qubits}];"]
     for op in circuit.ops:
-        if op.kind not in RESTRICTED_KINDS:
-            raise UnsupportedGateError(
-                f"gate {op.kind!r} is not in the restricted set; decompose first"
-            )
-        args = ",".join(f"q[{q}]" for q in op.qubits)
-        if op.kind == "ry":
-            lines.append(f"ry({op.theta!r}) {args};")
-        else:
-            lines.append(f"{op.kind} {args};")
+        line = _emitted.get((op.kind, op.qubits))
+        if line is None:
+            if op.kind not in RESTRICTED_KINDS:
+                raise UnsupportedGateError(
+                    f"gate {op.kind!r} is not in the restricted set; decompose first"
+                )
+            args = ",".join(f"q[{q}]" for q in op.qubits)
+            if op.kind == "ry":
+                line = f"ry({op.theta!r}) {args};"
+            else:
+                line = f"{op.kind} {args};"
+                _remember(_emitted, (op.kind, op.qubits), line)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -45,11 +68,19 @@ def parse_qasm(text: str) -> Circuit:
     The first statement must be ``OPENQASM 2.0;``, and ``include
     "qelib1.inc";`` may follow it once, before the qreg declaration. An angle
     must be written as export_qasm writes it: the repr of a finite float.
+    Parsed ops may be objects shared with earlier results (GateOp is frozen).
     """
     n_qubits = None
     versioned = included = False
     ops: list[GateOp] = []
     for raw in text.splitlines():
+        # a line parsed before yields the same op; after the qreg line only its
+        # bound depends on this text, and a hit outside it takes the full path
+        if n_qubits is not None:
+            op = _parsed.get(raw)
+            if op is not None and max(op.qubits) < n_qubits:
+                ops.append(op)
+                continue
         line = raw.partition("//")[0].strip()
         if not line:
             continue
@@ -92,6 +123,8 @@ def parse_qasm(text: str) -> Circuit:
             raise ValueError(f"{exc} in line: {raw!r}") from exc
         if max(qubits) >= n_qubits:
             raise ValueError(f"qubit {max(qubits)} is outside qreg q[{n_qubits}] in line: {raw!r}")
+        if angle is None:
+            _remember(_parsed, raw, op)
         ops.append(op)
     if not versioned:
         raise ValueError(f"no {_VERSION!r} version line found")

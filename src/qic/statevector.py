@@ -283,9 +283,12 @@ def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
 
     Each gate copies the state once, into the operand of its matmul (not at all
     when its qubits already lead). The product stays in that axis order, and
-    the original order is restored once, after the last gate.
+    the original order is restored once, after the last gate, by a copy into
+    a new array that owns its data (a reshape that copies returns a view of
+    its copy), so a QuantumState keeps the result without copying it again.
     """
-    psi = amps.reshape((2,) * n_qubits + amps.shape[1:])
+    shape = (2,) * n_qubits + amps.shape[1:]
+    psi = amps.reshape(shape)
     order = tuple(range(psi.ndim))
     for op in ops:
         perm, order = _step_plan(n_qubits, order, op.qubits)
@@ -293,12 +296,15 @@ def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
         matrix = gate_matrix(op)
         psi = matrix.dot(psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
     inverse = sorted(range(len(order)), key=order.__getitem__)
-    return psi.transpose(inverse).reshape(amps.shape)
+    out = np.empty(amps.shape, dtype=psi.dtype)
+    out.reshape(shape)[...] = psi.transpose(inverse)
+    return out
 
 
 def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
     """Return the state transformed by the op's unitary; input is not mutated."""
     amps = _apply_ops(state.amplitudes, state.n_qubits, (op,))
+    amps.setflags(write=False)
     return QuantumState(state.n_qubits, amps, state.layout)
 
 
@@ -345,6 +351,7 @@ def simulate(circuit, initial: QuantumState | None = None) -> QuantumState:
     if initial is None:
         initial = zero_state(circuit.n_qubits)
     amps = _apply_ops(initial.amplitudes, circuit.n_qubits, circuit.ops)
+    amps.setflags(write=False)
     return QuantumState(circuit.n_qubits, amps, initial.layout)
 
 

@@ -382,6 +382,11 @@ LEFTOVERS = [
     (("verify-decompositions", "stray"), "stray"),
     (("export-qasm", "--preset", "xprime", "--bogus"), "--bogus"),
     (("shots", "--eps", "0.1", "--meth", "wilson"), "--meth wilson"),
+    # a misspelt required option is named, not reported as missing
+    (("classify", "--inp", "0,1"), "--inp 0,1"),
+    (("reproduce", "--tab", "1"), "--tab 1"),
+    (("export-qasm", "--pres", "xprime"), "--pres xprime"),
+    (("shots", "--ep", "0.1"), "--ep 0.1"),
 ]
 
 
@@ -393,6 +398,20 @@ def test_leftover_arguments_show_the_subcommand_usage(argv, leftover, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"usage: qic {argv[0]} ")
     assert captured.err.endswith(f"qic {argv[0]}: error: unrecognized arguments: {leftover}\n")
+
+
+@pytest.mark.parametrize("argv, without", [
+    (("classify", "--seed", "x", "--inp", "1"), ("classify", "--seed", "x")),
+    (("classify", "--preset", "xprime", "--input", "1,0", "--inp", "1"),
+     ("classify", "--preset", "xprime", "--input", "1,0")),
+    (("reproduce", "--bogus", "--table", "3"), ("reproduce", "--table", "3")),
+    (("classify", "--inp", "1", "-h"), ("classify", "-h")),
+], ids=["bad-value", "exclusive-options", "bad-choice", "help"])
+def test_unrecognized_option_leaves_an_earlier_error_or_help_as_it_was(argv, without, capsys):
+    # these stop before any leftover is reported, and show the usage with its
+    # required options
+    expected = run_cli(*without)[0], capsys.readouterr()
+    assert (run_cli(*argv)[0], capsys.readouterr()) == expected
 
 
 def test_console_entry_point_runs():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qic import qasm
 from qic import statevector as sv
 from qic.circuit import Circuit, build_experiment_circuit, decompose, with_interference
 from qic.errors import UnsupportedGateError
@@ -210,3 +211,98 @@ def test_numpy_angle_round_trips():
     circ = Circuit(1, (sv.GateOp("ry", (0,), np.float64(0.3)),))
     assert "ry(0.3) q[0];" in export_qasm(circ)
     assert parse_qasm(export_qasm(circ)) == circ
+
+
+def _outcome(text: str):
+    """What parse_qasm makes of text: its circuit, or its error and message."""
+    try:
+        return parse_qasm(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _clear_statement_tables():
+    qasm._parsed.clear()
+    qasm._emitted.clear()
+
+
+def _corrupt(lines: list[str], how: str, i: int, k: int) -> list[str]:
+    """Exported lines with one fault: how names it, i is the gate line it
+    hits, and k the register size that shrink-register declares."""
+    lines = list(lines)
+    if how == "shrink-register":
+        lines[2] = f"qreg q[{k}];"
+    elif how == "drop-semicolon":
+        lines[i] = lines[i][:-1]
+    elif how == "unknown-gate":
+        lines[i] = "rz" + lines[i][lines[i].index(" "):]
+    elif how == "repeat-operand":
+        lines[i] = f"{lines[i][:-1]},{lines[i].split()[-1]}"
+    elif how == "before-register":
+        lines.insert(2, lines.pop(i))
+    elif how == "comment":
+        lines[i] += " // note"
+    return lines
+
+
+class TestStatementTables:
+    """export_qasm and parse_qasm reuse each angle-free statement they have
+    handled; a warm table must give what a cold one gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(circ=decomposed_circuits(), data=st.data())
+    def test_warm_parse_equals_cold_parse_and_fails_the_same_way(self, circ, data):
+        _clear_statement_tables()
+        text = export_qasm(circ)
+        cold = parse_qasm(text)
+        assert export_qasm(circ) == text
+        warm = parse_qasm(text)
+        assert warm.n_qubits == cold.n_qubits == circ.n_qubits
+        assert len(warm.ops) == len(cold.ops) == len(circ.ops)
+        for w, c, op in zip(warm.ops, cold.ops, circ.ops):
+            assert w == c == op
+
+        lines = text.splitlines()
+        how = data.draw(st.sampled_from(["shrink-register", "drop-semicolon", "unknown-gate",
+                                         "repeat-operand", "before-register", "comment"]))
+        i = data.draw(st.integers(3, len(lines) - 1))
+        k = data.draw(st.integers(1, circ.n_qubits))
+        corrupted = "\n".join(_corrupt(lines, how, i, k)) + "\n"
+        _clear_statement_tables()
+        cold_outcome = _outcome(corrupted)
+        _clear_statement_tables()
+        parse_qasm(text)
+        assert _outcome(corrupted) == cold_outcome
+
+    def test_cached_line_is_bounded_by_the_register_of_its_text(self):
+        parse_qasm("OPENQASM 2.0;\nqreg q[5];\ncx q[4],q[0];\n")
+        assert "cx q[4],q[0];" in qasm._parsed
+        with pytest.raises(ValueError, match=re.escape(
+                "qubit 4 is outside qreg q[3] in line: 'cx q[4],q[0];'")):
+            parse_qasm("OPENQASM 2.0;\nqreg q[3];\ncx q[4],q[0];\n")
+
+    def test_ry_statements_never_enter_either_table(self):
+        _clear_statement_tables()
+        circ = Circuit(2, (sv.ry(0.5, 0), sv.h(1), sv.ry(-1.25, 1), sv.cx(1, 0), sv.ry(0.5, 0)))
+        text = export_qasm(circ)
+        cold, warm = parse_qasm(text), parse_qasm(text)
+        assert sorted(qasm._emitted) == [("cx", (1, 0)), ("h", (1,))]
+        assert sorted(qasm._parsed) == ["cx q[1],q[0];", "h q[1];"]
+        # angle-free ops come from the table; each ry op is built afresh
+        assert [w is c for w, c in zip(warm.ops, cold.ops)] == [False, True, False, True, False]
+        assert warm.ops == cold.ops == circ.ops
+
+    def test_tables_stay_at_their_cap(self):
+        n = 40  # 5n + n(n-1) = 1760 distinct angle-free statements
+        assert 5 * n + n * (n - 1) > qasm._STATEMENT_CACHE_SIZE
+        ops = [sv.GateOp(kind, (q,)) for kind in ("h", "x", "t", "tdg", "s") for q in range(n)]
+        ops += [sv.cx(a, b) for a in range(n) for b in range(n) if a != b]
+        circ = Circuit(n, tuple(ops))
+        _clear_statement_tables()
+        text = export_qasm(circ)
+        assert parse_qasm(text) == circ
+        assert len(qasm._parsed) == len(qasm._emitted) == qasm._STATEMENT_CACHE_SIZE
+        # again, with the oldest statements evicted while the newest are hits
+        assert export_qasm(circ) == text
+        assert parse_qasm(text) == circ
+        assert len(qasm._parsed) == len(qasm._emitted) == qasm._STATEMENT_CACHE_SIZE

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
@@ -154,6 +155,26 @@ class TestQuantumState:
         amps.setflags(write=False)
         state = sv.QuantumState(3, amps)
         assert state.amplitudes.base is amps
+
+    @pytest.mark.parametrize("run, states_at_peak", [
+        (lambda state: sv.apply_gate(state, sv.h(0)), 2),
+        (lambda state: sv.simulate(Circuit(12, (sv.h(0), sv.cx(0, 5))), state), 3),
+    ], ids=["apply_gate", "simulate"])
+    def test_gate_loop_result_is_kept_without_a_copy(self, run, states_at_peak, monkeypatch):
+        apply_ops, results = sv._apply_ops, []
+        monkeypatch.setattr(sv, "_apply_ops",
+                            lambda *args: results.append(apply_ops(*args)) or results[-1])
+        state = random_state(12, 8)
+        tracemalloc.start()
+        try:
+            out = run(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.amplitudes.base is results[0]
+        # a gate holds its matmul operand and product (and simulate the
+        # previous product); a copy for the state would come on top
+        assert peak <= (states_at_peak + 0.1) * state.amplitudes.nbytes
 
     def test_amplitude_count_must_match(self):
         with pytest.raises(ValueError, match=r"expected 8 amplitudes, got \(4,\)"):
