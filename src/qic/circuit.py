@@ -25,6 +25,12 @@ CLASS_WIRE = 1
 ANCILLA_WIRE = 2
 INDEX_WIRE = 3
 
+# a first training vector whose components are each within this of |1> is
+# loaded by a plain ccx: in place of the exact ccry, that moves each loaded
+# amplitude by at most this much, so the circuit's state stays within
+# statevector.EXACT_TOL of the one its rotation would give
+_BASIS_LOAD_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Circuit:
@@ -76,7 +82,7 @@ def build_experiment_circuit(x_tilde, x0, x1) -> Circuit:
             raise ValueError(f"{name} must be a 2-vector, got shape {v.shape}")
         sv.check_unit(v, name)
 
-    if abs(v0[0]) < 1e-12 and abs(v0[1] - 1.0) < 1e-12:
+    if abs(v0[0]) < _BASIS_LOAD_TOL and abs(v0[1] - 1.0) < _BASIS_LOAD_TOL:
         # basis-loadable first training vector: plain double-controlled flip
         load_v0 = sv.ccx(ANCILLA_WIRE, INDEX_WIRE, DATA_WIRE)
     else:

@@ -118,6 +118,12 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
     Amplitude of basis (m, a, i, c): x~_i/sqrt(2M) for a=0 and x^m_i/sqrt(2M)
     for a=1, with c the class bit of y^m (0 for -1, 1 for +1). Index branches
     m >= M and padded data components carry zero amplitude.
+
+    The state's readout is computed here in closed form, by the core that
+    read_batch runs on this one input, and kept on the state as its
+    kept-branch readout, so interfere_and_read and interfere_and_sample of it
+    make no pass over its amplitudes. It is computed before the state is
+    allocated, so its temporaries are freed first.
     """
     xt = _check_input(train, x_tilde)
     M, N = train.M, train.dimension
@@ -126,35 +132,44 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
     layout = RegisterLayout(m_bits=m_bits, i_bits=i_bits)
 
     check_capacity(layout.n_qubits)
+    (p_acc,), (p_minus,) = _closed_form(train, xt[None])
     amps = np.zeros(1 << layout.n_qubits, dtype=complex)
 
     weight = 1.0 / math.sqrt(2 * M)
-    # axes (m, ancilla, i, class bit), most significant first
-    view = amps.reshape(1 << m_bits, 2, 1 << i_bits, 2)
+    # axes (m, ancilla, i, class bit), most significant first; every
+    # amplitude is real, so only the real parts are written
+    view = amps.reshape(1 << m_bits, 2, 1 << i_bits, 2).real
     m_idx, c_bits = np.arange(M), (train.labels + 1) // 2
     view[m_idx, 0, :N, c_bits] = weight * xt
     view[m_idx, 1, :N, c_bits] = weight * train.vectors
 
     # read-only and owning its data, so the state keeps it without a copy
     amps.setflags(write=False)
-    return QuantumState(layout.n_qubits, amps, layout)
+    state = QuantumState(layout.n_qubits, amps, layout)
+    object.__setattr__(state, "_kept_branch", (float(p_acc), float(p_minus)))
+    return state
 
 
-def _read_kept_branch(state: QuantumState) -> tuple[float, float, float]:
-    """Masses of ancilla=0 in all, and with class bit 0 and 1, after the
-    ancilla Hadamard.
+def _read_kept_branch(state: QuantumState) -> tuple[float, float]:
+    """Acceptance (the mass of ancilla=0 after the ancilla Hadamard) and the
+    share of it with class bit 0; the share is nan where the acceptance is
+    at or below BRANCH_FLOOR.
 
-    Only row 0 of the Hadamard is applied, to the (above, ancilla, below)
-    view of the amplitudes, so the discarded ancilla=1 half is never built.
-    The view is read READ_BLOCK amplitudes at a time; each block's kept
-    probabilities go into one (above, below) buffer, so the read holds the
-    state plus about a quarter of its bytes. A state cannot change, so its
-    masses are kept on it after the first read and returned by every later
-    one.
+    A state from prepare_state holds both from the closed form. Any other
+    state (from simulate, apply_gate, the constructor, or
+    dataclasses.replace of a prepared state) is known only by its
+    amplitudes and is read here; this dense read is also the tests' oracle
+    for the closed form. Only row 0 of the Hadamard is applied, to the
+    (above, ancilla, below) view of the amplitudes, so the discarded
+    ancilla=1 half is never built. The view is read READ_BLOCK amplitudes
+    at a time; each block's kept probabilities go into one (above, below)
+    buffer, so the read holds the state plus about a quarter of its bytes.
+    A state cannot change, so the result is kept on it after the first read
+    and returned by every later one.
     """
-    masses = getattr(state, "_kept_branch", None)
-    if masses is not None:
-        return masses
+    kept = getattr(state, "_kept_branch", None)
+    if kept is not None:
+        return kept
     layout = _require_layout(state)
     below = 1 << layout.ancilla_bit
     view = state.amplitudes.reshape(-1, 2, below)
@@ -168,9 +183,11 @@ def _read_kept_branch(state: QuantumState) -> tuple[float, float, float]:
             np.square(block, out=block)
     # one pairwise sum over the whole half, as postselect takes its mass
     by_class = probs.reshape(-1, 2)  # class bit is the least significant
-    masses = float(np.sum(probs)), float(by_class[:, 0].sum()), float(by_class[:, 1].sum())
-    object.__setattr__(state, "_kept_branch", masses)
-    return masses
+    p_acc, minus, plus = (float(np.sum(probs)), float(by_class[:, 0].sum()),
+                          float(by_class[:, 1].sum()))
+    kept = p_acc, (minus / (minus + plus) if p_acc > BRANCH_FLOOR else math.nan)
+    object.__setattr__(state, "_kept_branch", kept)
+    return kept
 
 
 def interfere_and_read(state: QuantumState) -> ClassificationOutcome:
@@ -179,18 +196,19 @@ def interfere_and_read(state: QuantumState) -> ClassificationOutcome:
     Applies the ancilla Hadamard, postselects ancilla=0 (capturing the
     acceptance probability) and computes the class-qubit marginal. Class bit
     0 encodes label -1; ties at 0.5 predict +1. Raises ImpossibleBranchError
-    when the acceptance is at or below BRANCH_FLOOR.
+    when the acceptance is at or below BRANCH_FLOOR. A state from
+    prepare_state is read in closed form and gives read_batch's values bit
+    for bit; any other state is read from its amplitudes.
     """
-    p_acc, minus, plus = _read_kept_branch(state)
+    p_acc, p_minus = _read_kept_branch(state)
     if p_acc <= BRANCH_FLOOR:
         raise ImpossibleBranchError(
             f"branch qubit {state.layout.ancilla_bit}=0 has probability {p_acc:.3e}"
         )
-    p_minus, p_plus = minus / (minus + plus), plus / (minus + plus)
     return ClassificationOutcome(
         p_acc=p_acc,
         p_class_minus=p_minus,
-        p_class_plus=p_plus,
+        p_class_plus=1.0 - p_minus,
         predicted=-1 if p_minus > 0.5 else +1,
         shots=None,
     )
@@ -203,7 +221,8 @@ def interfere_and_sample(
 
     Each shot measures the ancilla; only on outcome 0 is the class qubit
     measured. p_acc is estimated as accepted/shots and the class
-    probabilities from the accepted shots alone.
+    probabilities from the accepted shots alone. The shots are drawn from the
+    two numbers interfere_and_read reports.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
         raise ValueError(f"shots must be an integer, got {shots!r}")
@@ -211,8 +230,7 @@ def interfere_and_sample(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    p_acc_true, minus, _ = _read_kept_branch(state)
-    p_minus_true = minus / p_acc_true if p_acc_true > 0.0 else 0.0
+    p_acc_true, p_minus_true = _read_kept_branch(state)
 
     rng = np.random.default_rng(seed)
     accepted = _count_below(rng, shots, p_acc_true)
@@ -246,13 +264,12 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
     """Exact readout of every row of X at once, without building a state.
 
     Returns the (p_acc, p_class_minus) arrays that interfere_and_read gives
-    row by row, from the sum-vector weights w_km = |x_k + x^m|^2. (For unit
-    rows w_km = 2 + 2<x_k, x^m>, but that Gram form cancels badly where x_k
-    is nearly opposite x^m.) Rows at or below the postselection floor, where
-    that path raises ImpossibleBranchError, get p_acc = 0 and
-    p_class_minus = nan. A batch of training sets (vectors (..., M, N)) reads
-    the matching batch of inputs (..., K, N) set by set. Holds a
-    (... x K x M x N) temporary.
+    row by row, from the sum-vector weights w_km = |x_k + x^m|^2; it runs the
+    closed form that prepare_state keeps on each state it builds. Rows at or
+    below the postselection floor, where that path raises
+    ImpossibleBranchError, get p_acc = 0 and p_class_minus = nan. A batch of
+    training sets (vectors (..., M, N)) reads the matching batch of inputs
+    (..., K, N) set by set. Holds a (... x K x M x N) temporary.
     """
     X = np.asarray(X, dtype=float)
     lead = train.vectors.shape[:-2]
@@ -261,6 +278,18 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
             f"inputs {X.shape} must be rows of dimension {train.dimension}, batched as {lead}"
         )
     check_unit(X, "inputs")
+    p_acc, p_minus = _closed_form(train, X)
+    return np.where(p_acc > BRANCH_FLOOR, p_acc, 0.0), p_minus
+
+
+def _closed_form(train: TrainingSet, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Acceptance of each checked row of X, not floored, and its class -1
+    share, nan where the acceptance is at or below BRANCH_FLOOR.
+
+    Both come from the class sums of the weights w_km = |x_k + x^m|^2. (For
+    unit rows w_km = 2 + 2<x_k, x^m>, but that Gram form cancels badly where
+    x_k is nearly opposite x^m.)
+    """
     # features outermost, so each broadcast step runs over a whole (K x M) plane
     xs, vs = (np.ascontiguousarray(np.swapaxes(a, -1, -2)) for a in (X, train.vectors))
     sums = xs[..., :, :, None] + vs[..., :, None, :]
@@ -271,7 +300,7 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
     p_acc = total / (4 * train.M)
     possible = p_acc > BRANCH_FLOOR
     p_minus = w_minus / np.where(possible, total, 1.0)
-    return np.where(possible, p_acc, 0.0), np.where(possible, p_minus, np.nan)
+    return p_acc, np.where(possible, p_minus, np.nan)
 
 
 def _require_layout(state: QuantumState) -> RegisterLayout:

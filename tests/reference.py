@@ -1,12 +1,14 @@
 """Independent references the tests hold the program to: the encoded
 register's basis index, from its documented bit order, the paper's
-classical kernel-sum decision rule, and the gate rules checked one at a time."""
+classical kernel-sum decision rule, the statevector readout of an encoded
+state, and the gate rules checked one at a time."""
 
 import math
 
 import numpy as np
 
-from qic.statevector import GATE_ARITY, ROTATION_KINDS, check_unit
+from qic.classifier import interfere_and_read, prepare_state
+from qic.statevector import GATE_ARITY, ROTATION_KINDS, QuantumState, check_unit
 
 # bit order, least significant first: class bit, data bits, ancilla bit, index bits
 CLASS_BIT = 0
@@ -46,6 +48,14 @@ def classical_classify(train, x_tilde) -> tuple[float, int]:
     sq_dists = np.sum((train.vectors - xt) ** 2, axis=1)
     score = float(np.sum(train.labels * (1.0 - sq_dists / (4 * train.M))))
     return score, (-1 if score < 0 else +1)
+
+
+def dense_read(train, x_tilde):
+    """interfere_and_read of the encoded state as rebuilt by the QuantumState
+    constructor, so the readout passes over its amplitudes instead of
+    returning the closed form that prepare_state keeps on its state."""
+    state = prepare_state(train, x_tilde)
+    return interfere_and_read(QuantumState(state.n_qubits, state.amplitudes, state.layout))
 
 
 def gate_op_error(kind, qubits, theta) -> str | None:

@@ -29,7 +29,7 @@ from qic.errors import (
 )
 from qic.presets import X1, preset_input, training_set
 
-from reference import CLASS_BIT, basis_index, classical_classify, kernel
+from reference import CLASS_BIT, basis_index, classical_classify, dense_read, kernel
 
 
 def unit(v):
@@ -264,9 +264,10 @@ class TestInterfereAndRead:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7))
     def test_matches_gate_path(self, seed, M, N):
-        # non-powers of two leave unused index branches and padded data bits
+        # non-powers of two leave unused index branches and padded data bits;
+        # a state the constructor builds is read from its amplitudes
         train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
-        state = prepare_state(train, x_tilde)
+        state = fresh(prepare_state(train, x_tilde))
         try:
             p_acc, p_minus, p_plus = gate_path(state)
         except ImpossibleBranchError:
@@ -282,7 +283,7 @@ class TestInterfereAndRead:
                              ids=["many-blocks", "rows-wider-than-a-block"])
     def test_states_of_several_blocks_match_gate_path(self, M, N, split_rows):
         train, x_tilde = random_instance(np.random.default_rng(M + N), M, N)
-        state = prepare_state(train, x_tilde)
+        state = fresh(prepare_state(train, x_tilde))
         assert state.amplitudes.size >= 8 * READ_BLOCK
         # a row of the (above, ancilla, below) view spans 2 * below amplitudes
         assert (2 << state.layout.ancilla_bit > READ_BLOCK) == split_rows
@@ -309,15 +310,21 @@ class TestInterfereAndRead:
     def test_below_floor_is_impossible_branch(self, eps):
         # acceptance eps^2/4: zero, and 2.5e-17 under the floor but not zero
         train = TrainingSet(vectors=[[0.0, 1.0]], labels=[-1])
-        state = prepare_state(train, [math.sin(eps), -math.cos(eps)])
+        prepared = prepare_state(train, [math.sin(eps), -math.cos(eps)])
+        state = fresh(prepared)
         with pytest.raises(ImpossibleBranchError) as gate:
             gate_path(state)
         with pytest.raises(ImpossibleBranchError) as read:
             interfere_and_read(state)
         assert str(read.value) == str(gate.value)
-        with pytest.raises(EstimationFailedError) as sampled:
-            interfere_and_sample(state, shots=1000, seed=0)
-        assert sampled.value.accepted == 0
+        # the closed form quotes its own acceptance, not floored to 0
+        with pytest.raises(ImpossibleBranchError) as closed:
+            interfere_and_read(prepared)
+        assert str(closed.value) == f"branch qubit 2=0 has probability {eps ** 2 / 4:.3e}"
+        for source in (state, prepared):
+            with pytest.raises(EstimationFailedError) as sampled:
+                interfere_and_sample(source, shots=1000, seed=0)
+            assert sampled.value.accepted == 0
 
     def test_probability_difference_tracks_score_for_balanced_labels(self):
         rng = np.random.default_rng(99)
@@ -374,15 +381,18 @@ def readouts(state, shots, seed, exact_first):
 
 
 class TestKeptBranchReadOnce:
-    """A state cannot change, so its kept branch is read once for every
-    readout of it, whoever built it."""
+    """A state cannot change, so a state known only by its amplitudes has its
+    kept branch read once for every readout of it, whoever built it. (A state
+    from prepare_state is read in closed form; see TestPreparedReadout.)"""
 
     def test_exact_and_sampled_readouts_share_one_pass(self, kernel_calls):
-        state = prepare_state(training_set(), preset_input("xprime"))
-        interfere_and_read(state)
-        interfere_and_sample(state, shots=100, seed=0)
-        interfere_and_read(state)
-        assert len(kernel_calls) == 1
+        prepared = prepare_state(training_set(), preset_input("xprime"))
+        for state in (fresh(prepared), replace(prepared)):
+            before = len(kernel_calls)
+            interfere_and_read(state)
+            interfere_and_sample(state, shots=100, seed=0)
+            interfere_and_read(state)
+            assert len(kernel_calls) == before + 1
 
     def test_any_state_is_read_once(self, kernel_calls):
         train, x_tilde = training_set(), preset_input("xprime")
@@ -390,7 +400,7 @@ class TestKeptBranchReadOnce:
         circ = build_experiment_circuit(x_tilde, *train.vectors)
         writable = np.array(prepared.amplitudes)
         states = {
-            "prepared": prepared,
+            "replaced": replace(prepared),
             "simulated": sv.simulate(circ, replace(sv.zero_state(4), layout=prepared.layout)),
             "from a list": sv.QuantumState(4, list(prepared.amplitudes), prepared.layout),
             "from a writable array": sv.QuantumState(4, writable, prepared.layout),
@@ -408,31 +418,37 @@ class TestKeptBranchReadOnce:
 
     def test_rebinding_amplitudes_reads_afresh(self, kernel_calls):
         train = training_set()
-        state = prepare_state(train, preset_input("xprime"))
+        prepared = prepare_state(train, preset_input("xprime"))
         other = prepare_state(train, preset_input("xdoubleprime"))
-        before = interfere_and_read(state)
-        with pytest.raises(FrozenInstanceError):
-            state.amplitudes = other.amplitudes
-        # the new amplitudes come only as a new state, which keeps nothing read
-        rebound = replace(state, amplitudes=other.amplitudes)
-        assert interfere_and_read(rebound) == interfere_and_read(fresh(other))
-        assert interfere_and_read(state) == before
-        assert len(kernel_calls) == 3
+        # the constructor's state passes over its amplitudes, the prepared
+        # one does not; each rebound state is read from its amplitudes
+        for state, passes in ((fresh(prepared), 3), (prepared, 2)):
+            kernel_calls.clear()
+            before = interfere_and_read(state)
+            with pytest.raises(FrozenInstanceError):
+                state.amplitudes = other.amplitudes
+            # the new amplitudes come only as a new state, which keeps nothing read
+            rebound = replace(state, amplitudes=other.amplitudes)
+            assert interfere_and_read(rebound) == interfere_and_read(fresh(other))
+            assert interfere_and_read(state) == before
+            assert len(kernel_calls) == passes
 
     def test_rebinding_layout_reads_afresh(self, kernel_calls):
         train, x_tilde = random_instance(np.random.default_rng(5), M=4, N=4)
-        state = prepare_state(train, x_tilde)
-        before = interfere_and_read(state)
+        prepared = prepare_state(train, x_tilde)
         # the same 6 qubits, with the ancilla one bit higher
         layout = RegisterLayout(m_bits=1, i_bits=3)
-        with pytest.raises(FrozenInstanceError):
-            state.layout = layout
-        rebound = replace(state, layout=layout)
-        after = interfere_and_read(rebound)
-        assert after == interfere_and_read(fresh(rebound))
-        assert after != before
-        assert interfere_and_read(state) == before
-        assert len(kernel_calls) == 3
+        for state, passes in ((fresh(prepared), 3), (prepared, 2)):
+            kernel_calls.clear()
+            before = interfere_and_read(state)
+            with pytest.raises(FrozenInstanceError):
+                state.layout = layout
+            rebound = replace(state, layout=layout)
+            after = interfere_and_read(rebound)
+            assert after == interfere_and_read(fresh(rebound))
+            assert after != before
+            assert interfere_and_read(state) == before
+            assert len(kernel_calls) == passes
 
     def test_prepared_amplitudes_cannot_be_made_writable(self):
         train = training_set()
@@ -443,7 +459,9 @@ class TestKeptBranchReadOnce:
             state.amplitudes.setflags(write=True)
         with pytest.raises(ValueError):
             state.amplitudes[:] = other.amplitudes
-        assert interfere_and_read(state) == before == interfere_and_read(fresh(state))
+        assert interfere_and_read(state) == before
+        again = prepare_state(train, preset_input("xprime"))
+        assert interfere_and_read(fresh(state)) == interfere_and_read(fresh(again))
 
     @pytest.mark.parametrize("source", ["buffer", "view", "read-only view"])
     def test_state_does_not_follow_its_source_buffer(self, source):
@@ -455,20 +473,23 @@ class TestKeptBranchReadOnce:
         if source == "read-only view":
             amps.setflags(write=False)
         state = sv.QuantumState(first.n_qubits, amps, first.layout)
-        assert readouts(state, 500, 3, True) == readouts(first, 500, 3, True)
+        # the reference is read from its amplitudes too, as state is
+        reference = fresh(first)
+        assert readouts(state, 500, 3, True) == readouts(reference, 500, 3, True)
         buffer[:] = second.amplitudes
         assert np.array_equal(state.amplitudes, first.amplitudes)
-        assert readouts(state, 500, 3, True) == readouts(first, 500, 3, True)
-        assert readouts(fresh(state), 500, 3, False) == readouts(first, 500, 3, False)
+        assert readouts(state, 500, 3, True) == readouts(reference, 500, 3, True)
+        assert readouts(fresh(state), 500, 3, False) == readouts(fresh(first), 500, 3, False)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
            shots=st.integers(1, 3000), exact_first=st.booleans())
     def test_memoised_outcomes_equal_a_fresh_state(self, seed, M, N, shots, exact_first):
         train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
-        state = prepare_state(train, x_tilde)
-        assert (readouts(state, shots, seed, exact_first)
-                == readouts(fresh(state), shots, seed, exact_first))
+        prepared = prepare_state(train, x_tilde)
+        for state in (fresh(prepared), replace(prepared)):
+            assert (readouts(state, shots, seed, exact_first)
+                    == readouts(fresh(state), shots, seed, exact_first))
 
     @pytest.mark.parametrize("N, layout", [(4, RegisterLayout(1, 1)), (2, RegisterLayout(1, 2))])
     def test_layout_must_fit_the_state(self, N, layout):
@@ -488,6 +509,91 @@ class TestKeptBranchReadOnce:
             sv.QuantumState(4, np.resize(state.amplitudes, size), state.layout)
         with pytest.raises(ValueError, match=message):
             replace(state, amplitudes=np.resize(state.amplitudes, size))
+
+
+def antipodal_instance(seed, M, N, antipodal):
+    """random_instance, with the input exactly opposite no training vector
+    ("none"), the first one ("one"), or every one, all equal ("all"), where
+    the acceptance is exactly 0."""
+    train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
+    v = train.vectors[0]
+    if antipodal == "all":
+        train = TrainingSet(vectors=np.tile(v, (M, 1)), labels=train.labels)
+    return train, (x_tilde if antipodal == "none" else -v)
+
+
+class TestPreparedReadout:
+    """prepare_state keeps read_batch's closed form on its state, so both
+    readouts of a prepared state make no pass over its amplitudes."""
+
+    def test_readouts_make_no_pass(self, kernel_calls):
+        state = prepare_state(training_set(), preset_input("xprime"))
+        readouts(state, 100, 0, True)
+        readouts(state, 100, 0, False)
+        assert kernel_calls == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
+           shots=st.integers(1, 3000), antipodal=st.sampled_from(["none", "one", "all"]))
+    def test_equals_read_batch_bit_for_bit(self, seed, M, N, shots, antipodal):
+        # M and N range over non-powers of two, as in TestReadBatch
+        train, x_tilde = antipodal_instance(seed, M, N, antipodal)
+        state = prepare_state(train, x_tilde)
+        (p_acc,), (p_minus,) = read_batch(train, x_tilde[None])
+        if p_acc == 0.0:
+            assert math.isnan(p_minus)
+            with pytest.raises(ImpossibleBranchError):
+                interfere_and_read(state)
+            with pytest.raises(EstimationFailedError):
+                interfere_and_sample(state, shots, seed)
+            return
+        outcome = interfere_and_read(state)
+        assert (outcome.p_acc, outcome.p_class_minus) == (p_acc, p_minus)
+        assert outcome.p_class_plus == 1.0 - p_minus
+        assert outcome.predicted == (-1 if p_minus > 0.5 else +1)
+        # the sampler draws from the same two numbers
+        rng = np.random.default_rng(seed)
+        accepted = int(np.count_nonzero(rng.random(shots) < p_acc))
+        if accepted == 0:
+            with pytest.raises(EstimationFailedError):
+                interfere_and_sample(state, shots, seed)
+            return
+        minus_count = int(np.count_nonzero(rng.random(accepted) < p_minus))
+        sampled = interfere_and_sample(state, shots, seed)
+        assert (sampled.accepted, sampled.p_class_minus) == (accepted, minus_count / accepted)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
+           antipodal=st.sampled_from(["none", "one", "all"]))
+    def test_matches_the_dense_read(self, seed, M, N, antipodal):
+        train, x_tilde = antipodal_instance(seed, M, N, antipodal)
+        prepared = prepare_state(train, x_tilde)
+        try:
+            ref = interfere_and_read(fresh(prepared))
+        except ImpossibleBranchError:
+            with pytest.raises(ImpossibleBranchError):
+                interfere_and_read(prepared)
+            return
+        outcome = interfere_and_read(prepared)
+        assert abs(outcome.p_acc - ref.p_acc) <= 1e-12
+        assert abs(outcome.p_class_minus - ref.p_class_minus) <= 1e-12
+        assert outcome.predicted == ref.predicted
+
+    def test_holds_only_the_state_and_its_fill_values(self):
+        train, x_tilde = random_instance(np.random.default_rng(3), M=1 << 12, N=16)
+        tracemalloc.start()
+        try:
+            state = prepare_state(train, x_tilde)
+            interfere_and_read(state)
+            interfere_and_sample(state, shots=8192, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the state and, while it is filled, its M x N scaled training vectors
+        # (an eighth of it here). The closed form's temporaries, about a
+        # quarter of the state, are freed before the state is allocated, and
+        # neither readout builds a buffer.
+        assert peak <= 1.03 * (state.amplitudes.nbytes + train.vectors.nbytes)
 
 
 class TestInterfereAndSample:
@@ -668,7 +774,7 @@ def assert_matches_statevector(train, X):
     p_acc, p_minus = read_batch(train, X)
     for k, x in enumerate(X):
         try:
-            ref = interfere_and_read(prepare_state(train, x))
+            ref = dense_read(train, x)
         except ImpossibleBranchError:
             assert p_acc[k] == 0.0 and math.isnan(p_minus[k])
             continue

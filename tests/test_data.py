@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qic import data
-from qic.classifier import TrainingSet, interfere_and_read, prepare_state
+from qic.classifier import TrainingSet
 from qic.data import (
     CHUNK,
     TABLE2_ROWS,
@@ -18,6 +18,8 @@ from qic.data import (
 from qic.dataset import LabeledDataset
 from qic.encoding import Pipeline
 from qic.errors import ImpossibleBranchError
+
+from reference import dense_read
 
 
 def statevector_reference(ds, reps, copies, master_seed):
@@ -34,7 +36,7 @@ def statevector_reference(ds, reps, copies, master_seed):
         wrong, rep_p_acc = 0, []
         for xt, yt in zip(test.rows, test.labels):
             try:
-                outcome = interfere_and_read(prepare_state(training, xt))
+                outcome = dense_read(training, xt)
             except ImpossibleBranchError:
                 impossible += 1
                 wrong += 1
@@ -259,7 +261,7 @@ class TestRunBenchmark:
         # rows have mean 0, so they cannot all point away from one input.
         import math
 
-        from qic.classifier import TrainingSet, classify
+        from qic.classifier import TrainingSet
         from qic.dataset import LabeledDataset
         from qic.encoding import kron_power, normalize
         from qic.errors import ImpossibleBranchError
@@ -291,7 +293,7 @@ class TestRunBenchmark:
             wrong, rep_p_acc = 0, []
             for xt, yt in zip(test.rows, test.labels):
                 try:
-                    outcome = classify(training, xt)
+                    outcome = dense_read(training, xt)
                 except ImpossibleBranchError:
                     impossible += 1
                     wrong += 1
