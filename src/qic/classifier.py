@@ -26,16 +26,12 @@ import numpy as np
 
 from .dataset import check_labels
 from .errors import EstimationFailedError, ImpossibleBranchError
-from .statevector import BRANCH_FLOOR, QuantumState, check_capacity, check_unit, gate_matrix, h
+from .statevector import BRANCH_FLOOR, QuantumState, check_capacity, check_unit
 
 # interfere_and_sample draws its uniforms this many at a time, so its memory
 # stays bounded whatever the shot count; a Generator gives the same stream in
 # blocks as in one call
 SAMPLE_BLOCK = 1 << 20
-# the kept-branch readout reads the state this many amplitudes (256 KiB) at
-# a time, so each block's interfered half stays in cache between its matmul,
-# abs and square, and no temporary the size of the state is built
-READ_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -120,10 +116,10 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
     m >= M and padded data components carry zero amplitude.
 
     The state's readout is computed here in closed form, by the core that
-    read_batch runs on this one input, and kept on the state as its
-    kept-branch readout, so interfere_and_read and interfere_and_sample of it
-    make no pass over its amplitudes. It is computed before the state is
-    allocated, so its temporaries are freed first.
+    read_batch runs on this one input, and kept on the state; it is what
+    interfere_and_read and interfere_and_sample report, and they read no
+    other state. It is computed before the state is allocated, so its
+    temporaries are freed first.
     """
     xt = _check_input(train, x_tilde)
     M, N = train.M, train.dimension
@@ -150,57 +146,28 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
     return state
 
 
-def _read_kept_branch(state: QuantumState) -> tuple[float, float]:
-    """Acceptance (the mass of ancilla=0 after the ancilla Hadamard) and the
-    share of it with class bit 0; the share is nan where the acceptance is
-    at or below BRANCH_FLOOR.
-
-    A state from prepare_state holds both from the closed form. Any other
-    state (from simulate, apply_gate, the constructor, or
-    dataclasses.replace of a prepared state) is known only by its
-    amplitudes and is read here; this dense read is also the tests' oracle
-    for the closed form. Only row 0 of the Hadamard is applied, to the
-    (above, ancilla, below) view of the amplitudes, so the discarded
-    ancilla=1 half is never built. The view is read READ_BLOCK amplitudes
-    at a time; each block's kept probabilities go into one (above, below)
-    buffer, so the read holds the state plus about a quarter of its bytes.
-    A state cannot change, so the result is kept on it after the first read
-    and returned by every later one.
-    """
+def _prepared_readout(state: QuantumState) -> tuple[float, float]:
+    """The (p_acc, p_class_minus) pair that prepare_state kept on the state."""
     kept = getattr(state, "_kept_branch", None)
-    if kept is not None:
-        return kept
-    layout = _require_layout(state)
-    below = 1 << layout.ancilla_bit
-    view = state.amplitudes.reshape(-1, 2, below)
-    row = gate_matrix(h(layout.ancilla_bit))[0]
-    probs = np.empty((view.shape[0], below))
-    rows, cols = max(1, READ_BLOCK // (2 * below)), min(below, READ_BLOCK // 2)
-    for i in range(0, view.shape[0], rows):
-        for j in range(0, below, cols):
-            block = np.abs(row @ view[i:i + rows, :, j:j + cols],
-                           out=probs[i:i + rows, j:j + cols])
-            np.square(block, out=block)
-    # one pairwise sum over the whole half, as postselect takes its mass
-    by_class = probs.reshape(-1, 2)  # class bit is the least significant
-    p_acc, minus, plus = (float(np.sum(probs)), float(by_class[:, 0].sum()),
-                          float(by_class[:, 1].sum()))
-    kept = p_acc, (minus / (minus + plus) if p_acc > BRANCH_FLOOR else math.nan)
-    object.__setattr__(state, "_kept_branch", kept)
+    if kept is None:
+        raise ValueError(
+            "only a state from prepare_state can be read; read any other state with "
+            "apply_gate, postselect and qubit_probabilities"
+        )
     return kept
 
 
 def interfere_and_read(state: QuantumState) -> ClassificationOutcome:
     """Interfere the branches and read the class qubit exactly.
 
-    Applies the ancilla Hadamard, postselects ancilla=0 (capturing the
-    acceptance probability) and computes the class-qubit marginal. Class bit
-    0 encodes label -1; ties at 0.5 predict +1. Raises ImpossibleBranchError
-    when the acceptance is at or below BRANCH_FLOOR. A state from
-    prepare_state is read in closed form and gives read_batch's values bit
-    for bit; any other state is read from its amplitudes.
+    Reports the acceptance of ancilla=0 after the ancilla Hadamard and the
+    class-qubit marginal of that branch, as prepare_state kept them on the
+    state (read_batch's values bit for bit). Class bit 0 encodes label -1;
+    ties at 0.5 predict +1. Raises ImpossibleBranchError when the acceptance
+    is at or below BRANCH_FLOOR, and ValueError for any state that
+    prepare_state did not build.
     """
-    p_acc, p_minus = _read_kept_branch(state)
+    p_acc, p_minus = _prepared_readout(state)
     if p_acc <= BRANCH_FLOOR:
         raise ImpossibleBranchError(
             f"branch qubit {state.layout.ancilla_bit}=0 has probability {p_acc:.3e}"
@@ -222,7 +189,7 @@ def interfere_and_sample(
     Each shot measures the ancilla; only on outcome 0 is the class qubit
     measured. p_acc is estimated as accepted/shots and the class
     probabilities from the accepted shots alone. The shots are drawn from the
-    two numbers interfere_and_read reports.
+    two numbers interfere_and_read reports, so only a prepared state is taken.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
         raise ValueError(f"shots must be an integer, got {shots!r}")
@@ -230,7 +197,7 @@ def interfere_and_sample(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    p_acc_true, p_minus_true = _read_kept_branch(state)
+    p_acc_true, p_minus_true = _prepared_readout(state)
 
     rng = np.random.default_rng(seed)
     accepted = _count_below(rng, shots, p_acc_true)
@@ -264,9 +231,9 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
     """Exact readout of every row of X at once, without building a state.
 
     Returns the (p_acc, p_class_minus) arrays that interfere_and_read gives
-    row by row, from the sum-vector weights w_km = |x_k + x^m|^2; it runs the
-    closed form that prepare_state keeps on each state it builds. Rows at or
-    below the postselection floor, where that path raises
+    row by row, from the sum-vector weights w_km = |x_k + x^m|^2; prepare_state
+    runs this one readout core and keeps its result on the state. Rows at or
+    below the postselection floor, where interfere_and_read raises
     ImpossibleBranchError, get p_acc = 0 and p_class_minus = nan. A batch of
     training sets (vectors (..., M, N)) reads the matching batch of inputs
     (..., K, N) set by set. Holds a (... x K x M x N) temporary.
@@ -301,12 +268,6 @@ def _closed_form(train: TrainingSet, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     possible = p_acc > BRANCH_FLOOR
     p_minus = w_minus / np.where(possible, total, 1.0)
     return p_acc, np.where(possible, p_minus, np.nan)
-
-
-def _require_layout(state: QuantumState) -> RegisterLayout:
-    if state.layout is None:
-        raise ValueError("state has no register layout; build it with prepare_state")
-    return state.layout
 
 
 def classify(train: TrainingSet, x_tilde, shots: int | None = None,

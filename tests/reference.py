@@ -1,14 +1,27 @@
 """Independent references the tests hold the program to: the encoded
 register's basis index, from its documented bit order, the paper's
 classical kernel-sum decision rule, the statevector readout of an encoded
-state, and the gate rules checked one at a time."""
+state gate by gate (the oracle for the program's one closed-form readout),
+the gate rules checked one at a time, and the checks that hold the program
+to these, shared by the tests and the planted faults."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from qic.classifier import interfere_and_read, prepare_state
-from qic.statevector import GATE_ARITY, ROTATION_KINDS, QuantumState, check_unit
+from qic.classifier import interfere_and_read, prepare_state, read_batch
+from qic.errors import ImpossibleBranchError
+from qic.statevector import (
+    GATE_ARITY,
+    ROTATION_KINDS,
+    apply_gate,
+    check_unit,
+    h,
+    postselect,
+    qubit_probabilities,
+)
 
 # bit order, least significant first: class bit, data bits, ancilla bit, index bits
 CLASS_BIT = 0
@@ -50,12 +63,66 @@ def classical_classify(train, x_tilde) -> tuple[float, int]:
     return score, (-1 if score < 0 else +1)
 
 
-def dense_read(train, x_tilde):
-    """interfere_and_read of the encoded state as rebuilt by the QuantumState
-    constructor, so the readout passes over its amplitudes instead of
-    returning the closed form that prepare_state keeps on its state."""
+def gate_path(state):
+    """The readout gate by gate: ancilla Hadamard, postselect ancilla=0, class
+    marginal. Returns (p_acc, p_class_minus, p_class_plus); postselect raises
+    ImpossibleBranchError at or below its floor."""
+    layout = state.layout
+    interfered = apply_gate(state, h(layout.ancilla_bit))
+    kept, p_acc = postselect(interfered, layout.ancilla_bit, 0)
+    return (p_acc, *qubit_probabilities(kept, CLASS_BIT))
+
+
+def gate_read(train, x_tilde):
+    """(p_acc, p_class_minus, label) of the encoded state of x_tilde, read by
+    gate_path; a class -1 share of exactly 0.5 predicts +1."""
+    p_acc, p_minus, _ = gate_path(prepare_state(train, x_tilde))
+    return p_acc, p_minus, (-1 if p_minus > 0.5 else +1)
+
+
+def assert_matches_statevector(train, X):
+    """read_batch against gate_read row by row: p_acc and p_minus to 1e-12,
+    the label exactly, and (0, nan) where postselection fails."""
+    p_acc, p_minus = read_batch(train, X)
+    for k, x in enumerate(X):
+        try:
+            ref_acc, ref_minus, ref_label = gate_read(train, x)
+        except ImpossibleBranchError:
+            assert p_acc[k] == 0.0 and math.isnan(p_minus[k])
+            continue
+        assert abs(p_acc[k] - ref_acc) <= 1e-12
+        assert abs(p_minus[k] - ref_minus) <= 1e-12
+        assert (-1 if p_minus[k] > 0.5 else +1) == ref_label
+
+
+def assert_read_matches_gate_path(train, x_tilde):
+    """interfere_and_read of prepare_state(train, x_tilde) against gate_read:
+    p_acc and p_class_minus to 1e-12, the label exactly, and
+    ImpossibleBranchError from both or from neither."""
     state = prepare_state(train, x_tilde)
-    return interfere_and_read(QuantumState(state.n_qubits, state.amplitudes, state.layout))
+    try:
+        p_acc, p_minus, label = gate_read(train, x_tilde)
+    except ImpossibleBranchError:
+        with pytest.raises(ImpossibleBranchError):
+            interfere_and_read(state)
+        return
+    outcome = interfere_and_read(state)
+    assert abs(outcome.p_acc - p_acc) <= 1e-12
+    assert abs(outcome.p_class_minus - p_minus) <= 1e-12
+    assert outcome.predicted == label
+
+
+def assert_built_without_a_copy(train, x_tilde):
+    """prepare_state's tracemalloc peak: the state plus its M x N fill values,
+    under 1.5 times the state's bytes; a copy of the state would add it again."""
+    tracemalloc.start()
+    try:
+        state = prepare_state(train, x_tilde)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * state.amplitudes.nbytes
+    assert state.amplitudes.base.flags.owndata
 
 
 def gate_op_error(kind, qubits, theta) -> str | None:

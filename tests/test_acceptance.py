@@ -34,7 +34,7 @@ from qic.errors import ImpossibleBranchError
 from qic.presets import X0, X1, preset_input, training_set
 from qic.stats import wald_worst_case, wilson, wilson_worst_case
 
-from reference import classical_classify
+from reference import classical_classify, gate_path
 
 REFERENCE_THEORY = {
     "xprime": {"p_acc": 0.729, "p_c0": 0.629},
@@ -340,14 +340,12 @@ def test_criterion_6_three_way_equivalence():
                 )
             circ = build_experiment_circuit(x_tilde, train.vectors[0], train.vectors[1])
             simulated = replace(sv.simulate(circ), layout=state.layout)
-            gate_path = interfere_and_read(simulated)
+            p_acc, p_minus, _ = gate_path(simulated)
             circuit_checked += 1
-            prob_ok &= abs(gate_path.p_acc - quantum.p_acc) <= 1e-10
-            prob_ok &= abs(gate_path.p_class_minus - quantum.p_class_minus) <= 1e-10
-            assert gate_path.p_acc == pytest.approx(quantum.p_acc, abs=1e-10)
-            assert gate_path.p_class_minus == pytest.approx(
-                quantum.p_class_minus, abs=1e-10
-            )
+            prob_ok &= abs(p_acc - quantum.p_acc) <= 1e-10
+            prob_ok &= abs(p_minus - quantum.p_class_minus) <= 1e-10
+            assert p_acc == pytest.approx(quantum.p_acc, abs=1e-10)
+            assert p_minus == pytest.approx(quantum.p_class_minus, abs=1e-10)
 
     ok = agreements and prob_ok and circuit_checked >= 20
     verdict(

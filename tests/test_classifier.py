@@ -11,7 +11,6 @@ from qic import classifier
 from qic import statevector as sv
 from qic.circuit import build_experiment_circuit
 from qic.classifier import (
-    READ_BLOCK,
     SAMPLE_BLOCK,
     RegisterLayout,
     TrainingSet,
@@ -29,7 +28,21 @@ from qic.errors import (
 )
 from qic.presets import X1, preset_input, training_set
 
-from reference import CLASS_BIT, basis_index, classical_classify, dense_read, kernel
+from reference import (
+    CLASS_BIT,
+    assert_built_without_a_copy,
+    assert_matches_statevector,
+    assert_read_matches_gate_path,
+    basis_index,
+    classical_classify,
+    gate_path,
+    gate_read,
+    kernel,
+)
+
+# the start of the ValueError both readouts raise for a state that
+# prepare_state did not build
+NOT_PREPARED = "only a state from prepare_state can be read"
 
 
 def unit(v):
@@ -48,35 +61,6 @@ def random_instance(rng, M, N):
         rng.shuffle(labels)
     x_tilde = unit(rng.normal(size=N))
     return TrainingSet(vectors=vectors, labels=labels), x_tilde
-
-
-def fresh(state):
-    """A new state built from the same amplitudes and layout, with nothing
-    kept from an earlier readout."""
-    return sv.QuantumState(state.n_qubits, state.amplitudes, state.layout)
-
-
-def gate_path(state):
-    """The readout gate by gate: ancilla Hadamard, postselect ancilla=0, class
-    marginal. Returns (p_acc, p_class_minus, p_class_plus)."""
-    layout = state.layout
-    interfered = sv.apply_gate(state, sv.h(layout.ancilla_bit))
-    kept, p_acc = sv.postselect(interfered, layout.ancilla_bit, 0)
-    return (p_acc, *sv.qubit_probabilities(kept, CLASS_BIT))
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Records each pass of the readout kernel, which builds one Hadamard
-    matrix per pass."""
-    calls = []
-
-    def counting(op):
-        calls.append(op)
-        return sv.gate_matrix(op)
-
-    monkeypatch.setattr(classifier, "gate_matrix", counting)
-    return calls
 
 
 def formula_outcome(train, x_tilde):
@@ -173,15 +157,7 @@ class TestPrepareState:
 
     def test_state_is_built_without_a_copy(self):
         train, x_tilde = random_instance(np.random.default_rng(3), M=1 << 12, N=16)
-        tracemalloc.start()
-        try:
-            state = prepare_state(train, x_tilde)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the state plus its M x N fill values; a copy would add the state again
-        assert peak <= 1.5 * state.amplitudes.nbytes
-        assert state.amplitudes.base.flags.owndata
+        assert_built_without_a_copy(train, x_tilde)
 
     def test_rejects_a_layout_over_the_qubit_cap_before_allocating(self):
         # 13 index bits, 10 data bits, ancilla and class: 25 qubits, 512 MiB
@@ -264,10 +240,9 @@ class TestInterfereAndRead:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7))
     def test_matches_gate_path(self, seed, M, N):
-        # non-powers of two leave unused index branches and padded data bits;
-        # a state the constructor builds is read from its amplitudes
+        # non-powers of two leave unused index branches and padded data bits
         train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
-        state = fresh(prepare_state(train, x_tilde))
+        state = prepare_state(train, x_tilde)
         try:
             p_acc, p_minus, p_plus = gate_path(state)
         except ImpossibleBranchError:
@@ -275,56 +250,36 @@ class TestInterfereAndRead:
                 interfere_and_read(state)
             return
         outcome = interfere_and_read(state)
-        assert outcome.p_acc == p_acc
+        assert abs(outcome.p_acc - p_acc) <= 1e-12
         assert abs(outcome.p_class_minus - p_minus) <= 1e-12
         assert abs(outcome.p_class_plus - p_plus) <= 1e-12
 
-    @pytest.mark.parametrize("M, N, split_rows", [(5000, 3, False), (2, 8193, True)],
-                             ids=["many-blocks", "rows-wider-than-a-block"])
-    def test_states_of_several_blocks_match_gate_path(self, M, N, split_rows):
+    @pytest.mark.parametrize("M, N", [(5000, 3), (2, 8193)], ids=["5000x3", "2x8193"])
+    def test_large_states_match_gate_path(self, M, N):
+        # 17 qubits each: 13 index bits, or 14 data bits
         train, x_tilde = random_instance(np.random.default_rng(M + N), M, N)
-        state = fresh(prepare_state(train, x_tilde))
-        assert state.amplitudes.size >= 8 * READ_BLOCK
-        # a row of the (above, ancilla, below) view spans 2 * below amplitudes
-        assert (2 << state.layout.ancilla_bit > READ_BLOCK) == split_rows
-        p_acc, p_minus, p_plus = gate_path(state)
-        outcome = interfere_and_read(state)
-        assert outcome.p_acc == p_acc
-        assert abs(outcome.p_class_minus - p_minus) <= 1e-12
-        assert abs(outcome.p_class_plus - p_plus) <= 1e-12
-        assert readouts(state, 5000, M, True) == readouts(fresh(state), 5000, M, True)
-
-    def test_read_holds_about_a_quarter_of_the_state(self):
-        train, x_tilde = random_instance(np.random.default_rng(2), M=1 << 12, N=16)
-        state = fresh(prepare_state(train, x_tilde))
-        assert state.amplitudes.size == 1 << 18
-        tracemalloc.start()
-        try:
-            interfere_and_read(state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= state.amplitudes.nbytes / 3
+        assert prepare_state(train, x_tilde).n_qubits == 17
+        assert_read_matches_gate_path(train, x_tilde)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-8])
     def test_below_floor_is_impossible_branch(self, eps):
         # acceptance eps^2/4: zero, and 2.5e-17 under the floor but not zero
         train = TrainingSet(vectors=[[0.0, 1.0]], labels=[-1])
-        prepared = prepare_state(train, [math.sin(eps), -math.cos(eps)])
-        state = fresh(prepared)
+        x_tilde = [math.sin(eps), -math.cos(eps)]
+        state = prepare_state(train, x_tilde)
         with pytest.raises(ImpossibleBranchError) as gate:
-            gate_path(state)
+            gate_read(train, x_tilde)
         with pytest.raises(ImpossibleBranchError) as read:
             interfere_and_read(state)
-        assert str(read.value) == str(gate.value)
-        # the closed form quotes its own acceptance, not floored to 0
-        with pytest.raises(ImpossibleBranchError) as closed:
-            interfere_and_read(prepared)
-        assert str(closed.value) == f"branch qubit 2=0 has probability {eps ** 2 / 4:.3e}"
-        for source in (state, prepared):
-            with pytest.raises(EstimationFailedError) as sampled:
-                interfere_and_sample(source, shots=1000, seed=0)
-            assert sampled.value.accepted == 0
+        # both name the branch; the closed form quotes its own acceptance, not
+        # floored to 0, and the gate path's Hadamard rounds (to 5.0e-34 at 0)
+        prefix = "branch qubit 2=0 has probability "
+        assert str(read.value) == f"{prefix}{eps ** 2 / 4:.3e}"
+        assert str(gate.value).startswith(prefix)
+        assert abs(float(str(gate.value)[len(prefix):]) - eps ** 2 / 4) <= 1e-30
+        with pytest.raises(EstimationFailedError) as sampled:
+            interfere_and_sample(state, shots=1000, seed=0)
+        assert sampled.value.accepted == 0
 
     def test_probability_difference_tracks_score_for_balanced_labels(self):
         rng = np.random.default_rng(99)
@@ -361,10 +316,10 @@ class TestThreeWayEquivalence:
         circ = build_experiment_circuit(x_tilde, train.vectors[0], train.vectors[1])
         simulated = replace(sv.simulate(circ), layout=direct.layout)
         a = interfere_and_read(direct)
-        b = interfere_and_read(simulated)
-        assert a.p_acc == pytest.approx(b.p_acc, abs=1e-10)
-        assert a.p_class_minus == pytest.approx(b.p_class_minus, abs=1e-10)
-        assert a.predicted == b.predicted
+        p_acc, p_minus, _ = gate_path(simulated)
+        assert a.p_acc == pytest.approx(p_acc, abs=1e-10)
+        assert a.p_class_minus == pytest.approx(p_minus, abs=1e-10)
+        assert a.predicted == (-1 if p_minus > 0.5 else +1)
 
 
 def readouts(state, shots, seed, exact_first):
@@ -381,74 +336,84 @@ def readouts(state, shots, seed, exact_first):
 
 
 class TestKeptBranchReadOnce:
-    """A state cannot change, so a state known only by its amplitudes has its
-    kept branch read once for every readout of it, whoever built it. (A state
-    from prepare_state is read in closed form; see TestPreparedReadout.)"""
+    """A state cannot change, so its kept branch is read once, by
+    prepare_state in closed form, for every readout of it. A state built any
+    other way keeps no readout: both readouts reject it, and the gate path
+    reads it."""
 
-    def test_exact_and_sampled_readouts_share_one_pass(self, kernel_calls):
-        prepared = prepare_state(training_set(), preset_input("xprime"))
-        for state in (fresh(prepared), replace(prepared)):
-            before = len(kernel_calls)
-            interfere_and_read(state)
-            interfere_and_sample(state, shots=100, seed=0)
-            interfere_and_read(state)
-            assert len(kernel_calls) == before + 1
+    def test_exact_and_sampled_readouts_share_one_pass(self, monkeypatch):
+        # the one pass is prepare_state's run of the closed-form core
+        calls, core = [], classifier._closed_form
 
-    def test_any_state_is_read_once(self, kernel_calls):
+        def counting(train, X):
+            calls.append(X.shape)
+            return core(train, X)
+
+        monkeypatch.setattr(classifier, "_closed_form", counting)
+        state = prepare_state(training_set(), preset_input("xprime"))
+        interfere_and_read(state)
+        interfere_and_sample(state, shots=100, seed=0)
+        interfere_and_read(state)
+        assert calls == [(1, 2)]
+
+    def test_only_a_prepared_state_is_read(self):
         train, x_tilde = training_set(), preset_input("xprime")
         prepared = prepare_state(train, x_tilde)
+        other = prepare_state(train, preset_input("xdoubleprime"))
         circ = build_experiment_circuit(x_tilde, *train.vectors)
         writable = np.array(prepared.amplitudes)
         states = {
             "replaced": replace(prepared),
-            "simulated": sv.simulate(circ, replace(sv.zero_state(4), layout=prepared.layout)),
+            "simulated": sv.simulate(circ),
+            "simulated with a layout": sv.simulate(
+                circ, replace(sv.zero_state(4), layout=prepared.layout)),
+            "gate applied": sv.apply_gate(prepared, sv.x(0)),
+            "gate applied without a layout": sv.apply_gate(replace(prepared, layout=None),
+                                                           sv.x(0)),
             "from a list": sv.QuantumState(4, list(prepared.amplitudes), prepared.layout),
             "from a writable array": sv.QuantumState(4, writable, prepared.layout),
             "from a view": sv.QuantumState(4, writable[:], prepared.layout),
+            "rebound amplitudes": replace(prepared, amplitudes=other.amplitudes),
+            "rebound layout": replace(prepared, layout=RegisterLayout(m_bits=0, i_bits=2)),
         }
-        for name, state in states.items():
-            before = len(kernel_calls)
-            found = readouts(state, 100, 0, True)
-            assert len(kernel_calls) == before + 1, name
-            expected = readouts(fresh(prepared), 100, 0, True)
-            assert [o.predicted for o in found] == [o.predicted for o in expected], name
-            for got, ref in zip(found, expected):
-                assert abs(got.p_acc - ref.p_acc) <= 1e-12, name
-                assert abs(got.p_class_minus - ref.p_class_minus) <= 1e-12, name
+        for state in states.values():
+            with pytest.raises(ValueError, match=NOT_PREPARED):
+                interfere_and_read(state)
+            with pytest.raises(ValueError, match=NOT_PREPARED):
+                interfere_and_sample(state, 100, 0)
+        # no readout went stale: the prepared state still reads its closed form
+        (p_acc,), (p_minus,) = read_batch(train, x_tilde[None])
+        outcome = interfere_and_read(prepared)
+        assert (outcome.p_acc, outcome.p_class_minus) == (p_acc, p_minus)
 
-    def test_rebinding_amplitudes_reads_afresh(self, kernel_calls):
+    def test_rebinding_amplitudes_reads_afresh(self):
         train = training_set()
         prepared = prepare_state(train, preset_input("xprime"))
         other = prepare_state(train, preset_input("xdoubleprime"))
-        # the constructor's state passes over its amplitudes, the prepared
-        # one does not; each rebound state is read from its amplitudes
-        for state, passes in ((fresh(prepared), 3), (prepared, 2)):
-            kernel_calls.clear()
-            before = interfere_and_read(state)
-            with pytest.raises(FrozenInstanceError):
-                state.amplitudes = other.amplitudes
-            # the new amplitudes come only as a new state, which keeps nothing read
-            rebound = replace(state, amplitudes=other.amplitudes)
-            assert interfere_and_read(rebound) == interfere_and_read(fresh(other))
-            assert interfere_and_read(state) == before
-            assert len(kernel_calls) == passes
+        before = interfere_and_read(prepared)
+        with pytest.raises(FrozenInstanceError):
+            prepared.amplitudes = other.amplitudes
+        # the new amplitudes come only as a new state, which keeps no readout:
+        # the readouts reject it, and the gate path reads it afresh
+        rebound = replace(prepared, amplitudes=other.amplitudes)
+        with pytest.raises(ValueError, match=NOT_PREPARED):
+            interfere_and_read(rebound)
+        assert gate_path(rebound) == gate_path(other)
+        assert interfere_and_read(prepared) == before
 
-    def test_rebinding_layout_reads_afresh(self, kernel_calls):
+    def test_rebinding_layout_reads_afresh(self):
         train, x_tilde = random_instance(np.random.default_rng(5), M=4, N=4)
         prepared = prepare_state(train, x_tilde)
         # the same 6 qubits, with the ancilla one bit higher
         layout = RegisterLayout(m_bits=1, i_bits=3)
-        for state, passes in ((fresh(prepared), 3), (prepared, 2)):
-            kernel_calls.clear()
-            before = interfere_and_read(state)
-            with pytest.raises(FrozenInstanceError):
-                state.layout = layout
-            rebound = replace(state, layout=layout)
-            after = interfere_and_read(rebound)
-            assert after == interfere_and_read(fresh(rebound))
-            assert after != before
-            assert interfere_and_read(state) == before
-            assert len(kernel_calls) == passes
+        before = interfere_and_read(prepared)
+        with pytest.raises(FrozenInstanceError):
+            prepared.layout = layout
+        rebound = replace(prepared, layout=layout)
+        with pytest.raises(ValueError, match=NOT_PREPARED):
+            interfere_and_read(rebound)
+        assert gate_path(rebound) != gate_path(prepared)
+        assert interfere_and_read(prepared) == before
 
     def test_prepared_amplitudes_cannot_be_made_writable(self):
         train = training_set()
@@ -461,7 +426,7 @@ class TestKeptBranchReadOnce:
             state.amplitudes[:] = other.amplitudes
         assert interfere_and_read(state) == before
         again = prepare_state(train, preset_input("xprime"))
-        assert interfere_and_read(fresh(state)) == interfere_and_read(fresh(again))
+        assert gate_path(state) == gate_path(again)
 
     @pytest.mark.parametrize("source", ["buffer", "view", "read-only view"])
     def test_state_does_not_follow_its_source_buffer(self, source):
@@ -473,23 +438,22 @@ class TestKeptBranchReadOnce:
         if source == "read-only view":
             amps.setflags(write=False)
         state = sv.QuantumState(first.n_qubits, amps, first.layout)
-        # the reference is read from its amplitudes too, as state is
-        reference = fresh(first)
-        assert readouts(state, 500, 3, True) == readouts(reference, 500, 3, True)
+        reference = gate_path(first)
+        assert gate_path(state) == reference
         buffer[:] = second.amplitudes
         assert np.array_equal(state.amplitudes, first.amplitudes)
-        assert readouts(state, 500, 3, True) == readouts(reference, 500, 3, True)
-        assert readouts(fresh(state), 500, 3, False) == readouts(fresh(first), 500, 3, False)
+        assert gate_path(state) == reference
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
            shots=st.integers(1, 3000), exact_first=st.booleans())
     def test_memoised_outcomes_equal_a_fresh_state(self, seed, M, N, shots, exact_first):
+        # readouts of one prepared state, repeated in either order, equal
+        # those of the same state prepared again
         train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
-        prepared = prepare_state(train, x_tilde)
-        for state in (fresh(prepared), replace(prepared)):
-            assert (readouts(state, shots, seed, exact_first)
-                    == readouts(fresh(state), shots, seed, exact_first))
+        state = prepare_state(train, x_tilde)
+        assert (readouts(state, shots, seed, exact_first)
+                == readouts(prepare_state(train, x_tilde), shots, seed, exact_first))
 
     @pytest.mark.parametrize("N, layout", [(4, RegisterLayout(1, 1)), (2, RegisterLayout(1, 2))])
     def test_layout_must_fit_the_state(self, N, layout):
@@ -523,14 +487,8 @@ def antipodal_instance(seed, M, N, antipodal):
 
 
 class TestPreparedReadout:
-    """prepare_state keeps read_batch's closed form on its state, so both
-    readouts of a prepared state make no pass over its amplitudes."""
-
-    def test_readouts_make_no_pass(self, kernel_calls):
-        state = prepare_state(training_set(), preset_input("xprime"))
-        readouts(state, 100, 0, True)
-        readouts(state, 100, 0, False)
-        assert kernel_calls == []
+    """prepare_state keeps read_batch's closed form on its state, and both
+    readouts report it."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
@@ -566,18 +524,7 @@ class TestPreparedReadout:
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
            antipodal=st.sampled_from(["none", "one", "all"]))
     def test_matches_the_dense_read(self, seed, M, N, antipodal):
-        train, x_tilde = antipodal_instance(seed, M, N, antipodal)
-        prepared = prepare_state(train, x_tilde)
-        try:
-            ref = interfere_and_read(fresh(prepared))
-        except ImpossibleBranchError:
-            with pytest.raises(ImpossibleBranchError):
-                interfere_and_read(prepared)
-            return
-        outcome = interfere_and_read(prepared)
-        assert abs(outcome.p_acc - ref.p_acc) <= 1e-12
-        assert abs(outcome.p_class_minus - ref.p_class_minus) <= 1e-12
-        assert outcome.predicted == ref.predicted
+        assert_read_matches_gate_path(*antipodal_instance(seed, M, N, antipodal))
 
     def test_holds_only_the_state_and_its_fill_values(self):
         train, x_tilde = random_instance(np.random.default_rng(3), M=1 << 12, N=16)
@@ -766,21 +713,6 @@ class TestClassicalClassify:
         outcome = classify(train, [0.0, 1.0])
         assert outcome.p_class_minus == pytest.approx(0.5, abs=1e-12)
         assert outcome.predicted == +1
-
-
-def assert_matches_statevector(train, X):
-    """read_batch against the per-row statevector readout: p_acc and p_minus
-    to 1e-12, the label exactly, and (0, nan) where postselection fails."""
-    p_acc, p_minus = read_batch(train, X)
-    for k, x in enumerate(X):
-        try:
-            ref = dense_read(train, x)
-        except ImpossibleBranchError:
-            assert p_acc[k] == 0.0 and math.isnan(p_minus[k])
-            continue
-        assert abs(p_acc[k] - ref.p_acc) <= 1e-12
-        assert abs(p_minus[k] - ref.p_class_minus) <= 1e-12
-        assert (-1 if p_minus[k] > 0.5 else +1) == ref.predicted
 
 
 class TestReadBatch:

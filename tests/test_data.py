@@ -19,12 +19,13 @@ from qic.dataset import LabeledDataset
 from qic.encoding import Pipeline
 from qic.errors import ImpossibleBranchError
 
-from reference import dense_read
+from reference import gate_read
 
 
 def statevector_reference(ds, reps, copies, master_seed):
     """run_benchmark one split and one test point at a time, through the
-    statevector readout: (per-rep errors, per-rep mean p_acc, impossible)."""
+    gate-by-gate statevector readout: (per-rep errors, per-rep mean p_acc,
+    impossible)."""
     impossible, errors, p_accs = 0, [], []
     for rep in range(reps):
         seed = np.random.SeedSequence((master_seed, rep))
@@ -36,13 +37,13 @@ def statevector_reference(ds, reps, copies, master_seed):
         wrong, rep_p_acc = 0, []
         for xt, yt in zip(test.rows, test.labels):
             try:
-                outcome = dense_read(training, xt)
+                p_acc, _, predicted = gate_read(training, xt)
             except ImpossibleBranchError:
                 impossible += 1
                 wrong += 1
                 continue
-            rep_p_acc.append(outcome.p_acc)
-            wrong += outcome.predicted != yt
+            rep_p_acc.append(p_acc)
+            wrong += predicted != yt
         errors.append(wrong / test.n_samples)
         if rep_p_acc:
             p_accs.append(math.fsum(rep_p_acc) / len(rep_p_acc))
@@ -293,13 +294,13 @@ class TestRunBenchmark:
             wrong, rep_p_acc = 0, []
             for xt, yt in zip(test.rows, test.labels):
                 try:
-                    outcome = dense_read(training, xt)
+                    p_acc, _, predicted = gate_read(training, xt)
                 except ImpossibleBranchError:
                     impossible += 1
                     wrong += 1
                     continue
-                rep_p_acc.append(outcome.p_acc)
-                wrong += outcome.predicted != yt
+                rep_p_acc.append(p_acc)
+                wrong += predicted != yt
             errors.append(wrong / test.n_samples)
             if rep_p_acc:
                 p_accs.append(math.fsum(rep_p_acc) / len(rep_p_acc))
