@@ -35,11 +35,9 @@ def _load_iris_csv() -> tuple[np.ndarray, np.ndarray]:
     return values[:, :4], targets
 
 
-def iris(
-    classes: tuple[int, int] = (1, 2),
-    features: tuple[int, ...] = (0, 1, 2, 3),
-) -> LabeledDataset:
-    """Two iris species as a labeled dataset; first listed class maps to -1.
+def iris(classes: tuple[int, int] = (1, 2)) -> LabeledDataset:
+    """Two iris species, all four features, as a labeled dataset; first
+    listed class maps to -1.
 
     Rows keep the canonical per-class ordering, so for classes (1, 2) the
     row index equals the index into the full 150-sample table.
@@ -49,60 +47,38 @@ def iris(
         raise ValueError("classes must be two distinct species")
     if not {first, second} <= {1, 2, 3}:
         raise ValueError(f"classes must come from {{1, 2, 3}}, got {classes}")
-    if not set(features) <= {0, 1, 2, 3}:
-        raise ValueError(f"features must come from {{0, 1, 2, 3}}, got {features}")
     data, targets = _load_iris_csv()
-    feats = list(features)
-    # C-ordered for the split and pipeline; the column selections are Fortran-ordered
-    rows = np.ascontiguousarray(
-        np.vstack([data[targets == first][:, feats], data[targets == second][:, feats]])
-    )
+    rows = np.vstack([data[targets == first], data[targets == second]])
     labels = np.concatenate(
         [np.full(np.sum(targets == first), -1), np.full(np.sum(targets == second), +1)]
     )
-    return LabeledDataset(
-        rows=rows,
-        labels=labels,
-        name=f"iris {first}&{second}",
-    )
+    return LabeledDataset(rows, labels, f"iris {first}&{second}")
 
 
-def circles(
-    n_per_class: int = 50,
-    radius_ratio: float = 0.5,
-    noise_std: float = 0.05,
-    seed: int = 0,
-) -> LabeledDataset:
-    """Two concentric circles: outer radius 1 (class -1), inner radius
-    radius_ratio (class +1), uniform in angle with Gaussian jitter."""
-    if n_per_class < 2:
-        raise ValueError(f"n_per_class must be >= 2, got {n_per_class}")
-    if not 0 < radius_ratio < 1:
-        raise ValueError(f"radius_ratio must be in (0, 1), got {radius_ratio}")
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * math.pi, 2 * n_per_class)
-    radii = np.concatenate(
-        [np.ones(n_per_class), np.full(n_per_class, radius_ratio)]
-    )
+def circles() -> LabeledDataset:
+    """Table 2's two concentric circles: 50 points each at radius 1 (class
+    -1) and radius 0.5 (class +1), uniform in angle, with Gaussian jitter of
+    standard deviation 0.05, drawn from seed 0."""
+    rng = np.random.default_rng(0)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 100)
+    radii = np.concatenate([np.ones(50), np.full(50, 0.5)])
     pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    if noise_std > 0:
-        pts = pts + rng.normal(0.0, noise_std, pts.shape)
-    labels = np.concatenate([np.full(n_per_class, -1), np.full(n_per_class, +1)])
+    pts = pts + rng.normal(0.0, 0.05, pts.shape)
+    labels = np.concatenate([np.full(50, -1), np.full(50, +1)])
     return LabeledDataset(rows=pts, labels=labels, name="circles")
 
 
 def split(
-    dataset: LabeledDataset, train_fraction: float, seed
+    dataset: LabeledDataset, train_fraction: float, seeds: Sequence
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded shuffle split; train gets floor(fraction*n) rows, test the rest.
+    """Seeded shuffle splits, one per seed (an int or a SeedSequence), stacked
+    along a new axis before the rows: rows (n, d) give (R, k, d), and a batch
+    of datasets, rows (G, n, d), gives (G, R, k, d).
 
-    seed is one seed (an int or a SeedSequence) for one split, or a list of
-    seeds for a batch of splits, stacked along a new axis before the rows;
-    each split of a batch is the one its seed gives alone. A batch of
-    datasets (rows (G, n, d)) is split with one draw per seed: every matrix
-    loses the same rows, and each equals the split of its dataset alone.
+    Split r permutes the rows with default_rng(seeds[r]); its train side
+    keeps the first floor(fraction*n) of them and its test side the rest. A
+    batch of datasets is split with one draw per seed, so every matrix loses
+    the same rows.
     """
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -112,11 +88,8 @@ def split(
         raise ValueError(
             f"fraction {train_fraction} leaves an empty split for {n} rows"
         )
-    if isinstance(seed, list):
-        perm = np.stack([np.random.default_rng(s).permutation(n) for s in seed])
-    else:
-        perm = np.random.default_rng(seed).permutation(n)
-    return dataset.subset(perm[..., :n_train]), dataset.subset(perm[..., n_train:])
+    perm = np.stack([np.random.default_rng(s).permutation(n) for s in seeds])
+    return dataset.subset(perm[:, :n_train]), dataset.subset(perm[:, n_train:])
 
 
 # every benchmark split keeps floor(0.8 * n) rows for training
@@ -139,34 +112,26 @@ class BenchmarkReport:
 
 
 def run_benchmark(
-    dataset: LabeledDataset,
+    batch: LabeledDataset,
     repetitions: int,
-    copies: int | Sequence[int] = 1,
+    copies: Sequence[int],
     master_seed: int = 1234,
-) -> BenchmarkReport | list[BenchmarkReport]:
+) -> list[BenchmarkReport]:
     """Repeatedly split, preprocess (fitted on the training part only), and
-    classify every test point with the exact interference readout.
+    classify every test point with the exact interference readout, for each
+    dataset of a batch (rows (G, n, d), a tuple of G names) with its own
+    number of feature-map copies; one report per dataset, in batch order.
 
     Repetition r splits with SeedSequence((master_seed, r)). Up to CHUNK
-    repetitions go through split, Pipeline and classifier.read_batch as one
-    batch of splits. Test points whose acceptance probability vanishes are
-    counted as misclassified and tallied separately.
-
-    A batch of G datasets of one shape (rows (G, n, d), a tuple of G names)
-    takes one copies per dataset and returns one report per dataset, each
-    the report its dataset gives alone. Each chunk is split once for the
-    whole batch and read in one Pipeline and read_batch pass per distinct
-    copies. A single dataset runs as a batch of one and returns its report.
+    repetitions are split once for the whole batch, and read in one Pipeline
+    and read_batch pass per distinct copies; each report is the one its
+    dataset gives in a batch of one. Test points whose acceptance probability
+    vanishes are counted as misclassified and tallied separately.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    single = dataset.rows.ndim == 2
-    if single:
-        dataset = LabeledDataset(dataset.rows[None], dataset.labels[None], (dataset.name,))
-        copies = (copies,)
-    names, copies = dataset.name, tuple(copies)
-    if not (isinstance(names, tuple) and dataset.rows.ndim == 3
-            and len(copies) == len(names) == len(dataset.rows)):
+    names, copies = batch.name, tuple(copies)
+    if not (isinstance(names, tuple) and len(copies) == len(names)):
         raise ValueError("a batch of datasets takes rows (G, n, d), G names and G copies")
 
     errors: list[list[float]] = [[] for _ in names]
@@ -175,7 +140,7 @@ def run_benchmark(
     for start in range(0, repetitions, CHUNK):
         reps = range(start, min(start + CHUNK, repetitions))
         seeds = [np.random.SeedSequence((master_seed, rep)) for rep in reps]
-        train_raw, test_raw = split(dataset, TRAIN_FRACTION, seeds)  # (datasets, reps, ...)
+        train_raw, test_raw = split(batch, TRAIN_FRACTION, seeds)  # (datasets, reps, ...)
         for c in dict.fromkeys(copies):
             which = [g for g, cg in enumerate(copies) if cg == c]
             pipe = Pipeline(c)
@@ -207,7 +172,7 @@ def run_benchmark(
             mean_p_acc=math.fsum(accs) / len(accs) if accs else 0.0,
             impossible_branch_count=n_impossible,
         ))
-    return reports[0] if single else reports
+    return reports
 
 
 @dataclass(frozen=True)
@@ -277,9 +242,8 @@ def _shared_benchmark_groups() -> tuple[tuple[tuple[BenchmarkRowSpec, ...], Labe
 def benchmark_dataset(key: str) -> LabeledDataset:
     """Materialize the fixed dataset behind a canonical benchmark row key.
 
-    The circles instance is generated with the generator defaults (seed 0) so
-    that, like iris, the benchmark rows always refer to one fixed dataset;
-    the master seed randomizes only the train/test separations.
+    Like iris, circles is one fixed dataset (seed 0), so the master seed
+    randomizes only the train/test separations.
 
     Each dataset is built once per process and its arrays are read-only.
     Every call returns its own LabeledDataset over them, so neither a write

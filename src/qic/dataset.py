@@ -38,8 +38,8 @@ class LabeledDataset:
     along leading axes (rows (..., n, d), labels (..., n)).
 
     A batch of distinct datasets (rows (G, n, d)) names each of them: name
-    is then a tuple of G names. A batch of splits of one dataset keeps its
-    name.
+    is then a tuple of G names, and only such a batch takes a tuple name. A
+    batch of splits keeps the name of what it splits.
 
     Construction checks rows and labels; subset, pick and with_rows derive
     from a checked dataset and check only what they bring in."""
@@ -51,6 +51,9 @@ class LabeledDataset:
     def __post_init__(self):
         self.rows = _finite_matrix(self.rows)
         self.labels = check_labels(self.rows, self.labels)
+        if isinstance(self.name, tuple) and (self.rows.ndim, len(self.rows)) != (3, len(self.name)):
+            raise ValueError(f"a tuple of {len(self.name)} names needs rows (G, n, d) with "
+                             f"G = {len(self.name)}, got rows {self.rows.shape}")
 
     @property
     def n_samples(self) -> int:
@@ -83,7 +86,10 @@ class LabeledDataset:
 
     def pick(self, which: list[int]) -> "LabeledDataset":
         """The datasets at positions which of a batch of distinct datasets
-        (the first axis), with their names."""
+        (the first axis), with their names; any other dataset raises
+        ValueError."""
+        if not isinstance(self.name, tuple):
+            raise ValueError(f"pick takes a batch of named datasets, not {self.name!r}")
         out = self._derived(self.rows[which], self.labels[which])
         out.name = tuple(self.name[g] for g in which)
         return out

@@ -345,14 +345,11 @@ def postselect(
     return QuantumState(state.n_qubits, amps, state.layout), accept
 
 
-def simulate(circuit, initial: QuantumState | None = None) -> QuantumState:
-    """Run a circuit on |0...0> (or on the given initial state, whose layout
-    the result keeps)."""
-    if initial is None:
-        initial = zero_state(circuit.n_qubits)
-    amps = _apply_ops(initial.amplitudes, circuit.n_qubits, circuit.ops)
+def simulate(circuit) -> QuantumState:
+    """Run a circuit on |0...0>."""
+    amps = _apply_ops(zero_state(circuit.n_qubits).amplitudes, circuit.n_qubits, circuit.ops)
     amps.setflags(write=False)
-    return QuantumState(circuit.n_qubits, amps, initial.layout)
+    return QuantumState(circuit.n_qubits, amps)
 
 
 def circuit_unitary(circuit) -> np.ndarray:

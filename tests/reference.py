@@ -95,13 +95,12 @@ def assert_matches_statevector(train, X):
         assert (-1 if p_minus[k] > 0.5 else +1) == ref_label
 
 
-def assert_read_matches_gate_path(train, x_tilde):
-    """interfere_and_read of prepare_state(train, x_tilde) against gate_read:
-    p_acc and p_class_minus to 1e-12, the label exactly, and
+def assert_read_matches_gate_path(state):
+    """interfere_and_read of a prepared state against gate_path: p_acc,
+    p_class_minus and p_class_plus to 1e-12, the label exactly, and
     ImpossibleBranchError from both or from neither."""
-    state = prepare_state(train, x_tilde)
     try:
-        p_acc, p_minus, label = gate_read(train, x_tilde)
+        p_acc, p_minus, p_plus = gate_path(state)
     except ImpossibleBranchError:
         with pytest.raises(ImpossibleBranchError):
             interfere_and_read(state)
@@ -109,7 +108,8 @@ def assert_read_matches_gate_path(train, x_tilde):
     outcome = interfere_and_read(state)
     assert abs(outcome.p_acc - p_acc) <= 1e-12
     assert abs(outcome.p_class_minus - p_minus) <= 1e-12
-    assert outcome.predicted == label
+    assert abs(outcome.p_class_plus - p_plus) <= 1e-12
+    assert outcome.predicted == (-1 if p_minus > 0.5 else +1)
 
 
 def assert_built_without_a_copy(train, x_tilde):

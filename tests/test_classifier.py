@@ -63,6 +63,17 @@ def random_instance(rng, M, N):
     return TrainingSet(vectors=vectors, labels=labels), x_tilde
 
 
+def antipodal_instance(seed, M, N, antipodal):
+    """random_instance, with the input exactly opposite no training vector
+    ("none"), the first one ("one"), or every one, all equal ("all"), where
+    the acceptance is exactly 0."""
+    train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
+    v = train.vectors[0]
+    if antipodal == "all":
+        train = TrainingSet(vectors=np.tile(v, (M, 1)), labels=train.labels)
+    return train, (x_tilde if antipodal == "none" else -v)
+
+
 def formula_outcome(train, x_tilde):
     """Independent oracle: acceptance and class masses from the sum vectors."""
     sums = np.sum((train.vectors + x_tilde) ** 2, axis=1)
@@ -238,28 +249,19 @@ class TestInterfereAndRead:
         assert outcome.p_class_minus + outcome.p_class_plus == pytest.approx(1.0, abs=1e-10)
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7))
-    def test_matches_gate_path(self, seed, M, N):
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
+           antipodal=st.sampled_from(["none", "one", "all"]))
+    def test_matches_gate_path(self, seed, M, N, antipodal):
         # non-powers of two leave unused index branches and padded data bits
-        train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
-        state = prepare_state(train, x_tilde)
-        try:
-            p_acc, p_minus, p_plus = gate_path(state)
-        except ImpossibleBranchError:
-            with pytest.raises(ImpossibleBranchError):
-                interfere_and_read(state)
-            return
-        outcome = interfere_and_read(state)
-        assert abs(outcome.p_acc - p_acc) <= 1e-12
-        assert abs(outcome.p_class_minus - p_minus) <= 1e-12
-        assert abs(outcome.p_class_plus - p_plus) <= 1e-12
+        assert_read_matches_gate_path(prepare_state(*antipodal_instance(seed, M, N, antipodal)))
 
     @pytest.mark.parametrize("M, N", [(5000, 3), (2, 8193)], ids=["5000x3", "2x8193"])
     def test_large_states_match_gate_path(self, M, N):
         # 17 qubits each: 13 index bits, or 14 data bits
         train, x_tilde = random_instance(np.random.default_rng(M + N), M, N)
-        assert prepare_state(train, x_tilde).n_qubits == 17
-        assert_read_matches_gate_path(train, x_tilde)
+        state = prepare_state(train, x_tilde)
+        assert state.n_qubits == 17
+        assert_read_matches_gate_path(state)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-8])
     def test_below_floor_is_impossible_branch(self, eps):
@@ -365,8 +367,7 @@ class TestKeptBranchReadOnce:
         states = {
             "replaced": replace(prepared),
             "simulated": sv.simulate(circ),
-            "simulated with a layout": sv.simulate(
-                circ, replace(sv.zero_state(4), layout=prepared.layout)),
+            "simulated with a layout": replace(sv.simulate(circ), layout=prepared.layout),
             "gate applied": sv.apply_gate(prepared, sv.x(0)),
             "gate applied without a layout": sv.apply_gate(replace(prepared, layout=None),
                                                            sv.x(0)),
@@ -475,17 +476,6 @@ class TestKeptBranchReadOnce:
             replace(state, amplitudes=np.resize(state.amplitudes, size))
 
 
-def antipodal_instance(seed, M, N, antipodal):
-    """random_instance, with the input exactly opposite no training vector
-    ("none"), the first one ("one"), or every one, all equal ("all"), where
-    the acceptance is exactly 0."""
-    train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
-    v = train.vectors[0]
-    if antipodal == "all":
-        train = TrainingSet(vectors=np.tile(v, (M, 1)), labels=train.labels)
-    return train, (x_tilde if antipodal == "none" else -v)
-
-
 class TestPreparedReadout:
     """prepare_state keeps read_batch's closed form on its state, and both
     readouts report it."""
@@ -519,12 +509,6 @@ class TestPreparedReadout:
         minus_count = int(np.count_nonzero(rng.random(accepted) < p_minus))
         sampled = interfere_and_sample(state, shots, seed)
         assert (sampled.accepted, sampled.p_class_minus) == (accepted, minus_count / accepted)
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
-           antipodal=st.sampled_from(["none", "one", "all"]))
-    def test_matches_the_dense_read(self, seed, M, N, antipodal):
-        assert_read_matches_gate_path(*antipodal_instance(seed, M, N, antipodal))
 
     def test_holds_only_the_state_and_its_fill_values(self):
         train, x_tilde = random_instance(np.random.default_rng(3), M=1 << 12, N=16)

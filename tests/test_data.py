@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,18 +22,43 @@ from qic.errors import ImpossibleBranchError
 
 from reference import gate_read
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def oracles(monkeypatch):
+    """The benchmark's independent oracles, which import nothing of qic."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from qicbench import oracles
+
+    return oracles
+
+
+def permutation(seed, rep, n):
+    """The row permutation of repetition rep, drawn here."""
+    return np.random.default_rng(np.random.SeedSequence((seed, rep))).permutation(n)
+
+
+def run_alone(ds, reps, copies=1, master_seed=1234):
+    """The report run_benchmark gives a batch of this one dataset."""
+    batch = LabeledDataset(ds.rows[None], ds.labels[None], (ds.name,))
+    (report,) = run_benchmark(batch, reps, [copies], master_seed)
+    return report
+
 
 def statevector_reference(ds, reps, copies, master_seed):
     """run_benchmark one split and one test point at a time, through the
-    gate-by-gate statevector readout: (per-rep errors, per-rep mean p_acc,
-    impossible)."""
+    gate-by-gate statevector readout, with each permutation drawn here and
+    the pipeline that data.Pipeline names: (per-rep errors, per-rep mean
+    p_acc, impossible)."""
+    n_train = int(TRAIN_FRACTION * ds.n_samples)
     impossible, errors, p_accs = 0, [], []
     for rep in range(reps):
-        seed = np.random.SeedSequence((master_seed, rep))
-        train_raw, test_raw = split(ds, TRAIN_FRACTION, seed)
-        pipe = Pipeline(copies)
-        train = pipe.fit_transform(train_raw)
-        test = pipe.transform(test_raw)
+        perm = permutation(master_seed, rep, ds.n_samples)
+        train_rows, test_rows = perm[:n_train], perm[n_train:]
+        pipe = data.Pipeline(copies)
+        train = pipe.fit_transform(LabeledDataset(ds.rows[train_rows], ds.labels[train_rows]))
+        test = pipe.transform(LabeledDataset(ds.rows[test_rows], ds.labels[test_rows]))
         training = TrainingSet(vectors=train.rows, labels=train.labels)
         wrong, rep_p_acc = 0, []
         for xt, yt in zip(test.rows, test.labels):
@@ -59,8 +85,14 @@ class TestIris:
         assert np.sum(ds.labels == +1) == 50
 
     def test_feature_subset(self):
-        ds = iris(classes=(2, 3), features=(0, 1))
-        assert ds.n_features == 2
+        # all four features; the experiment's two are the first two columns
+        ds = iris(classes=(2, 3))
+        values, targets = data._load_iris_csv()
+        assert ds.n_features == 4
+        assert np.array_equal(ds.rows[:, :2],
+                              np.vstack([values[targets == 2, :2], values[targets == 3, :2]]))
+        with pytest.raises(TypeError):
+            iris(classes=(2, 3), features=(0, 1))
 
     def test_identical_classes_rejected(self):
         with pytest.raises(ValueError):
@@ -73,13 +105,13 @@ class TestIris:
     def test_experiment_anchor_sample(self):
         # sample 33 of classes 1&2 lands at (0, 1) after two-feature
         # standardize+normalize, up to the rounding of the published values
-        ds = iris(classes=(1, 2), features=(0, 1))
-        out = Pipeline().fit_transform(ds)
+        ds = iris(classes=(1, 2))
+        out = Pipeline().fit_transform(ds.with_rows(ds.rows[:, :2]))
         assert np.allclose(out.rows[33], [0.0, 1.0], atol=0.03)
 
     def test_experiment_input_samples(self):
-        ds = iris(classes=(1, 2), features=(0, 1))
-        out = Pipeline().fit_transform(ds)
+        ds = iris(classes=(1, 2))
+        out = Pipeline().fit_transform(ds.with_rows(ds.rows[:, :2]))
         assert np.allclose(out.rows[28], [-0.549, 0.836], atol=0.02)
         assert np.allclose(out.rows[36], [0.053, 0.999], atol=0.02)
         assert np.allclose(out.rows[85], [0.789, 0.615], atol=0.02)
@@ -103,48 +135,46 @@ class TestIris:
 
 class TestCircles:
     def test_no_noise_exact_radii(self):
-        ds = circles(n_per_class=20, radius_ratio=0.5, noise_std=0.0, seed=1)
-        radii = np.linalg.norm(ds.rows, axis=1)
-        assert np.allclose(radii[:20], 1.0)
-        assert np.allclose(radii[20:], 0.5)
+        # seed 0 draws the 100 angles, then the jitter; without the jitter
+        # the points lie on radius 1 (first 50) and 0.5
+        rng = np.random.default_rng(0)
+        rng.uniform(0.0, 2.0 * math.pi, 100)
+        jitter = rng.normal(0.0, 0.05, (100, 2))
+        radii = np.linalg.norm(circles().rows - jitter, axis=1)
+        assert np.allclose(radii[:50], 1.0)
+        assert np.allclose(radii[50:], 0.5)
 
     def test_labels(self):
-        ds = circles(n_per_class=10, seed=2)
-        assert np.all(ds.labels[:10] == -1)
-        assert np.all(ds.labels[10:] == +1)
+        ds = circles()
+        assert np.all(ds.labels[:50] == -1)
+        assert np.all(ds.labels[50:] == +1)
 
     def test_seed_determinism(self):
-        a = circles(seed=5)
-        b = circles(seed=5)
+        a = circles()
+        b = circles()
         assert np.array_equal(a.rows, b.rows)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            circles(n_per_class=1)
-        with pytest.raises(ValueError):
-            circles(radius_ratio=1.5)
-        with pytest.raises(ValueError):
-            circles(noise_std=-0.1)
+        assert not np.shares_memory(a.rows, b.rows)
 
 
 class TestSplit:
     def test_eighty_twenty(self):
         ds = iris(classes=(1, 2))
-        train, test = split(ds, 0.8, seed=0)
+        train, test = split(ds, 0.8, [0])
+        assert train.rows.shape == (1, 80, 4)
         assert train.n_samples == 80
         assert test.n_samples == 20
 
     def test_disjoint_and_exhaustive(self):
-        ds = circles(n_per_class=25, seed=3)
-        train, test = split(ds, 0.6, seed=7)
-        joined = np.vstack([train.rows, test.rows])
+        ds = circles()
+        train, test = split(ds, 0.6, [7])
+        joined = np.vstack([train.rows[0], test.rows[0]])
         assert joined.shape == ds.rows.shape
         assert np.allclose(np.sort(joined, axis=0), np.sort(ds.rows, axis=0))
 
     def test_seed_determinism(self):
         ds = iris(classes=(1, 3))
-        a = split(ds, 0.8, seed=11)[0]
-        b = split(ds, 0.8, seed=11)[0]
+        a = split(ds, 0.8, [11])[0]
+        b = split(ds, 0.8, [11])[0]
         assert np.array_equal(a.rows, b.rows)
 
     def test_list_of_seeds_stacks_the_single_splits(self):
@@ -153,22 +183,31 @@ class TestSplit:
         train, test = split(ds, 0.8, seeds)
         assert train.rows.shape == (3, 80, 4) and test.labels.shape == (3, 20)
         assert (train.n_samples, test.n_samples, train.n_features) == (80, 20, 4)
-        for r, seed in enumerate(seeds):
-            one_train, one_test = split(ds, 0.8, seed)
-            assert np.array_equal(train.rows[r], one_train.rows)
-            assert np.array_equal(train.labels[r], one_train.labels)
-            assert np.array_equal(test.rows[r], one_test.rows)
-            assert np.array_equal(test.labels[r], one_test.labels)
+        for r in range(3):
+            perm = permutation(4, r, 100)
+            assert np.array_equal(train.rows[r], ds.rows[perm[:80]])
+            assert np.array_equal(train.labels[r], ds.labels[perm[:80]])
+            assert np.array_equal(test.rows[r], ds.rows[perm[80:]])
+            assert np.array_equal(test.labels[r], ds.labels[perm[80:]])
+
+    def test_one_seed_is_not_a_batch(self):
+        # the seeds are a sequence; a lone seed, by keyword or by position, fails
+        ds = iris(classes=(1, 3))
+        with pytest.raises(TypeError):
+            split(ds, 0.8, seed=0)
+        for seed in (0, np.random.SeedSequence(0)):
+            with pytest.raises(TypeError):
+                split(ds, 0.8, seed)
 
     def test_empty_side_rejected(self):
         # with the floor rule the train side empties out for tiny fractions
-        ds = circles(n_per_class=5, seed=0)
+        ds = LabeledDataset(rows=circles().rows[45:55], labels=[-1, 1] * 5)
         with pytest.raises(ValueError):
-            split(ds, 0.05, seed=0)
+            split(ds, 0.05, [0])
         with pytest.raises(ValueError):
-            split(ds, 1.0, seed=0)
+            split(ds, 1.0, [0])
         with pytest.raises(ValueError):
-            split(ds, 0.0, seed=0)
+            split(ds, 0.0, [0])
 
 
 class TestLabeledDataset:
@@ -196,15 +235,38 @@ class TestLabeledDataset:
         pair = [iris(classes=(1, 2)), iris(classes=(2, 3))]
         stacked = LabeledDataset(rows=np.stack([ds.rows for ds in pair]),
                                  labels=np.stack([ds.labels for ds in pair]))
-        for seed in (11, [np.random.SeedSequence((5, rep)) for rep in range(3)]):
+        for seeds in ([11], [np.random.SeedSequence((5, rep)) for rep in range(3)]):
             for g, ds in enumerate(pair):
-                for got, alone in zip(split(stacked, 0.8, seed), split(ds, 0.8, seed)):
+                for got, alone in zip(split(stacked, 0.8, seeds), split(ds, 0.8, seeds)):
                     assert np.array_equal(got.rows[g], alone.rows)
                     assert np.array_equal(got.labels[g], alone.labels)
         rows[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="rows must be finite"):
             LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
 
+    @pytest.mark.parametrize("rows, names", [
+        ((3, 2), ("a", "b", "c")),
+        ((3, 2), ("a",)),
+        ((2, 3, 2), ("a", "b", "c")),
+        ((2, 3, 2), ("a",)),
+        ((2, 1, 3, 2), ("a", "b")),
+    ], ids=["matrix", "matrix-one-name", "batch-of-2-3-names", "batch-of-2-1-name", "4d"])
+    def test_tuple_name_needs_one_name_per_dataset_of_a_batch(self, rows, names):
+        labels = np.ones(rows[:-1])
+        with pytest.raises(ValueError, match=f"a tuple of {len(names)} names needs rows"):
+            LabeledDataset(np.ones(rows), labels, names)
+        ds = LabeledDataset(np.ones((2, 3, 2)), np.ones((2, 3)), ("a", "b"))
+        assert ds.pick([1]).name == ("b",)
+        assert ds.subset(np.array([[2, 0]])).pick([1, 0]).name == ("b", "a")
+
+    @pytest.mark.parametrize("ds", [
+        LabeledDataset(np.ones((2, 3, 2)), np.ones((2, 3)), "ab"),
+        LabeledDataset(np.arange(4.0).reshape(2, 2), [1, -1], "iris"),
+        LabeledDataset(np.ones((2, 3, 2)), np.ones((2, 3))),
+    ], ids=["batch-of-splits", "matrix", "unnamed-batch"])
+    def test_pick_needs_a_batch_of_named_datasets(self, ds):
+        with pytest.raises(ValueError, match="pick takes a batch of named datasets"):
+            ds.pick([1])
 
     def test_with_rows_checks_the_new_rows(self):
         ds = LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0]], labels=[1, -1])
@@ -241,14 +303,14 @@ class TestLabeledDataset:
 class TestRunBenchmark:
     def test_deterministic_report(self):
         ds = iris(classes=(1, 2))
-        a = run_benchmark(ds, 5, master_seed=42)
-        b = run_benchmark(ds, 5, master_seed=42)
+        a = run_alone(ds, 5, master_seed=42)
+        b = run_alone(ds, 5, master_seed=42)
         assert a == b
 
     def test_variance_is_population_variance_of_rep_errors(self):
         # recompute per-repetition errors independently and compare
         ds = iris(classes=(2, 3))
-        report = run_benchmark(ds, 6, master_seed=9)
+        report = run_alone(ds, 6, master_seed=9)
         errors, _, _ = statevector_reference(ds, 6, 1, master_seed=9)
         assert report.mean_error == pytest.approx(np.mean(errors), abs=1e-12)
         assert report.error_variance == pytest.approx(np.var(errors), abs=1e-12)
@@ -260,12 +322,7 @@ class TestRunBenchmark:
         # statevector loop, which sees ImpossibleBranchError there.
         # The real pipeline cannot produce this branch: standardized training
         # rows have mean 0, so they cannot all point away from one input.
-        import math
-
-        from qic.classifier import TrainingSet
-        from qic.dataset import LabeledDataset
         from qic.encoding import kron_power, normalize
-        from qic.errors import ImpossibleBranchError
 
         class Unstandardized:
             """Pipeline without the standardization stage."""
@@ -282,28 +339,8 @@ class TestRunBenchmark:
         monkeypatch.setattr(data, "Pipeline", Unstandardized)
         rows = [[s, 2.0 * s] for s in range(1, 10)] + [[-1.0, -2.0]]
         ds = LabeledDataset(rows=rows, labels=[-1, 1] * 5)
-        report = run_benchmark(ds, 20, master_seed=3)
-
-        impossible, errors, p_accs = 0, [], []
-        for rep in range(20):
-            train_raw, test_raw = split(ds, 0.8, np.random.SeedSequence((3, rep)))
-            pipe = Unstandardized()
-            train = pipe.fit_transform(train_raw)
-            test = pipe.transform(test_raw)
-            training = TrainingSet(vectors=train.rows, labels=train.labels)
-            wrong, rep_p_acc = 0, []
-            for xt, yt in zip(test.rows, test.labels):
-                try:
-                    p_acc, _, predicted = gate_read(training, xt)
-                except ImpossibleBranchError:
-                    impossible += 1
-                    wrong += 1
-                    continue
-                rep_p_acc.append(p_acc)
-                wrong += predicted != yt
-            errors.append(wrong / test.n_samples)
-            if rep_p_acc:
-                p_accs.append(math.fsum(rep_p_acc) / len(rep_p_acc))
+        report = run_alone(ds, 20, master_seed=3)
+        errors, p_accs, impossible = statevector_reference(ds, 20, 1, master_seed=3)
         assert impossible > 0
         assert report.impossible_branch_count == impossible
         assert report.mean_error == pytest.approx(np.mean(errors), abs=1e-12)
@@ -311,13 +348,13 @@ class TestRunBenchmark:
         assert report.mean_p_acc == pytest.approx(np.mean(p_accs), abs=1e-12)
 
     def test_separable_pair_has_zero_error(self):
-        report = run_benchmark(iris(classes=(1, 2)), 30, master_seed=1)
+        report = run_alone(iris(classes=(1, 2)), 30, master_seed=1)
         assert report.mean_error <= 0.01
         assert abs(report.mean_p_acc - 0.5) <= 0.05
 
     def test_rep_count_validation(self):
         with pytest.raises(ValueError):
-            run_benchmark(iris(classes=(1, 2)), 0)
+            run_alone(iris(classes=(1, 2)), 0)
 
     def test_batch_needs_one_name_and_copies_per_dataset(self):
         ds = iris(classes=(1, 2))
@@ -327,13 +364,21 @@ class TestRunBenchmark:
             run_benchmark(batch, 1, [1])
         with pytest.raises(ValueError, match="G names and G copies"):
             run_benchmark(batch.pick([0]), 1, [1, 1])
+        # a lone dataset, or one copies for the batch, is not a batch's input
+        with pytest.raises(ValueError, match="G names and G copies"):
+            run_benchmark(ds, 1, [1])
+        with pytest.raises(TypeError):
+            run_benchmark(batch, 1, 1)
 
     @pytest.mark.parametrize("seed", [0, 77])
     @pytest.mark.parametrize("reps", [1, CHUNK, CHUNK + 1])
-    def test_table2_rows_equal_their_datasets_run_alone(self, reps, seed):
+    def test_table2_rows_equal_their_datasets_run_alone(self, reps, seed, oracles):
+        datasets = oracles.load_datasets(ROOT / "src" / "qic" / "iris.csv")
         for spec, report in data.run_table2(reps, seed):
-            alone = run_benchmark(benchmark_dataset(spec.key), reps, spec.copies, seed)
-            assert report == alone
+            assert report == run_alone(benchmark_dataset(spec.key), reps, spec.copies, seed)
+            expected = oracles.table2_row(*datasets[spec.key], spec.copies, reps, seed)
+            got = (report.mean_error, report.error_variance, report.mean_p_acc)
+            assert np.allclose(got, expected, atol=1e-12, rtol=0.0)
 
     def test_table2_splits_once_per_shape_and_fits_once_per_copies(self, monkeypatch):
         # a return to one split -> Pipeline -> read_batch pass per row fails here
@@ -373,7 +418,7 @@ class TestRunBenchmark:
         # CHUNK + 1 repetitions: one full chunk, then a chunk of a single split
         ds = iris(classes=(2, 3))
         reps = CHUNK + 1
-        report = run_benchmark(ds, reps, copies, master_seed=5)
+        report = run_alone(ds, reps, copies, master_seed=5)
         errors, p_accs, impossible = statevector_reference(ds, reps, copies, master_seed=5)
         assert report.repetitions == reps
         assert report.mean_error > 0.0
@@ -402,6 +447,13 @@ class TestBenchmarkDataset:
         assert benchmark_dataset(key).rows.flags.c_contiguous
 
     @pytest.mark.parametrize("key", TABLE2_KEYS)
+    def test_equals_the_benchmark_oracle_dataset(self, key, oracles):
+        rows, labels = oracles.load_datasets(ROOT / "src" / "qic" / "iris.csv")[key]
+        ds = benchmark_dataset(key)
+        assert np.array_equal(ds.rows, rows)
+        assert np.array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("key", TABLE2_KEYS)
     def test_rebound_attributes_do_not_reach_the_next_caller(self, key):
         first = benchmark_dataset(key)
         rows, labels = first.rows.copy(), first.labels.copy()
@@ -419,8 +471,8 @@ class TestBenchmarkDataset:
     def test_split_and_pipeline_outputs_are_writable(self, key):
         spec = next(spec for spec in TABLE2_ROWS if spec.key == key)
         seeds = [np.random.SeedSequence((1234, rep)) for rep in range(3)]
-        for seed in (seeds[0], seeds):
-            train_raw, test_raw = split(benchmark_dataset(key), TRAIN_FRACTION, seed)
+        for batch in (seeds[:1], seeds):
+            train_raw, test_raw = split(benchmark_dataset(key), TRAIN_FRACTION, batch)
             pipe = Pipeline(spec.copies)
             outputs = [train_raw, test_raw, pipe.fit_transform(train_raw),
                        pipe.transform(test_raw)]

@@ -182,7 +182,7 @@ class TestPipeline:
     def test_mapped_circles_become_linearly_separable(self):
         from qic.data import circles
 
-        ds = Pipeline(2).fit_transform(circles(seed=0))
+        ds = Pipeline(2).fit_transform(circles())
         # a perceptron converges only on linearly separable data
         X = np.c_[ds.rows, np.ones(len(ds.rows))]
         w = np.zeros(X.shape[1])

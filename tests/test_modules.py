@@ -1,8 +1,10 @@
 """Module boundaries of the package: no module reaches into another's
-private (single-underscore) names, by import or by attribute, and every
-public name has a caller outside the tests."""
+private (single-underscore) names, by import or by attribute, every public
+name has a caller outside the tests, and so does every defaulted parameter
+of a public function or method."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -165,3 +167,109 @@ def test_every_public_name_has_a_caller_outside_tests():
 )
 def test_checker_flags_test_only_names(src, bench, unused):
     assert unused_public_names(src, bench) == unused
+
+
+def _defaults(qualified: str, called: str, args: ast.arguments, skip: int):
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[skip:], start=skip):
+        if i >= first:
+            yield qualified, called, i - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield qualified, called, None, arg.arg
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """Each defaulted parameter of a public top-level function, or of a public
+    method or __init__ of a top-level class, as (qualified name, the name a
+    call uses, its position among a call's arguments or None if keyword-only,
+    parameter). A method's self is no position; an __init__ is called by its
+    class's name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _defaults(node.name, node.name, node.args, 0)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    item.name == "__init__" or not item.name.startswith("_")
+                ):
+                    called = node.name if item.name == "__init__" else item.name
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield from _defaults(f"{node.name}.{item.name}", called, item.args,
+                                         0 if static else 1)
+
+
+def _passed(trees) -> dict[str, tuple[float, set]]:
+    """Per called name (a bare name or an attribute): the most positional
+    arguments a call passes, and the keywords calls pass. A *args passes
+    every position and a **kwargs every keyword (None)."""
+    passed: dict[str, tuple[float, set]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if not isinstance(func, (ast.Name, ast.Attribute)):
+                continue
+            name = func.id if isinstance(func, ast.Name) else func.attr
+            count = math.inf if any(isinstance(a, ast.Starred) for a in node.args) \
+                else len(node.args)
+            most, keywords = passed.get(name, (0, set()))
+            passed[name] = (max(most, count), keywords | {kw.arg for kw in node.keywords})
+    return passed
+
+
+def unpassed_parameters(src: dict[str, str], bench: list[str]) -> list[str]:
+    """Defaulted parameters of the public src functions and methods (file name
+    -> source) that no call in src or the benchmark passes, by keyword or by
+    position. Calls are matched by name alone, so a same-named call of
+    anything else counts as a caller."""
+    trees = {name: ast.parse(text) for name, text in src.items()}
+    passed = _passed([*trees.values(), *map(ast.parse, bench)])
+    found = []
+    for name, tree in trees.items():
+        for qualified, called, position, parameter in _defaulted_parameters(tree):
+            most, keywords = passed.get(called, (0, set()))
+            if not ({parameter, None} & keywords
+                    or position is not None and position < most):
+                found.append(f"{name[:-3]}.{qualified}({parameter})")
+    return found
+
+
+def test_every_defaulted_parameter_has_a_caller_outside_tests():
+    src = {path.name: path.read_text() for path in MODULES}
+    assert unpassed_parameters(src, [path.read_text() for path in BENCH]) == []
+
+
+def _module(body: str, call: str) -> dict[str, str]:
+    return {"m.py": f"{body}\n\n{call}\n"}
+
+
+FUNCTION = "def f(a, b=1, *, k=2):\n    pass"
+METHODS = ("class C:\n    def __init__(self, a=1):\n        pass\n\n"
+           "    def m(self, b=1):\n        pass\n\n"
+           "    @staticmethod\n    def s(c=1):\n        pass")
+
+
+@pytest.mark.parametrize(
+    "src, bench, found",
+    [
+        (_module(FUNCTION, "f(0)"), [], ["m.f(b)", "m.f(k)"]),
+        (_module(FUNCTION, "f(0, 1)"), [], ["m.f(k)"]),
+        (_module(FUNCTION, "f(0, k=3)"), [], ["m.f(b)"]),
+        (_module(FUNCTION, "f(0, b=1, k=3)"), [], []),
+        (_module(FUNCTION, "f(*xs, k=3)"), [], []),
+        (_module(FUNCTION, "f(0, **kw)"), [], []),
+        (_module(FUNCTION, ""), ["from qic import m\nm.f(0, 1, k=3)\n"], []),
+        (_module("def _f(a=1):\n    pass", ""), [], []),
+        (_module(METHODS, "C().m()\nC.s()"),
+         [], ["m.C.__init__(a)", "m.C.m(b)", "m.C.s(c)"]),
+        (_module(METHODS, "C(0).m(0)\nC.s(0)"), [], []),
+    ],
+    ids=["one-position", "two-positions", "keyword", "all-keywords", "star-args",
+         "star-star-kwargs", "bench-call", "private", "methods-unpassed", "methods-passed"],
+)
+def test_checker_flags_test_only_parameters(src, bench, found):
+    assert unpassed_parameters(src, bench) == found

@@ -7,7 +7,7 @@ import pytest
 
 from qic import classifier
 from qic import statevector as sv
-from qic.classifier import TrainingSet
+from qic.classifier import TrainingSet, prepare_state
 from qic.presets import preset_input, training_set
 
 from reference import (
@@ -56,7 +56,7 @@ def read_batch_check():
 
 def prepared_readout_check():
     for x in INPUTS:
-        assert_read_matches_gate_path(TRAIN, x)
+        assert_read_matches_gate_path(prepare_state(TRAIN, x))
 
 
 def no_copy_check():

@@ -38,6 +38,19 @@ def random_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
     return Circuit(n_qubits, tuple(ops))
 
 
+def entangling_prefix(n_qubits: int, seed: int) -> tuple[sv.GateOp, ...]:
+    """Ops that take |0...0> to a generic entangled state: a seeded ry on
+    each qubit, then a seeded random circuit."""
+    rng = np.random.default_rng(seed)
+    layer = tuple(sv.ry(float(rng.uniform(0.3, 2.8)), q) for q in range(n_qubits))
+    return layer + random_circuit(n_qubits, 3 * n_qubits, seed).ops
+
+
+def basis_prefix(j: int, n_qubits: int) -> tuple[sv.GateOp, ...]:
+    """The x gates that take |0...0> to basis state j."""
+    return tuple(sv.x(q) for q in range(n_qubits) if j >> q & 1)
+
+
 def embed(op: sv.GateOp, n_qubits: int) -> np.ndarray:
     """Full 2**n operator of one gate, built entry by entry from the basis
     indices (the gate's first listed qubit is its most significant local bit)."""
@@ -111,8 +124,7 @@ PRODUCERS = {
     "apply_gate": lambda: sv.apply_gate(random_state(2, 1), sv.h(0)),
     "postselect": lambda: sv.postselect(random_state(2, 2), 1, 0)[0],
     "simulate": lambda: sv.simulate(Circuit(2, (sv.h(1), sv.cx(1, 0)))),
-    "simulate-from-initial": lambda: sv.simulate(Circuit(2, (sv.x(0),)), random_state(2, 3)),
-    "simulate-empty": lambda: sv.simulate(Circuit(2, ()), random_state(2, 4)),
+    "simulate-empty": lambda: sv.simulate(Circuit(2, ())),
     "prepare_state": lambda: prepare_state(training_set(), preset_input("xprime")),
     "constructor": lambda: sv.QuantumState(1, [1.0, 0.0]),
 }
@@ -158,7 +170,7 @@ class TestQuantumState:
 
     @pytest.mark.parametrize("run, states_at_peak", [
         (lambda state: sv.apply_gate(state, sv.h(0)), 2),
-        (lambda state: sv.simulate(Circuit(12, (sv.h(0), sv.cx(0, 5))), state), 3),
+        (lambda state: sv.simulate(Circuit(12, (sv.h(0), sv.cx(0, 5)))), 4),
     ], ids=["apply_gate", "simulate"])
     def test_gate_loop_result_is_kept_without_a_copy(self, run, states_at_peak, monkeypatch):
         apply_ops, results = sv._apply_ops, []
@@ -173,7 +185,8 @@ class TestQuantumState:
             tracemalloc.stop()
         assert out.amplitudes.base is results[0]
         # a gate holds its matmul operand and product (and simulate the
-        # previous product); a copy for the state would come on top
+        # previous product and its |0...0> start); a copy for the state would
+        # come on top
         assert peak <= (states_at_peak + 0.1) * state.amplitudes.nbytes
 
     def test_amplitude_count_must_match(self):
@@ -327,14 +340,16 @@ class TestApplyGate:
     @pytest.mark.parametrize("seed", range(4))
     def test_simulate_equals_gate_by_gate(self, seed):
         circ = random_circuit(5, 25, seed + 500)
-        state = random_state(5, seed + 600)
+        prefix = entangling_prefix(5, seed + 600)
+        state = sv.simulate(Circuit(5, prefix))
+        assert np.all(state.amplitudes != 0)
         expected = state.amplitudes
         for op in circ.ops:
             expected = embed(op, 5) @ expected
         stepped = state
         for op in circ.ops:
             stepped = sv.apply_gate(stepped, op)
-        got = sv.simulate(circ, state)
+        got = sv.simulate(Circuit(5, prefix + circ.ops))
         assert got.amplitudes.shape == (32,)
         assert np.array_equal(got.amplitudes, stepped.amplitudes)
         assert np.allclose(got.amplitudes, expected, atol=1e-12, rtol=0.0)
@@ -364,12 +379,12 @@ class TestGateLoop:
         (sv.swap(0, 3), sv.swap(3, 0), sv.tdg(2), sv.tdg(2), sv.cx(3, 0)),
     ], ids=["one-qubit", "two-qubit", "three-qubit", "reordered"])
     def test_repeated_qubits_equal_apply_gate_chain(self, ops):
-        circ = Circuit(5, ops)
-        state = random_state(5, 77)
-        stepped = state
+        prefix = entangling_prefix(5, 77)
+        stepped = sv.simulate(Circuit(5, prefix))
         for op in ops:
             stepped = sv.apply_gate(stepped, op)
-        assert np.array_equal(sv.simulate(circ, state).amplitudes, stepped.amplitudes)
+        assert np.array_equal(sv.simulate(Circuit(5, prefix + ops)).amplitudes,
+                              stepped.amplitudes)
 
     def test_out_of_range_qubit_after_valid_gates_raises_every_time(self):
         # Circuit rejects the op itself, so the loop gets a bare op sequence
@@ -392,8 +407,9 @@ class TestGateLoop:
         (sv.h(0), sv.ry(0.3, 1), sv.cx(2, 3), sv.cx(3, 2)),
     ], ids=["empty", "leading", "trailing", "mixed", "ends-in-order"])
     def test_outputs_are_c_contiguous_in_the_input_shape(self, ops):
+        # from |0...0>, so that each case leaves the axis order it names
         circ = Circuit(4, ops)
-        state = sv.simulate(circ, random_state(4, 5))
+        state = sv.simulate(circ)
         u = sv.circuit_unitary(circ)
         assert state.amplitudes.shape == (16,)
         assert u.shape == (16, 16)
@@ -498,16 +514,21 @@ class TestCheckUnit:
 
 
 class TestSimulate:
-    def test_empty_circuit_returns_a_copy_of_initial(self):
-        initial = random_state(2, 0)
-        out = sv.simulate(Circuit(2, ()), initial)
+    def test_empty_circuit_returns_a_copy_of_initial(self, monkeypatch):
+        # the initial state is the |0...0> that zero_state builds
+        zero_state, built = sv.zero_state, []
+        monkeypatch.setattr(sv, "zero_state", lambda n: built.append(zero_state(n)) or built[-1])
+        out = sv.simulate(Circuit(2, ()))
+        (initial,) = built
+        assert np.array_equal(out.amplitudes, [1, 0, 0, 0])
         assert np.array_equal(out.amplitudes, initial.amplitudes)
         assert not np.shares_memory(out.amplitudes, initial.amplitudes)
 
-    def test_result_keeps_the_initial_layout(self):
-        state = prepare_state(training_set(), preset_input("xprime"))
-        out = sv.simulate(Circuit(4, (sv.h(state.layout.ancilla_bit),)), state)
-        assert out.layout == state.layout
+    def test_result_has_no_layout(self):
+        assert sv.simulate(Circuit(4, (sv.h(2),))).layout is None
+        # it runs from |0...0> only: a start state is no argument
+        with pytest.raises(TypeError):
+            sv.simulate(Circuit(4, ()), prepare_state(training_set(), preset_input("xprime")))
 
 
 class TestCircuitUnitary:
@@ -529,9 +550,9 @@ class TestCircuitUnitary:
     def test_matches_gate_by_gate_application(self, seed):
         circ = random_circuit(4, 20, seed + 200)
         u = sv.circuit_unitary(circ)
-        state = random_state(4, seed + 300)
-        expected = u @ state.amplitudes
-        got = sv.simulate(circ, state)
+        prefix = entangling_prefix(4, seed + 300)
+        expected = u @ sv.simulate(Circuit(4, prefix)).amplitudes
+        got = sv.simulate(Circuit(4, prefix + circ.ops))
         assert np.allclose(got.amplitudes, expected, atol=1e-10)
 
 
@@ -542,9 +563,8 @@ class TestCircuitUnitary:
         dim = 1 << circ.n_qubits
         assert u.shape == (dim, dim)
         for j in range(dim):
-            basis = np.zeros(dim, dtype=complex)
-            basis[j] = 1.0
-            col = sv.simulate(circ, sv.QuantumState(circ.n_qubits, basis)).amplitudes
+            prefixed = Circuit(circ.n_qubits, basis_prefix(j, circ.n_qubits) + circ.ops)
+            col = sv.simulate(prefixed).amplitudes
             assert np.allclose(u[:, j], col, atol=1e-12, rtol=0.0)
 
     def test_unitary_at_qubit_cap(self):
@@ -555,7 +575,5 @@ class TestCircuitUnitary:
         assert u.shape == (1 << n, 1 << n)
         assert np.allclose(u @ u.conj().T, np.eye(1 << n), atol=1e-12, rtol=0.0)
         for j in (0, 1 << 9, (1 << n) - 1):
-            basis = np.zeros(1 << n, dtype=complex)
-            basis[j] = 1.0
-            col = sv.simulate(circ, sv.QuantumState(n, basis)).amplitudes
+            col = sv.simulate(Circuit(n, basis_prefix(j, n) + circ.ops)).amplitudes
             assert np.allclose(u[:, j], col, atol=1e-12, rtol=0.0)
