@@ -33,6 +33,11 @@ from .statevector import BRANCH_FLOOR, QuantumState, check_capacity, check_unit
 # blocks as in one call
 SAMPLE_BLOCK = 1 << 20
 
+# prepare_state and the closed-form readout take the training rows this many
+# at a time, so each block's transpose, sums and slice of the state stay in
+# cache (a block of 16 features is 128 KiB of sums)
+ROW_BLOCK = 1 << 10
+
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -119,7 +124,9 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
     read_batch runs on this one input, and kept on the state; it is what
     interfere_and_read and interfere_and_sample report, and they read no
     other state. It is computed before the state is allocated, so its
-    temporaries are freed first.
+    temporaries, a block of training rows at a time, are freed first. The
+    state is then zeroed and filled one block of index branches at a time,
+    so beside the state only one block's fill values are held.
     """
     xt = _check_input(train, x_tilde)
     M, N = train.M, train.dimension
@@ -129,21 +136,36 @@ def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
 
     check_capacity(layout.n_qubits)
     (p_acc,), (p_minus,) = _closed_form(train, xt[None])
-    amps = np.zeros(1 << layout.n_qubits, dtype=complex)
+    amps = np.empty(1 << layout.n_qubits, dtype=complex)
+    branches = amps.reshape(1 << m_bits, -1)
+    branches[M:] = 0
 
     weight = 1.0 / math.sqrt(2 * M)
-    # axes (m, ancilla, i, class bit), most significant first; every
-    # amplitude is real, so only the real parts are written
-    view = amps.reshape(1 << m_bits, 2, 1 << i_bits, 2).real
-    m_idx, c_bits = np.arange(M), (train.labels + 1) // 2
-    view[m_idx, 0, :N, c_bits] = weight * xt
-    view[m_idx, 1, :N, c_bits] = weight * train.vectors
+    for start, stop in _row_blocks(M):
+        block = branches[start:stop]
+        block[...] = 0
+        # axes (m, ancilla, i, class bit), most significant first; every
+        # amplitude is real, so only the real parts are written
+        view = block.reshape(-1, 2, 1 << i_bits, 2).real
+        # the row index counts the block's training rows
+        c_bits = (train.labels[start:stop] + 1) // 2
+        m_idx = np.arange(len(c_bits))
+        view[m_idx, 0, :N, c_bits] = weight * xt
+        view[m_idx, 1, :N, c_bits] = weight * train.vectors[start:stop]
 
     # read-only and owning its data, so the state keeps it without a copy
     amps.setflags(write=False)
     state = QuantumState(layout.n_qubits, amps, layout)
     object.__setattr__(state, "_kept_branch", (float(p_acc), float(p_minus)))
     return state
+
+
+def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of ROW_BLOCK training rows. A lone last row
+    joins the block before it: a block of one row, read for one input, would
+    sum its features pairwise, not in order, and round unlike one pass."""
+    stops = [*range(ROW_BLOCK, n_rows - 1, ROW_BLOCK), n_rows]
+    return list(zip([0, *stops[:-1]], stops))
 
 
 def _prepared_readout(state: QuantumState) -> tuple[float, float]:
@@ -236,7 +258,9 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
     below the postselection floor, where interfere_and_read raises
     ImpossibleBranchError, get p_acc = 0 and p_class_minus = nan. A batch of
     training sets (vectors (..., M, N)) reads the matching batch of inputs
-    (..., K, N) set by set. Holds a (... x K x M x N) temporary.
+    (..., K, N) set by set. Holds a (... x K x M) array of weights and, for
+    one block of ROW_BLOCK training rows at a time, a (... x K x ROW_BLOCK x N)
+    temporary.
     """
     X = np.asarray(X, dtype=float)
     lead = train.vectors.shape[:-2]
@@ -255,12 +279,16 @@ def _closed_form(train: TrainingSet, X: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Both come from the class sums of the weights w_km = |x_k + x^m|^2. (For
     unit rows w_km = 2 + 2<x_k, x^m>, but that Gram form cancels badly where
-    x_k is nearly opposite x^m.)
+    x_k is nearly opposite x^m.) The weights are summed over the features
+    one block of training rows at a time, in the same order as in one pass.
     """
-    # features outermost, so each broadcast step runs over a whole (K x M) plane
-    xs, vs = (np.ascontiguousarray(np.swapaxes(a, -1, -2)) for a in (X, train.vectors))
-    sums = xs[..., :, :, None] + vs[..., :, None, :]
-    w = np.square(sums, out=sums).sum(-3)
+    # features outermost, so each broadcast step runs over a whole (K x block) plane
+    xs = np.ascontiguousarray(np.swapaxes(X, -1, -2))
+    w = np.empty(X.shape[:-1] + (train.M,))
+    for start, stop in _row_blocks(train.M):
+        vs = np.ascontiguousarray(np.swapaxes(train.vectors[..., start:stop, :], -1, -2))
+        sums = xs[..., :, :, None] + vs[..., :, None, :]
+        np.square(sums, out=sums).sum(-3, out=w[..., start:stop])
     minus = (train.labels == -1)[..., None, :]
     w_minus, w_plus = np.where(minus, w, 0.0).sum(-1), np.where(minus, 0.0, w).sum(-1)
     total = w_minus + w_plus

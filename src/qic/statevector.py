@@ -286,9 +286,13 @@ def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
     the original order is restored once, after the last gate, by a copy into
     a new array that owns its data (a reshape that copies returns a view of
     its copy), so a QuantumState keeps the result without copying it again.
+    The input is not referenced past the first gate, so an input that only
+    the caller's call held is freed there.
     """
-    shape = (2,) * n_qubits + amps.shape[1:]
+    in_shape = amps.shape
+    shape = (2,) * n_qubits + in_shape[1:]
     psi = amps.reshape(shape)
+    del amps
     order = tuple(range(psi.ndim))
     for op in ops:
         perm, order = _step_plan(n_qubits, order, op.qubits)
@@ -296,7 +300,7 @@ def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
         matrix = gate_matrix(op)
         psi = matrix.dot(psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
     inverse = sorted(range(len(order)), key=order.__getitem__)
-    out = np.empty(amps.shape, dtype=psi.dtype)
+    out = np.empty(in_shape, dtype=psi.dtype)
     out.reshape(shape)[...] = psi.transpose(inverse)
     return out
 

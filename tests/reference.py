@@ -1,9 +1,10 @@
 """Independent references the tests hold the program to: the encoded
-register's basis index, from its documented bit order, the paper's
-classical kernel-sum decision rule, the statevector readout of an encoded
-state gate by gate (the oracle for the program's one closed-form readout),
-the gate rules checked one at a time, and the checks that hold the program
-to these, shared by the tests and the planted faults."""
+register's basis index, from its documented bit order, and the amplitudes
+set one index at a time, the paper's classical kernel-sum decision rule,
+the statevector readout of an encoded state gate by gate (the oracle for the
+program's one closed-form readout), that closed form taken over all training
+rows in one pass, the gate rules checked one at a time, and the checks that
+hold the program to these, shared by the tests and the planted faults."""
 
 import math
 import tracemalloc
@@ -11,9 +12,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qic.classifier import interfere_and_read, prepare_state, read_batch
+from qic.classifier import (
+    ROW_BLOCK,
+    TrainingSet,
+    interfere_and_read,
+    interfere_and_sample,
+    prepare_state,
+    read_batch,
+)
 from qic.errors import ImpossibleBranchError
 from qic.statevector import (
+    BRANCH_FLOOR,
     GATE_ARITY,
     ROTATION_KINDS,
     apply_gate,
@@ -35,6 +44,31 @@ def basis_index(layout, m: int, ancilla: int, i: int, class_bit: int) -> int:
         | (ancilla << (1 + layout.i_bits))
         | (m << (2 + layout.i_bits))
     )
+
+
+def entrywise_amplitudes(train, x_tilde, layout) -> np.ndarray:
+    """The encoded amplitudes of x_tilde against train in a layout, set one
+    basis_index at a time: w x~_i on ancilla 0 and w x^m_i on ancilla 1, with
+    w = 1/sqrt(2M), at the class bit of y^m; zero on index branches m >= M
+    and data components i >= N."""
+    w = 1 / math.sqrt(2 * train.M)
+    amplitudes = np.zeros(1 << layout.n_qubits, dtype=complex)
+    for m in range(train.M):
+        c = 0 if train.labels[m] == -1 else 1
+        for i in range(train.dimension):
+            amplitudes[basis_index(layout, m, 0, i, c)] = w * x_tilde[i]
+            amplitudes[basis_index(layout, m, 1, i, c)] = w * train.vectors[m, i]
+    return amplitudes
+
+
+def randomly_labelled_set(rng, M: int, N: int):
+    """M unit training vectors of dimension N with labels drawn one by one
+    from {-1, +1}, and a unit input."""
+    vectors = rng.normal(size=(M, N))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    train = TrainingSet(vectors=vectors, labels=rng.choice([-1, 1], size=M))
+    x_tilde = rng.normal(size=N)
+    return train, x_tilde / np.linalg.norm(x_tilde)
 
 
 def kernel(x, x_prime, M: int) -> float:
@@ -80,6 +114,47 @@ def gate_read(train, x_tilde):
     return p_acc, p_minus, (-1 if p_minus > 0.5 else +1)
 
 
+def one_pass_readout(train, X):
+    """read_batch's (p_acc, p_class_minus) with every training row transposed
+    and summed at once: the weights w_km = |x_k + x^m|^2, summed over the
+    features in order, their class sums, and p_acc floored to 0 with
+    p_class_minus nan at or below BRANCH_FLOOR."""
+    xs, vs = (np.ascontiguousarray(np.swapaxes(a, -1, -2)) for a in (X, train.vectors))
+    sums = xs[..., :, :, None] + vs[..., :, None, :]
+    w = np.square(sums, out=sums).sum(-3)
+    minus = (train.labels == -1)[..., None, :]
+    w_minus, w_plus = np.where(minus, w, 0.0).sum(-1), np.where(minus, 0.0, w).sum(-1)
+    total = w_minus + w_plus
+    p_acc = total / (4 * train.M)
+    possible = p_acc > BRANCH_FLOOR
+    p_minus = w_minus / np.where(possible, total, 1.0)
+    return np.where(possible, p_acc, 0.0), np.where(possible, p_minus, np.nan)
+
+
+def assert_blocks_equal_one_pass(train, x_tilde, shots=8192, seed=0):
+    """For an input whose branch is possible: prepare_state's amplitudes equal
+    entrywise_amplitudes exactly; read_batch, of the input alone and stacked
+    over two training rows, and both readouts of the prepared state equal
+    one_pass_readout exactly, the sampled one through the draws it makes."""
+    state = prepare_state(train, x_tilde)
+    assert np.array_equal(state.amplitudes,
+                          entrywise_amplitudes(train, x_tilde, state.layout))
+    for X in (x_tilde[None], np.vstack([x_tilde, train.vectors[:2]])):
+        p_acc, p_minus = read_batch(train, X)
+        ref_acc, ref_minus = one_pass_readout(train, X)
+        assert np.array_equal(p_acc, ref_acc)
+        assert np.array_equal(p_minus, ref_minus, equal_nan=True)
+    (p_acc,), (p_minus,) = one_pass_readout(train, x_tilde[None])
+    outcome = interfere_and_read(state)
+    assert (outcome.p_acc, outcome.p_class_minus) == (p_acc, p_minus)
+    assert outcome.p_class_plus == 1.0 - p_minus
+    rng = np.random.default_rng(seed)
+    accepted = int(np.count_nonzero(rng.random(shots) < p_acc))
+    minus_count = int(np.count_nonzero(rng.random(accepted) < p_minus))
+    sampled = interfere_and_sample(state, shots, seed)
+    assert (sampled.accepted, sampled.p_class_minus) == (accepted, minus_count / accepted)
+
+
 def assert_matches_statevector(train, X):
     """read_batch against gate_read row by row: p_acc and p_minus to 1e-12,
     the label exactly, and (0, nan) where postselection fails."""
@@ -113,15 +188,18 @@ def assert_read_matches_gate_path(state):
 
 
 def assert_built_without_a_copy(train, x_tilde):
-    """prepare_state's tracemalloc peak: the state plus its M x N fill values,
-    under 1.5 times the state's bytes; a copy of the state would add it again."""
+    """prepare_state's tracemalloc peak: the state plus the fill values of one
+    block of ROW_BLOCK training rows and their indices, under one and a half
+    blocks; a copy of the state, or the fill values of every row at once,
+    would add more."""
     tracemalloc.start()
     try:
         state = prepare_state(train, x_tilde)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * state.amplitudes.nbytes
+    block = ROW_BLOCK * train.dimension * train.vectors.itemsize
+    assert peak <= state.amplitudes.nbytes + 1.5 * block
     assert state.amplitudes.base.flags.owndata
 
 

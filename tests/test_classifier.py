@@ -11,6 +11,7 @@ from qic import classifier
 from qic import statevector as sv
 from qic.circuit import build_experiment_circuit
 from qic.classifier import (
+    ROW_BLOCK,
     SAMPLE_BLOCK,
     RegisterLayout,
     TrainingSet,
@@ -30,14 +31,17 @@ from qic.presets import X1, preset_input, training_set
 
 from reference import (
     CLASS_BIT,
+    assert_blocks_equal_one_pass,
     assert_built_without_a_copy,
     assert_matches_statevector,
     assert_read_matches_gate_path,
     basis_index,
     classical_classify,
+    entrywise_amplitudes,
     gate_path,
     gate_read,
     kernel,
+    randomly_labelled_set,
 )
 
 # the start of the ValueError both readouts raise for a state that
@@ -150,15 +154,8 @@ class TestPrepareState:
     def test_amplitudes_equal_entrywise_build(self, seed, M, N):
         train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
         state = prepare_state(train, x_tilde)
-        layout = state.layout
-        w = 1 / math.sqrt(2 * M)
-        expected = np.zeros(1 << layout.n_qubits, dtype=complex)
-        for m in range(M):
-            c = 0 if train.labels[m] == -1 else 1
-            for i in range(N):
-                expected[basis_index(layout, m, 0, i, c)] = w * x_tilde[i]
-                expected[basis_index(layout, m, 1, i, c)] = w * train.vectors[m, i]
-        assert np.array_equal(state.amplitudes, expected)
+        assert np.array_equal(state.amplitudes,
+                              entrywise_amplitudes(train, x_tilde, state.layout))
 
     def test_amplitudes_are_read_only(self):
         state = prepare_state(training_set(), preset_input("xprime"))
@@ -209,6 +206,32 @@ class TestPrepareState:
         train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
         with pytest.raises(NormalizationError):
             prepare_state(train, [bad, 1.0])
+
+
+def block_edges(block):
+    """Training-row counts around the edges of blocks of this many rows."""
+    return [block - 1, block, block + 1, 2 * block + 3]
+
+
+class TestRowBlocks:
+    """prepare_state and the closed-form readout take the training rows
+    ROW_BLOCK at a time; at each block edge the state and every readout equal
+    one pass over all the rows, bit for bit."""
+
+    @pytest.mark.parametrize("N", [1, 3, 16])
+    @pytest.mark.parametrize("M", block_edges(ROW_BLOCK))
+    def test_block_edges_equal_one_pass(self, M, N):
+        rng = np.random.default_rng(M * 100 + N)
+        assert_blocks_equal_one_pass(*randomly_labelled_set(rng, M, N))
+
+    @pytest.mark.parametrize("M", block_edges(4))
+    def test_small_block_edges_equal_one_pass(self, M, monkeypatch):
+        # at four rows a block, a last block's rounding reaches the readout:
+        # a lone last row, summed over its 16 features pairwise and not in
+        # order, changed it for 10 of these 40 inputs of five rows
+        monkeypatch.setattr(classifier, "ROW_BLOCK", 4)
+        for seed in range(40):
+            assert_blocks_equal_one_pass(*randomly_labelled_set(np.random.default_rng(seed), M, 16))
 
 
 class TestInterfereAndRead:
@@ -520,11 +543,12 @@ class TestPreparedReadout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the state and, while it is filled, its M x N scaled training vectors
-        # (an eighth of it here). The closed form's temporaries, about a
-        # quarter of the state, are freed before the state is allocated, and
-        # neither readout builds a buffer.
-        assert peak <= 1.03 * (state.amplitudes.nbytes + train.vectors.nbytes)
+        # the state and, while a block is filled, the scaled training vectors
+        # of one block of ROW_BLOCK rows and their indices. The closed form's
+        # temporaries, a few blocks, are freed before the state is allocated,
+        # and neither readout builds a buffer.
+        block = ROW_BLOCK * train.dimension * train.vectors.itemsize
+        assert peak <= state.amplitudes.nbytes + 1.5 * block
 
 
 class TestInterfereAndSample:
@@ -787,6 +811,21 @@ class TestReadBatch:
             read_batch(batch, [[v], [v], [v]])
         with pytest.raises(ValueError, match="one training set"):
             prepare_state(batch, v)
+
+    @pytest.mark.parametrize("M", [1 << 12, 1 << 14])
+    def test_holds_blocks_of_rows_not_the_whole_set(self, M):
+        train, x_tilde = random_instance(np.random.default_rng(5), M, N=16)
+        tracemalloc.start()
+        try:
+            read_batch(train, x_tilde[None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sums of a few blocks of ROW_BLOCK rows, and per row a weight,
+        # a masked copy of it and a label mask (17 bytes); no term grows with
+        # M x N (one pass over the whole set held twice the set's bytes)
+        block = ROW_BLOCK * train.dimension * train.vectors.itemsize
+        assert peak <= 4 * block + 20 * M
 
     def test_reference_inputs(self):
         X = np.array([preset_input("xprime"), preset_input("xdoubleprime")])

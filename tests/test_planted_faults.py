@@ -1,6 +1,9 @@
-"""Planted faults: each fault is patched into the one readout core, or into
-the handoff of the state prepare_state builds, and the shared checks of
-tests/reference.py must fail on fixed inputs that they pass unpatched."""
+"""Planted faults: each fault is patched into the one readout core, into the
+blocks of training rows that it and prepare_state take, or into the handoff
+of the state prepare_state builds, and the shared checks of
+tests/reference.py must fail on inputs that they pass unpatched."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,9 +14,11 @@ from qic.classifier import TrainingSet, prepare_state
 from qic.presets import preset_input, training_set
 
 from reference import (
+    assert_blocks_equal_one_pass,
     assert_built_without_a_copy,
     assert_matches_statevector,
     assert_read_matches_gate_path,
+    randomly_labelled_set,
 )
 
 TRAIN = training_set()
@@ -50,6 +55,30 @@ def writable_handoff(monkeypatch):
     monkeypatch.setattr(classifier, "QuantumState", planted)
 
 
+def blocks_over_padded_rows(monkeypatch):
+    # each block counted as ROW_BLOCK rows, past the training rows it holds
+    # into the padded index branches: a lone last row that joined the block
+    # before it is left out
+    blocks = classifier._row_blocks
+    monkeypatch.setattr(classifier, "_row_blocks", lambda n_rows: [
+        (start, start + classifier.ROW_BLOCK) for start, _ in blocks(n_rows)])
+
+
+def last_partial_block_skipped(monkeypatch):
+    blocks = classifier._row_blocks
+    monkeypatch.setattr(classifier, "_row_blocks", lambda n_rows: [
+        (start, stop) for start, stop in blocks(n_rows)
+        if stop - start >= classifier.ROW_BLOCK])
+
+
+def lone_last_row_block(monkeypatch):
+    # a last row left in a block of its own, which sums its features
+    # pairwise; at four rows a block its rounding reaches the readout
+    monkeypatch.setattr(classifier, "ROW_BLOCK", 4)
+    monkeypatch.setattr(classifier, "_row_blocks", lambda n_rows: [
+        (start, min(start + 4, n_rows)) for start in range(0, n_rows, 4)])
+
+
 def read_batch_check():
     assert_matches_statevector(TRAIN, INPUTS)
 
@@ -69,12 +98,33 @@ def no_copy_check():
                                 x / np.linalg.norm(x))
 
 
+# a fresh seed on every call, so that a block a fault leaves unwritten cannot
+# hold the values an earlier call left in the same memory
+BLOCK_SEEDS = itertools.count()
+
+
+def block_edge_check():
+    # a last row that joins the block before it, and a last block of three rows
+    rng = np.random.default_rng(next(BLOCK_SEEDS))
+    for M in (classifier.ROW_BLOCK + 1, 2 * classifier.ROW_BLOCK + 3):
+        assert_blocks_equal_one_pass(*randomly_labelled_set(rng, M, 3))
+
+
+def lone_row_check():
+    # five rows of 16 features, one block unpatched, and a block of four and
+    # a lone row under the fault; seed 1's readout tells the two apart
+    assert_blocks_equal_one_pass(*randomly_labelled_set(np.random.default_rng(1), 5, 16))
+
+
 CASES = [
     (scaled_acceptance, read_batch_check),
     (scaled_acceptance, prepared_readout_check),
     (swapped_class_weights, read_batch_check),
     (swapped_class_weights, prepared_readout_check),
     (writable_handoff, no_copy_check),
+    (blocks_over_padded_rows, block_edge_check),
+    (last_partial_block_skipped, block_edge_check),
+    (lone_last_row_block, lone_row_check),
 ]
 
 
