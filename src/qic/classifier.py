@@ -18,7 +18,6 @@ p_acc = (1/4M) sum_m |x~ + x^m|^2.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -26,16 +25,16 @@ import numpy as np
 
 from .dataset import check_labels
 from .errors import EstimationFailedError, ImpossibleBranchError
-from .statevector import BRANCH_FLOOR, QuantumState, check_capacity, check_unit
+from .statevector import BRANCH_FLOOR, check_capacity, check_unit
 
 # interfere_and_sample draws its uniforms this many at a time, so its memory
 # stays bounded whatever the shot count; a Generator gives the same stream in
 # blocks as in one call
 SAMPLE_BLOCK = 1 << 20
 
-# prepare_state and the closed-form readout take the training rows this many
-# at a time, so each block's transpose, sums and slice of the state stay in
-# cache (a block of 16 features is 128 KiB of sums)
+# the closed-form readout takes the training rows this many at a time, so
+# each block's transpose and sums stay in cache (a block of 16 features is
+# 128 KiB of sums)
 ROW_BLOCK = 1 << 10
 
 
@@ -57,6 +56,21 @@ class RegisterLayout:
     @property
     def ancilla_bit(self) -> int:
         return 1 + self.i_bits
+
+
+@dataclass(frozen=True)
+class PreparedState:
+    """An encoded state as prepare_state returns it: its register layout, the
+    acceptance of ancilla=0 after the ancilla Hadamard, and the class -1
+    share of that branch (nan at or below BRANCH_FLOOR)."""
+
+    layout: RegisterLayout
+    p_acc: float
+    p_class_minus: float
+
+    @property
+    def n_qubits(self) -> int:
+        return self.layout.n_qubits
 
 
 @dataclass
@@ -113,51 +127,24 @@ def _check_input(train: TrainingSet, x_tilde) -> np.ndarray:
     return xt
 
 
-def prepare_state(train: TrainingSet, x_tilde) -> QuantumState:
-    """Build the encoded superposition state for a training set and one input.
+def prepare_state(train: TrainingSet, x_tilde) -> PreparedState:
+    """Encode one input against a training set as its register layout and its
+    closed-form readout.
 
-    Amplitude of basis (m, a, i, c): x~_i/sqrt(2M) for a=0 and x^m_i/sqrt(2M)
-    for a=1, with c the class bit of y^m (0 for -1, 1 for +1). Index branches
-    m >= M and padded data components carry zero amplitude.
-
-    The state's readout is computed here in closed form, by the core that
-    read_batch runs on this one input, and kept on the state; it is what
-    interfere_and_read and interfere_and_sample report, and they read no
-    other state. It is computed before the state is allocated, so its
-    temporaries, a block of training rows at a time, are freed first. The
-    state is then zeroed and filled one block of index branches at a time,
-    so beside the state only one block's fill values are held.
+    The encoded state gives basis (m, a, i, c) the amplitude x~_i/sqrt(2M)
+    for a=0 and x^m_i/sqrt(2M) for a=1, with c the class bit of y^m (0 for
+    -1, 1 for +1), and zero on index branches m >= M and padded data
+    components. No readout reads those 2^n amplitudes, so none is allocated:
+    the layout is held to the qubit cap, and the readout is the core that
+    read_batch runs, on this one input.
     """
     xt = _check_input(train, x_tilde)
-    M, N = train.M, train.dimension
-    m_bits = max(1, (M - 1).bit_length())
-    i_bits = max(1, (N - 1).bit_length()) if N > 1 else 1
-    layout = RegisterLayout(m_bits=m_bits, i_bits=i_bits)
-
+    # a lone index or data component still takes one qubit
+    layout = RegisterLayout(m_bits=max(1, (train.M - 1).bit_length()),
+                            i_bits=max(1, (train.dimension - 1).bit_length()))
     check_capacity(layout.n_qubits)
     (p_acc,), (p_minus,) = _closed_form(train, xt[None])
-    amps = np.empty(1 << layout.n_qubits, dtype=complex)
-    branches = amps.reshape(1 << m_bits, -1)
-    branches[M:] = 0
-
-    weight = 1.0 / math.sqrt(2 * M)
-    for start, stop in _row_blocks(M):
-        block = branches[start:stop]
-        block[...] = 0
-        # axes (m, ancilla, i, class bit), most significant first; every
-        # amplitude is real, so only the real parts are written
-        view = block.reshape(-1, 2, 1 << i_bits, 2).real
-        # the row index counts the block's training rows
-        c_bits = (train.labels[start:stop] + 1) // 2
-        m_idx = np.arange(len(c_bits))
-        view[m_idx, 0, :N, c_bits] = weight * xt
-        view[m_idx, 1, :N, c_bits] = weight * train.vectors[start:stop]
-
-    # read-only and owning its data, so the state keeps it without a copy
-    amps.setflags(write=False)
-    state = QuantumState(layout.n_qubits, amps, layout)
-    object.__setattr__(state, "_kept_branch", (float(p_acc), float(p_minus)))
-    return state
+    return PreparedState(layout, float(p_acc), float(p_minus))
 
 
 def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
@@ -168,23 +155,22 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
     return list(zip([0, *stops[:-1]], stops))
 
 
-def _prepared_readout(state: QuantumState) -> tuple[float, float]:
-    """The (p_acc, p_class_minus) pair that prepare_state kept on the state."""
-    kept = getattr(state, "_kept_branch", None)
-    if kept is None:
+def _prepared_readout(state: PreparedState) -> tuple[float, float]:
+    """The (p_acc, p_class_minus) pair of a state that prepare_state built."""
+    if not isinstance(state, PreparedState):
         raise ValueError(
             "only a state from prepare_state can be read; read any other state with "
             "apply_gate, postselect and qubit_probabilities"
         )
-    return kept
+    return state.p_acc, state.p_class_minus
 
 
-def interfere_and_read(state: QuantumState) -> ClassificationOutcome:
+def interfere_and_read(state: PreparedState) -> ClassificationOutcome:
     """Interfere the branches and read the class qubit exactly.
 
     Reports the acceptance of ancilla=0 after the ancilla Hadamard and the
-    class-qubit marginal of that branch, as prepare_state kept them on the
-    state (read_batch's values bit for bit). Class bit 0 encodes label -1;
+    class-qubit marginal of that branch, as prepare_state computed them
+    (read_batch's values bit for bit). Class bit 0 encodes label -1;
     ties at 0.5 predict +1. Raises ImpossibleBranchError when the acceptance
     is at or below BRANCH_FLOOR, and ValueError for any state that
     prepare_state did not build.
@@ -204,7 +190,7 @@ def interfere_and_read(state: QuantumState) -> ClassificationOutcome:
 
 
 def interfere_and_sample(
-    state: QuantumState, shots: int, seed: int
+    state: PreparedState, shots: int, seed: int
 ) -> ClassificationOutcome:
     """Shot-based version of interfere_and_read.
 
@@ -254,9 +240,9 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the (p_acc, p_class_minus) arrays that interfere_and_read gives
     row by row, from the sum-vector weights w_km = |x_k + x^m|^2; prepare_state
-    runs this one readout core and keeps its result on the state. Rows at or
-    below the postselection floor, where interfere_and_read raises
-    ImpossibleBranchError, get p_acc = 0 and p_class_minus = nan. A batch of
+    runs this one readout core too. Rows at or below the postselection
+    floor, where interfere_and_read raises ImpossibleBranchError, get
+    p_acc = 0 and p_class_minus = nan. A batch of
     training sets (vectors (..., M, N)) reads the matching batch of inputs
     (..., K, N) set by set. Holds a (... x K x M) array of weights and, for
     one block of ROW_BLOCK training rows at a time, a (... x K x ROW_BLOCK x N)
@@ -289,6 +275,8 @@ def _closed_form(train: TrainingSet, X: np.ndarray) -> tuple[np.ndarray, np.ndar
         vs = np.ascontiguousarray(np.swapaxes(train.vectors[..., start:stop, :], -1, -2))
         sums = xs[..., :, :, None] + vs[..., :, None, :]
         np.square(sums, out=sums).sum(-3, out=w[..., start:stop])
+        # freed here, or both stay alive while the next block's are built
+        del vs, sums
     minus = (train.labels == -1)[..., None, :]
     w_minus, w_plus = np.where(minus, w, 0.0).sum(-1), np.where(minus, 0.0, w).sum(-1)
     total = w_minus + w_plus

@@ -13,14 +13,10 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapacityError, ImpossibleBranchError, NormalizationError
-
-if TYPE_CHECKING:
-    from .classifier import RegisterLayout
 
 MAX_QUBITS = 24
 MAX_UNITARY_QUBITS = 10
@@ -186,8 +182,7 @@ def gate_matrix(op: GateOp) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Immutable length-2**n complex amplitude vector with optional register
-    layout.
+    """Immutable length-2**n complex amplitude vector.
 
     A read-only complex array that owns its data is kept as it is; any other
     input (a view, a writable array, a list) is copied once and the copy made
@@ -197,7 +192,6 @@ class QuantumState:
 
     n_qubits: int
     amplitudes: np.ndarray
-    layout: "RegisterLayout | None" = None
 
     def __post_init__(self):
         amps = self.amplitudes
@@ -207,11 +201,6 @@ class QuantumState:
             amps.setflags(write=False)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(f"expected {1 << self.n_qubits} amplitudes, got {amps.shape}")
-        if self.layout is not None and self.layout.n_qubits != self.n_qubits:
-            raise ValueError(
-                f"register layout of {self.layout.n_qubits} qubits does not fit a "
-                f"{self.n_qubits}-qubit state"
-            )
         object.__setattr__(self, "amplitudes", amps.view())
 
     def probabilities(self) -> np.ndarray:
@@ -309,7 +298,7 @@ def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
     """Return the state transformed by the op's unitary; input is not mutated."""
     amps = _apply_ops(state.amplitudes, state.n_qubits, (op,))
     amps.setflags(write=False)
-    return QuantumState(state.n_qubits, amps, state.layout)
+    return QuantumState(state.n_qubits, amps)
 
 
 def qubit_probabilities(state: QuantumState, qubit: int) -> tuple[float, float]:
@@ -346,7 +335,7 @@ def postselect(
         )
     amps = np.where(keep, state.amplitudes, 0.0) / math.sqrt(accept)
     amps.setflags(write=False)
-    return QuantumState(state.n_qubits, amps, state.layout), accept
+    return QuantumState(state.n_qubits, amps), accept
 
 
 def simulate(circuit) -> QuantumState:

@@ -1,10 +1,12 @@
 """Independent references the tests hold the program to: the encoded
 register's basis index, from its documented bit order, and the amplitudes
-set one index at a time, the paper's classical kernel-sum decision rule,
-the statevector readout of an encoded state gate by gate (the oracle for the
-program's one closed-form readout), that closed form taken over all training
-rows in one pass, the gate rules checked one at a time, and the checks that
-hold the program to these, shared by the tests and the planted faults."""
+placed by it (which the program never builds; tests pin them to the
+simulated experiment circuit), the paper's classical kernel-sum decision
+rule, the statevector readout of that register gate by gate (the oracle for
+the program's one closed-form readout), that closed form taken over all
+training rows in one pass, the gate rules checked one at a time, and the
+checks that hold the program to these, shared by the tests and the planted
+faults."""
 
 import math
 import tracemalloc
@@ -25,6 +27,7 @@ from qic.statevector import (
     BRANCH_FLOOR,
     GATE_ARITY,
     ROTATION_KINDS,
+    QuantumState,
     apply_gate,
     check_unit,
     h,
@@ -37,7 +40,8 @@ CLASS_BIT = 0
 
 
 def basis_index(layout, m: int, ancilla: int, i: int, class_bit: int) -> int:
-    """Index of basis state |m>|ancilla>|i>|class bit> in a RegisterLayout."""
+    """Index of basis state |m>|ancilla>|i>|class bit> in a RegisterLayout;
+    integer arrays give an array of indices."""
     return (
         class_bit
         | (i << 1)
@@ -47,17 +51,16 @@ def basis_index(layout, m: int, ancilla: int, i: int, class_bit: int) -> int:
 
 
 def entrywise_amplitudes(train, x_tilde, layout) -> np.ndarray:
-    """The encoded amplitudes of x_tilde against train in a layout, set one
-    basis_index at a time: w x~_i on ancilla 0 and w x^m_i on ancilla 1, with
-    w = 1/sqrt(2M), at the class bit of y^m; zero on index branches m >= M
-    and data components i >= N."""
+    """The encoded amplitudes of x_tilde against train in a layout, each
+    placed at its basis_index: w x~_i on ancilla 0 and w x^m_i on ancilla 1,
+    with w = 1/sqrt(2M), at the class bit of y^m; zero on index branches
+    m >= M and data components i >= N."""
     w = 1 / math.sqrt(2 * train.M)
     amplitudes = np.zeros(1 << layout.n_qubits, dtype=complex)
-    for m in range(train.M):
-        c = 0 if train.labels[m] == -1 else 1
-        for i in range(train.dimension):
-            amplitudes[basis_index(layout, m, 0, i, c)] = w * x_tilde[i]
-            amplitudes[basis_index(layout, m, 1, i, c)] = w * train.vectors[m, i]
+    m, i = np.indices((train.M, train.dimension))
+    c = np.where(train.labels == -1, 0, 1)[:, None]
+    amplitudes[basis_index(layout, m, 0, i, c)] = w * np.asarray(x_tilde, dtype=float)
+    amplitudes[basis_index(layout, m, 1, i, c)] = w * train.vectors
     return amplitudes
 
 
@@ -97,20 +100,28 @@ def classical_classify(train, x_tilde) -> tuple[float, int]:
     return score, (-1 if score < 0 else +1)
 
 
-def gate_path(state):
-    """The readout gate by gate: ancilla Hadamard, postselect ancilla=0, class
-    marginal. Returns (p_acc, p_class_minus, p_class_plus); postselect raises
-    ImpossibleBranchError at or below its floor."""
-    layout = state.layout
+def encoded_state(train, x_tilde):
+    """The encoded register of x_tilde against train, as a plain QuantumState
+    of entrywise_amplitudes in the layout prepare_state reports, and that
+    layout."""
+    layout = prepare_state(train, x_tilde).layout
+    return QuantumState(layout.n_qubits, entrywise_amplitudes(train, x_tilde, layout)), layout
+
+
+def gate_path(state, layout):
+    """The readout of a state in a register layout, gate by gate: ancilla
+    Hadamard, postselect ancilla=0, class marginal. Returns (p_acc,
+    p_class_minus, p_class_plus); postselect raises ImpossibleBranchError at
+    or below its floor."""
     interfered = apply_gate(state, h(layout.ancilla_bit))
     kept, p_acc = postselect(interfered, layout.ancilla_bit, 0)
     return (p_acc, *qubit_probabilities(kept, CLASS_BIT))
 
 
 def gate_read(train, x_tilde):
-    """(p_acc, p_class_minus, label) of the encoded state of x_tilde, read by
-    gate_path; a class -1 share of exactly 0.5 predicts +1."""
-    p_acc, p_minus, _ = gate_path(prepare_state(train, x_tilde))
+    """(p_acc, p_class_minus, label) of the encoded register of x_tilde, read
+    by gate_path; a class -1 share of exactly 0.5 predicts +1."""
+    p_acc, p_minus, _ = gate_path(*encoded_state(train, x_tilde))
     return p_acc, p_minus, (-1 if p_minus > 0.5 else +1)
 
 
@@ -132,13 +143,11 @@ def one_pass_readout(train, X):
 
 
 def assert_blocks_equal_one_pass(train, x_tilde, shots=8192, seed=0):
-    """For an input whose branch is possible: prepare_state's amplitudes equal
-    entrywise_amplitudes exactly; read_batch, of the input alone and stacked
-    over two training rows, and both readouts of the prepared state equal
-    one_pass_readout exactly, the sampled one through the draws it makes."""
+    """For an input whose branch is possible: read_batch, of the input alone
+    and stacked over two training rows, and both readouts of the prepared
+    state equal one_pass_readout exactly, the sampled one through the draws
+    it makes."""
     state = prepare_state(train, x_tilde)
-    assert np.array_equal(state.amplitudes,
-                          entrywise_amplitudes(train, x_tilde, state.layout))
     for X in (x_tilde[None], np.vstack([x_tilde, train.vectors[:2]])):
         p_acc, p_minus = read_batch(train, X)
         ref_acc, ref_minus = one_pass_readout(train, X)
@@ -170,12 +179,13 @@ def assert_matches_statevector(train, X):
         assert (-1 if p_minus[k] > 0.5 else +1) == ref_label
 
 
-def assert_read_matches_gate_path(state):
-    """interfere_and_read of a prepared state against gate_path: p_acc,
-    p_class_minus and p_class_plus to 1e-12, the label exactly, and
-    ImpossibleBranchError from both or from neither."""
+def assert_read_matches_gate_path(train, x_tilde):
+    """interfere_and_read of the prepared state of x_tilde against gate_path
+    of its encoded register: p_acc, p_class_minus and p_class_plus to 1e-12,
+    the label exactly, and ImpossibleBranchError from both or from neither."""
+    state = prepare_state(train, x_tilde)
     try:
-        p_acc, p_minus, p_plus = gate_path(state)
+        p_acc, p_minus, p_plus = gate_path(*encoded_state(train, x_tilde))
     except ImpossibleBranchError:
         with pytest.raises(ImpossibleBranchError):
             interfere_and_read(state)
@@ -187,20 +197,19 @@ def assert_read_matches_gate_path(state):
     assert outcome.predicted == (-1 if p_minus > 0.5 else +1)
 
 
-def assert_built_without_a_copy(train, x_tilde):
-    """prepare_state's tracemalloc peak: the state plus the fill values of one
-    block of ROW_BLOCK training rows and their indices, under one and a half
-    blocks; a copy of the state, or the fill values of every row at once,
-    would add more."""
+def assert_prepares_no_amplitudes(train, x_tilde):
+    """prepare_state's tracemalloc peak: the weights of the M training rows
+    and at most three blocks of ROW_BLOCK rows' temporaries; any amplitude
+    array of the state, or a block's temporaries kept alive into the next
+    block, would add more."""
     tracemalloc.start()
     try:
-        state = prepare_state(train, x_tilde)
+        prepare_state(train, x_tilde)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     block = ROW_BLOCK * train.dimension * train.vectors.itemsize
-    assert peak <= state.amplitudes.nbytes + 1.5 * block
-    assert state.amplitudes.base.flags.owndata
+    assert peak <= train.M * train.vectors.itemsize + 3 * block
 
 
 def gate_op_error(kind, qubits, theta) -> str | None:

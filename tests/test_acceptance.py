@@ -7,7 +7,6 @@ takes roughly half a minute.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from qic.errors import ImpossibleBranchError
 from qic.presets import X0, X1, preset_input, training_set
 from qic.stats import wald_worst_case, wilson, wilson_worst_case
 
-from reference import classical_classify, gate_path
+from reference import classical_classify, encoded_state, gate_path
 
 REFERENCE_THEORY = {
     "xprime": {"p_acc": 0.729, "p_c0": 0.629},
@@ -339,11 +338,14 @@ def test_criterion_6_three_way_equivalence():
                     vectors=train.vectors[::-1], labels=train.labels[::-1]
                 )
             circ = build_experiment_circuit(x_tilde, train.vectors[0], train.vectors[1])
-            simulated = replace(sv.simulate(circ), layout=state.layout)
-            p_acc, p_minus, _ = gate_path(simulated)
+            simulated = sv.simulate(circ)
+            reference, layout = encoded_state(train, x_tilde)
+            p_acc, p_minus, _ = gate_path(simulated, layout)
             circuit_checked += 1
+            prob_ok &= np.allclose(simulated.amplitudes, reference.amplitudes, atol=1e-10)
             prob_ok &= abs(p_acc - quantum.p_acc) <= 1e-10
             prob_ok &= abs(p_minus - quantum.p_class_minus) <= 1e-10
+            assert np.allclose(simulated.amplitudes, reference.amplitudes, atol=1e-10)
             assert p_acc == pytest.approx(quantum.p_acc, abs=1e-10)
             assert p_minus == pytest.approx(quantum.p_class_minus, abs=1e-10)
 
@@ -351,7 +353,7 @@ def test_criterion_6_three_way_equivalence():
     verdict(
         "6 three-way equivalence",
         ok,
-        f"200 instances agree; {circuit_checked} gate-path probability checks at 1e-10",
+        f"200 instances agree; {circuit_checked} circuit state and gate-path checks at 1e-10",
     )
     assert circuit_checked >= 20
 

@@ -24,6 +24,8 @@ from qic.circuit import (
 from qic.errors import AssignmentError, NormalizationError, UnsupportedGateError
 from qic.presets import X0, X1, preset_input
 
+from reference import encoded_state
+
 EXTENDED_KINDS = ("swap", "ccx", "cry", "ccry")
 
 
@@ -117,12 +119,12 @@ class TestBuildExperimentCircuit:
 
     @pytest.mark.parametrize("preset", ["xprime", "xdoubleprime"])
     def test_matches_direct_state_construction(self, preset):
-        from qic.classifier import prepare_state
+        # the encoded register, placed by its bit order, is the circuit's state
         from qic.presets import training_set
 
         circ = build_experiment_circuit(preset_input(preset), X0, X1)
         simulated = sv.simulate(circ)
-        direct = prepare_state(training_set(), preset_input(preset))
+        direct, _ = encoded_state(training_set(), preset_input(preset))
         assert np.allclose(simulated.amplitudes, direct.amplitudes, atol=1e-10)
 
 

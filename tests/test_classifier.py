@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,12 +32,12 @@ from qic.presets import X1, preset_input, training_set
 from reference import (
     CLASS_BIT,
     assert_blocks_equal_one_pass,
-    assert_built_without_a_copy,
     assert_matches_statevector,
+    assert_prepares_no_amplitudes,
     assert_read_matches_gate_path,
     basis_index,
     classical_classify,
-    entrywise_amplitudes,
+    encoded_state,
     gate_path,
     gate_read,
     kernel,
@@ -124,48 +124,9 @@ class TestTrainingSet:
 
 
 class TestPrepareState:
-    def test_single_identical_point(self):
-        train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
-        state = prepare_state(train, [1.0, 0.0])
-        # both ancilla branches carry the same vector at amplitude 1/sqrt(2)
-        layout = state.layout
-        i0a0 = basis_index(layout, m=0, ancilla=0, i=0, class_bit=0)
-        i0a1 = basis_index(layout, m=0, ancilla=1, i=0, class_bit=0)
-        expected = np.zeros(state.amplitudes.size)
-        expected[i0a0] = expected[i0a1] = 1 / math.sqrt(2)
-        assert np.allclose(state.amplitudes, expected)
-
-    def test_amplitudes_follow_encoding(self):
-        rng = np.random.default_rng(0)
-        train, x_tilde = random_instance(rng, M=4, N=4)
-        state = prepare_state(train, x_tilde)
-        layout = state.layout
-        w = 1 / math.sqrt(2 * train.M)
-        for m in range(train.M):
-            c = 0 if train.labels[m] == -1 else 1
-            for i in range(4):
-                a0 = basis_index(layout, m, 0, i, c)
-                a1 = basis_index(layout, m, 1, i, c)
-                assert state.amplitudes[a0] == pytest.approx(w * x_tilde[i])
-                assert state.amplitudes[a1] == pytest.approx(w * train.vectors[m, i])
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7))
-    def test_amplitudes_equal_entrywise_build(self, seed, M, N):
-        train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
-        state = prepare_state(train, x_tilde)
-        assert np.array_equal(state.amplitudes,
-                              entrywise_amplitudes(train, x_tilde, state.layout))
-
-    def test_amplitudes_are_read_only(self):
-        state = prepare_state(training_set(), preset_input("xprime"))
-        assert not state.amplitudes.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            state.amplitudes[0] = 1.0
-
-    def test_state_is_built_without_a_copy(self):
+    def test_holds_no_amplitudes(self):
         train, x_tilde = random_instance(np.random.default_rng(3), M=1 << 12, N=16)
-        assert_built_without_a_copy(train, x_tilde)
+        assert_prepares_no_amplitudes(train, x_tilde)
 
     def test_rejects_a_layout_over_the_qubit_cap_before_allocating(self):
         # 13 index bits, 10 data bits, ancilla and class: 25 qubits, 512 MiB
@@ -179,17 +140,6 @@ class TestPrepareState:
         finally:
             tracemalloc.stop()
         assert peak <= 1 << 20
-
-    def test_unused_index_branches_are_zero(self):
-        rng = np.random.default_rng(1)
-        train, x_tilde = random_instance(rng, M=3, N=2)
-        train = TrainingSet(vectors=train.vectors, labels=np.array([-1, 1, -1]))
-        state = prepare_state(train, x_tilde)
-        layout = state.layout
-        assert layout.m_bits == 2
-        m_vals = np.arange(state.amplitudes.size) >> (2 + layout.i_bits)
-        assert np.all(state.amplitudes[m_vals == 3] == 0)
-        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_mismatch(self):
         train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
@@ -214,9 +164,9 @@ def block_edges(block):
 
 
 class TestRowBlocks:
-    """prepare_state and the closed-form readout take the training rows
-    ROW_BLOCK at a time; at each block edge the state and every readout equal
-    one pass over all the rows, bit for bit."""
+    """The closed-form readout takes the training rows ROW_BLOCK at a time;
+    at each block edge every readout equals one pass over all the rows, bit
+    for bit."""
 
     @pytest.mark.parametrize("N", [1, 3, 16])
     @pytest.mark.parametrize("M", block_edges(ROW_BLOCK))
@@ -276,15 +226,14 @@ class TestInterfereAndRead:
            antipodal=st.sampled_from(["none", "one", "all"]))
     def test_matches_gate_path(self, seed, M, N, antipodal):
         # non-powers of two leave unused index branches and padded data bits
-        assert_read_matches_gate_path(prepare_state(*antipodal_instance(seed, M, N, antipodal)))
+        assert_read_matches_gate_path(*antipodal_instance(seed, M, N, antipodal))
 
     @pytest.mark.parametrize("M, N", [(5000, 3), (2, 8193)], ids=["5000x3", "2x8193"])
     def test_large_states_match_gate_path(self, M, N):
         # 17 qubits each: 13 index bits, or 14 data bits
         train, x_tilde = random_instance(np.random.default_rng(M + N), M, N)
-        state = prepare_state(train, x_tilde)
-        assert state.n_qubits == 17
-        assert_read_matches_gate_path(state)
+        assert prepare_state(train, x_tilde).n_qubits == 17
+        assert_read_matches_gate_path(train, x_tilde)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-8])
     def test_below_floor_is_impossible_branch(self, eps):
@@ -337,11 +286,12 @@ class TestThreeWayEquivalence:
         train, x_tilde = random_instance(rng, M=2, N=2)
         if train.labels[0] == 1:  # circuit fixes class -1 at index 0
             train = TrainingSet(vectors=train.vectors[::-1], labels=train.labels[::-1])
-        direct = prepare_state(train, x_tilde)
         circ = build_experiment_circuit(x_tilde, train.vectors[0], train.vectors[1])
-        simulated = replace(sv.simulate(circ), layout=direct.layout)
-        a = interfere_and_read(direct)
-        p_acc, p_minus, _ = gate_path(simulated)
+        simulated = sv.simulate(circ)
+        reference, layout = encoded_state(train, x_tilde)
+        assert np.allclose(simulated.amplitudes, reference.amplitudes, atol=1e-10)
+        a = interfere_and_read(prepare_state(train, x_tilde))
+        p_acc, p_minus, _ = gate_path(simulated, layout)
         assert a.p_acc == pytest.approx(p_acc, abs=1e-10)
         assert a.p_class_minus == pytest.approx(p_minus, abs=1e-10)
         assert a.predicted == (-1 if p_minus > 0.5 else +1)
@@ -361,10 +311,9 @@ def readouts(state, shots, seed, exact_first):
 
 
 class TestKeptBranchReadOnce:
-    """A state cannot change, so its kept branch is read once, by
-    prepare_state in closed form, for every readout of it. A state built any
-    other way keeps no readout: both readouts reject it, and the gate path
-    reads it."""
+    """A prepared state's kept branch is read once, by prepare_state in
+    closed form, for every readout of it. A state built any other way holds
+    no readout: both readouts reject it, and the gate path reads it."""
 
     def test_exact_and_sampled_readouts_share_one_pass(self, monkeypatch):
         # the one pass is prepare_state's run of the closed-form core
@@ -384,89 +333,24 @@ class TestKeptBranchReadOnce:
     def test_only_a_prepared_state_is_read(self):
         train, x_tilde = training_set(), preset_input("xprime")
         prepared = prepare_state(train, x_tilde)
-        other = prepare_state(train, preset_input("xdoubleprime"))
+        encoded, _ = encoded_state(train, x_tilde)
         circ = build_experiment_circuit(x_tilde, *train.vectors)
-        writable = np.array(prepared.amplitudes)
         states = {
-            "replaced": replace(prepared),
+            "encoded": encoded,
             "simulated": sv.simulate(circ),
-            "simulated with a layout": replace(sv.simulate(circ), layout=prepared.layout),
-            "gate applied": sv.apply_gate(prepared, sv.x(0)),
-            "gate applied without a layout": sv.apply_gate(replace(prepared, layout=None),
-                                                           sv.x(0)),
-            "from a list": sv.QuantumState(4, list(prepared.amplitudes), prepared.layout),
-            "from a writable array": sv.QuantumState(4, writable, prepared.layout),
-            "from a view": sv.QuantumState(4, writable[:], prepared.layout),
-            "rebound amplitudes": replace(prepared, amplitudes=other.amplitudes),
-            "rebound layout": replace(prepared, layout=RegisterLayout(m_bits=0, i_bits=2)),
+            "gate applied": sv.apply_gate(encoded, sv.x(0)),
+            "from a list": sv.QuantumState(4, list(encoded.amplitudes)),
+            "from a writable array": sv.QuantumState(4, np.array(encoded.amplitudes)),
         }
         for state in states.values():
             with pytest.raises(ValueError, match=NOT_PREPARED):
                 interfere_and_read(state)
             with pytest.raises(ValueError, match=NOT_PREPARED):
                 interfere_and_sample(state, 100, 0)
-        # no readout went stale: the prepared state still reads its closed form
+        # the prepared state still reads its closed form
         (p_acc,), (p_minus,) = read_batch(train, x_tilde[None])
         outcome = interfere_and_read(prepared)
         assert (outcome.p_acc, outcome.p_class_minus) == (p_acc, p_minus)
-
-    def test_rebinding_amplitudes_reads_afresh(self):
-        train = training_set()
-        prepared = prepare_state(train, preset_input("xprime"))
-        other = prepare_state(train, preset_input("xdoubleprime"))
-        before = interfere_and_read(prepared)
-        with pytest.raises(FrozenInstanceError):
-            prepared.amplitudes = other.amplitudes
-        # the new amplitudes come only as a new state, which keeps no readout:
-        # the readouts reject it, and the gate path reads it afresh
-        rebound = replace(prepared, amplitudes=other.amplitudes)
-        with pytest.raises(ValueError, match=NOT_PREPARED):
-            interfere_and_read(rebound)
-        assert gate_path(rebound) == gate_path(other)
-        assert interfere_and_read(prepared) == before
-
-    def test_rebinding_layout_reads_afresh(self):
-        train, x_tilde = random_instance(np.random.default_rng(5), M=4, N=4)
-        prepared = prepare_state(train, x_tilde)
-        # the same 6 qubits, with the ancilla one bit higher
-        layout = RegisterLayout(m_bits=1, i_bits=3)
-        before = interfere_and_read(prepared)
-        with pytest.raises(FrozenInstanceError):
-            prepared.layout = layout
-        rebound = replace(prepared, layout=layout)
-        with pytest.raises(ValueError, match=NOT_PREPARED):
-            interfere_and_read(rebound)
-        assert gate_path(rebound) != gate_path(prepared)
-        assert interfere_and_read(prepared) == before
-
-    def test_prepared_amplitudes_cannot_be_made_writable(self):
-        train = training_set()
-        state = prepare_state(train, preset_input("xprime"))
-        other = prepare_state(train, preset_input("xdoubleprime"))
-        before = interfere_and_read(state)
-        with pytest.raises(ValueError):
-            state.amplitudes.setflags(write=True)
-        with pytest.raises(ValueError):
-            state.amplitudes[:] = other.amplitudes
-        assert interfere_and_read(state) == before
-        again = prepare_state(train, preset_input("xprime"))
-        assert gate_path(state) == gate_path(again)
-
-    @pytest.mark.parametrize("source", ["buffer", "view", "read-only view"])
-    def test_state_does_not_follow_its_source_buffer(self, source):
-        train = training_set()
-        first = prepare_state(train, preset_input("xprime"))
-        second = prepare_state(train, preset_input("xdoubleprime"))
-        buffer = np.array(first.amplitudes)
-        amps = buffer if source == "buffer" else buffer[:]
-        if source == "read-only view":
-            amps.setflags(write=False)
-        state = sv.QuantumState(first.n_qubits, amps, first.layout)
-        reference = gate_path(first)
-        assert gate_path(state) == reference
-        buffer[:] = second.amplitudes
-        assert np.array_equal(state.amplitudes, first.amplitudes)
-        assert gate_path(state) == reference
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
@@ -479,22 +363,12 @@ class TestKeptBranchReadOnce:
         assert (readouts(state, shots, seed, exact_first)
                 == readouts(prepare_state(train, x_tilde), shots, seed, exact_first))
 
-    @pytest.mark.parametrize("N, layout", [(4, RegisterLayout(1, 1)), (2, RegisterLayout(1, 2))])
-    def test_layout_must_fit_the_state(self, N, layout):
-        train, x_tilde = random_instance(np.random.default_rng(0), M=2, N=N)
-        state = prepare_state(train, x_tilde)
-        message = f"layout of {layout.n_qubits} qubits does not fit a {state.n_qubits}-qubit"
-        with pytest.raises(ValueError, match=message):
-            sv.QuantumState(state.n_qubits, state.amplitudes, layout)
-        with pytest.raises(ValueError, match=message):
-            replace(state, layout=layout)
-
     @pytest.mark.parametrize("size", [8, 32])
     def test_amplitude_count_must_fit_the_layout(self, size):
-        state = prepare_state(training_set(), preset_input("xprime"))
+        state, _ = encoded_state(training_set(), preset_input("xprime"))
         message = f"expected 16 amplitudes, got \\({size},\\)"
         with pytest.raises(ValueError, match=message):
-            sv.QuantumState(4, np.resize(state.amplitudes, size), state.layout)
+            sv.QuantumState(4, np.resize(state.amplitudes, size))
         with pytest.raises(ValueError, match=message):
             replace(state, amplitudes=np.resize(state.amplitudes, size))
 
@@ -532,23 +406,6 @@ class TestPreparedReadout:
         minus_count = int(np.count_nonzero(rng.random(accepted) < p_minus))
         sampled = interfere_and_sample(state, shots, seed)
         assert (sampled.accepted, sampled.p_class_minus) == (accepted, minus_count / accepted)
-
-    def test_holds_only_the_state_and_its_fill_values(self):
-        train, x_tilde = random_instance(np.random.default_rng(3), M=1 << 12, N=16)
-        tracemalloc.start()
-        try:
-            state = prepare_state(train, x_tilde)
-            interfere_and_read(state)
-            interfere_and_sample(state, shots=8192, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the state and, while a block is filled, the scaled training vectors
-        # of one block of ROW_BLOCK rows and their indices. The closed form's
-        # temporaries, a few blocks, are freed before the state is allocated,
-        # and neither readout builds a buffer.
-        block = ROW_BLOCK * train.dimension * train.vectors.itemsize
-        assert peak <= state.amplitudes.nbytes + 1.5 * block
 
 
 class TestInterfereAndSample:
@@ -593,7 +450,7 @@ class TestInterfereAndSample:
     def test_counts_are_draws_from_gate_path(self, seed, M, N, shots):
         train, x_tilde = random_instance(np.random.default_rng(seed), M, N)
         state = prepare_state(train, x_tilde)
-        p_acc, p_minus, _ = gate_path(state)
+        p_acc, p_minus, _ = gate_read(train, x_tilde)
         rng = np.random.default_rng(seed)
         accepted = int(np.count_nonzero(rng.random(shots) < p_acc))
         if accepted == 0:
@@ -609,7 +466,7 @@ class TestInterfereAndSample:
     @pytest.mark.parametrize("shots", [1, SAMPLE_BLOCK, 3 * SAMPLE_BLOCK + 5])
     def test_blocked_draws_equal_one_call(self, shots, monkeypatch):
         state = prepare_state(training_set(), preset_input("xprime"))
-        p_acc, p_minus, _ = gate_path(state)
+        p_acc, p_minus, _ = gate_read(training_set(), preset_input("xprime"))
         rng = np.random.default_rng(7)
         accepted = int(np.count_nonzero(rng.random(shots) < p_acc))
         minus_count = int(np.count_nonzero(rng.random(accepted) < p_minus))

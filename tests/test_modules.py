@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module reaches into another's
 private (single-underscore) names, by import or by attribute, every public
 name has a caller outside the tests, and so does every defaulted parameter
-of a public function or method."""
+of a public function or method, and no two modules import each other, even
+through others."""
 
 import ast
 import math
@@ -273,3 +274,68 @@ METHODS = ("class C:\n    def __init__(self, a=1):\n        pass\n\n"
 )
 def test_checker_flags_test_only_parameters(src, bench, found):
     assert unpassed_parameters(src, bench) == found
+
+
+def import_cycle(src: dict[str, str]) -> list[str]:
+    """A cycle among the src modules (file name -> source; __init__.py, which
+    only re-exports, skipped), each importing the next by `from .x import`
+    or `from . import x` wherever the statement stands, TYPE_CHECKING
+    blocks included; [] when there is none."""
+    modules = {name[:-3] for name in src if name != "__init__.py"}
+    imports = {}
+    for name in modules:
+        targets = set()
+        for node in ast.walk(ast.parse(src[f"{name}.py"])):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets.update([node.module.split(".")[0]] if node.module
+                               else (alias.name for alias in node.names))
+        imports[name] = sorted(targets & modules)
+
+    path, acyclic = [], set()
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in acyclic:
+            return []
+        path.append(module)
+        for target in imports[module]:
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        acyclic.add(module)
+        return []
+
+    for module in sorted(modules):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_src_import_graph_is_acyclic():
+    assert import_cycle({path.name: path.read_text() for path in MODULES}) == []
+
+
+@pytest.mark.parametrize(
+    "src, cycle",
+    [
+        ({"a.py": "from .b import f\n", "b.py": "from . import a\n"}, ["a", "b", "a"]),
+        (
+            {"a.py": "from typing import TYPE_CHECKING\n\nif TYPE_CHECKING:\n"
+                     "    from .c import C\n",
+             "b.py": "from .a import f\n", "c.py": "from .b import g\n"},
+            ["a", "c", "b", "a"],
+        ),
+        ({"a.py": "from .b import f\n", "b.py": "from .c import g\n", "c.py": ""}, []),
+        (
+            {"__init__.py": "from .a import f\nfrom .b import g\n",
+             "a.py": "from .b import g\n", "b.py": "from . import __version__\n"},
+            [],
+        ),
+    ],
+    ids=["two-modules", "type-checking", "chain", "package-init"],
+)
+def test_checker_flags_import_cycles(src, cycle):
+    assert import_cycle(src) == cycle

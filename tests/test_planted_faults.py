@@ -1,6 +1,6 @@
 """Planted faults: each fault is patched into the one readout core, into the
-blocks of training rows that it and prepare_state take, or into the handoff
-of the state prepare_state builds, and the shared checks of
+blocks of training rows that it takes, or into prepare_state as an
+allocation of the amplitudes it does not build, and the shared checks of
 tests/reference.py must fail on inputs that they pass unpatched."""
 
 import itertools
@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from qic import classifier
-from qic import statevector as sv
-from qic.classifier import TrainingSet, prepare_state
+from qic.classifier import TrainingSet
 from qic.presets import preset_input, training_set
 
 from reference import (
     assert_blocks_equal_one_pass,
-    assert_built_without_a_copy,
     assert_matches_statevector,
+    assert_prepares_no_amplitudes,
     assert_read_matches_gate_path,
     randomly_labelled_set,
 )
@@ -46,13 +45,16 @@ def swapped_class_weights(monkeypatch):
     monkeypatch.setattr(classifier, "_closed_form", planted)
 
 
-def writable_handoff(monkeypatch):
-    # prepare_state hands its filled array over without setting it read-only
-    def planted(n_qubits, amps, layout):
-        amps.setflags(write=True)
-        return sv.QuantumState(n_qubits, amps, layout)
+def allocated_amplitudes(monkeypatch):
+    # prepare_state allocates the 2^n complex amplitudes of the state it
+    # encodes, at its qubit cap check
+    check = classifier.check_capacity
 
-    monkeypatch.setattr(classifier, "QuantumState", planted)
+    def planted(n_qubits):
+        check(n_qubits)
+        np.zeros(1 << n_qubits, dtype=complex)
+
+    monkeypatch.setattr(classifier, "check_capacity", planted)
 
 
 def blocks_over_padded_rows(monkeypatch):
@@ -85,17 +87,17 @@ def read_batch_check():
 
 def prepared_readout_check():
     for x in INPUTS:
-        assert_read_matches_gate_path(prepare_state(TRAIN, x))
+        assert_read_matches_gate_path(TRAIN, x)
 
 
-def no_copy_check():
-    # 2^18 amplitudes: large enough that the state dominates the peak
+def no_amplitudes_check():
+    # four blocks of training rows, encoded in 18 qubits
     rng = np.random.default_rng(3)
     vectors = rng.normal(size=(1 << 12, 16))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     x = rng.normal(size=16)
-    assert_built_without_a_copy(TrainingSet(vectors=vectors, labels=[-1, 1] * (1 << 11)),
-                                x / np.linalg.norm(x))
+    assert_prepares_no_amplitudes(TrainingSet(vectors=vectors, labels=[-1, 1] * (1 << 11)),
+                                  x / np.linalg.norm(x))
 
 
 # a fresh seed on every call, so that a block a fault leaves unwritten cannot
@@ -121,7 +123,7 @@ CASES = [
     (scaled_acceptance, prepared_readout_check),
     (swapped_class_weights, read_batch_check),
     (swapped_class_weights, prepared_readout_check),
-    (writable_handoff, no_copy_check),
+    (allocated_amplitudes, no_amplitudes_check),
     (blocks_over_padded_rows, block_edge_check),
     (last_partial_block_skipped, block_edge_check),
     (lone_last_row_block, lone_row_check),

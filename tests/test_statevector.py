@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from qic import statevector as sv
 from qic.circuit import Circuit
-from qic.classifier import prepare_state
 from qic.errors import CapacityError, ImpossibleBranchError, NormalizationError
-from qic.presets import preset_input, training_set
 
 from reference import gate_op_error
 
@@ -125,7 +123,6 @@ PRODUCERS = {
     "postselect": lambda: sv.postselect(random_state(2, 2), 1, 0)[0],
     "simulate": lambda: sv.simulate(Circuit(2, (sv.h(1), sv.cx(1, 0)))),
     "simulate-empty": lambda: sv.simulate(Circuit(2, ())),
-    "prepare_state": lambda: prepare_state(training_set(), preset_input("xprime")),
     "constructor": lambda: sv.QuantumState(1, [1.0, 0.0]),
 }
 
@@ -135,7 +132,7 @@ class TestQuantumState:
     def test_producers_return_frozen_read_only_states(self, producer):
         state = producer()
         amps = state.amplitudes.copy()
-        for field, value in [("amplitudes", np.zeros_like(amps)), ("layout", None),
+        for field, value in [("amplitudes", np.zeros_like(amps)),
                              ("n_qubits", state.n_qubits + 1)]:
             with pytest.raises(FrozenInstanceError):
                 setattr(state, field, value)
@@ -531,12 +528,6 @@ class TestSimulate:
         assert np.array_equal(out.amplitudes, [1, 0, 0, 0])
         assert np.array_equal(out.amplitudes, initial.amplitudes)
         assert not np.shares_memory(out.amplitudes, initial.amplitudes)
-
-    def test_result_has_no_layout(self):
-        assert sv.simulate(Circuit(4, (sv.h(2),))).layout is None
-        # it runs from |0...0> only: a start state is no argument
-        with pytest.raises(TypeError):
-            sv.simulate(Circuit(4, ()), prepare_state(training_set(), preset_input("xprime")))
 
 
 class TestCircuitUnitary:
