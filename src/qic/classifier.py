@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import check_labels
 from .errors import EstimationFailedError, ImpossibleBranchError
-from .statevector import BRANCH_FLOOR, check_capacity, check_unit
+from .statevector import BRANCH_FLOOR, check_unit
 
 # interfere_and_sample draws its uniforms this many at a time, so its memory
 # stays bounded whatever the shot count; a Generator gives the same stream in
@@ -134,15 +134,14 @@ def prepare_state(train: TrainingSet, x_tilde) -> PreparedState:
     The encoded state gives basis (m, a, i, c) the amplitude x~_i/sqrt(2M)
     for a=0 and x^m_i/sqrt(2M) for a=1, with c the class bit of y^m (0 for
     -1, 1 for +1), and zero on index branches m >= M and padded data
-    components. No readout reads those 2^n amplitudes, so none is allocated:
-    the layout is held to the qubit cap, and the readout is the core that
-    read_batch runs, on this one input.
+    components. No readout reads those 2^n amplitudes, so none is allocated
+    and no qubit cap applies: the readout is the core that read_batch runs,
+    on this one input.
     """
     xt = _check_input(train, x_tilde)
     # a lone index or data component still takes one qubit
     layout = RegisterLayout(m_bits=max(1, (train.M - 1).bit_length()),
                             i_bits=max(1, (train.dimension - 1).bit_length()))
-    check_capacity(layout.n_qubits)
     (p_acc,), (p_minus,) = _closed_form(train, xt[None])
     return PreparedState(layout, float(p_acc), float(p_minus))
 

@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import CapacityError, ImpossibleBranchError, NormalizationError
 
+# zero_state's bound, 256 MiB of amplitudes: a Circuit has no qubit cap, so
+# without it simulate of a wide circuit, or a test oracle grown larger, would
+# allocate 2**n amplitudes
 MAX_QUBITS = 24
 MAX_UNITARY_QUBITS = 10
 # a kept branch of at most this mass is rounding noise of a unit-norm state,
@@ -184,21 +187,18 @@ def gate_matrix(op: GateOp) -> np.ndarray:
 class QuantumState:
     """Immutable length-2**n complex amplitude vector.
 
-    A read-only complex array that owns its data is kept as it is; any other
-    input (a view, a writable array, a list) is copied once and the copy made
-    read-only. The field holds a view of that array, which numpy refuses to
-    make writable again (its .base, the array itself, still can be).
+    The input is copied once into a complex array that is made read-only, so
+    a state never follows later writes to its source. The field holds a view
+    of that copy, which numpy refuses to make writable again (its .base, the
+    copy itself, still can be).
     """
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = self.amplitudes
-        if not (type(amps) is np.ndarray and amps.dtype == complex
-                and amps.flags.owndata and not amps.flags.writeable):
-            amps = np.array(amps, dtype=complex)
-            amps.setflags(write=False)
+        amps = np.array(self.amplitudes, dtype=complex)
+        amps.setflags(write=False)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(f"expected {1 << self.n_qubits} amplitudes, got {amps.shape}")
         object.__setattr__(self, "amplitudes", amps.view())
@@ -207,19 +207,13 @@ class QuantumState:
         return np.abs(self.amplitudes) ** 2
 
 
-def check_capacity(n_qubits: int) -> None:
-    """Raise CapacityError unless a state of n_qubits fits the MAX_QUBITS cap,
-    which keeps memory desk-scale; run before allocating the state."""
+def zero_state(n_qubits: int) -> QuantumState:
+    """All-qubits-|0> state; raises CapacityError, before allocating it, for
+    n_qubits outside [1, MAX_QUBITS]."""
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-
-
-def zero_state(n_qubits: int) -> QuantumState:
-    """All-qubits-|0> state."""
-    check_capacity(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[0] = 1.0
-    amps.setflags(write=False)
     return QuantumState(n_qubits, amps)
 
 
@@ -272,16 +266,10 @@ def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
 
     Each gate copies the state once, into the operand of its matmul (not at all
     when its qubits already lead). The product stays in that axis order, and
-    the original order is restored once, after the last gate, by a copy into
-    a new array that owns its data (a reshape that copies returns a view of
-    its copy), so a QuantumState keeps the result without copying it again.
-    The input is not referenced past the first gate, so an input that only
-    the caller's call held is freed there.
+    the original order is restored once, after the last gate.
     """
     in_shape = amps.shape
-    shape = (2,) * n_qubits + in_shape[1:]
-    psi = amps.reshape(shape)
-    del amps
+    psi = amps.reshape((2,) * n_qubits + in_shape[1:])
     order = tuple(range(psi.ndim))
     for op in ops:
         perm, order = _step_plan(n_qubits, order, op.qubits)
@@ -289,15 +277,12 @@ def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
         matrix = gate_matrix(op)
         psi = matrix.dot(psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
     inverse = sorted(range(len(order)), key=order.__getitem__)
-    out = np.empty(in_shape, dtype=psi.dtype)
-    out.reshape(shape)[...] = psi.transpose(inverse)
-    return out
+    return np.ascontiguousarray(psi.transpose(inverse)).reshape(in_shape)
 
 
 def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
     """Return the state transformed by the op's unitary; input is not mutated."""
     amps = _apply_ops(state.amplitudes, state.n_qubits, (op,))
-    amps.setflags(write=False)
     return QuantumState(state.n_qubits, amps)
 
 
@@ -334,14 +319,12 @@ def postselect(
             f"branch qubit {qubit}={outcome} has probability {accept:.3e}"
         )
     amps = np.where(keep, state.amplitudes, 0.0) / math.sqrt(accept)
-    amps.setflags(write=False)
     return QuantumState(state.n_qubits, amps), accept
 
 
 def simulate(circuit) -> QuantumState:
     """Run a circuit on |0...0>."""
     amps = _apply_ops(zero_state(circuit.n_qubits).amplitudes, circuit.n_qubits, circuit.ops)
-    amps.setflags(write=False)
     return QuantumState(circuit.n_qubits, amps)
 
 

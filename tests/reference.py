@@ -4,9 +4,10 @@ placed by it (which the program never builds; tests pin them to the
 simulated experiment circuit), the paper's classical kernel-sum decision
 rule, the statevector readout of that register gate by gate (the oracle for
 the program's one closed-form readout), that closed form taken over all
-training rows in one pass, the gate rules checked one at a time, and the
-checks that hold the program to these, shared by the tests and the planted
-faults."""
+training rows in one pass, the gate rules checked one at a time, the full
+2^n operator of one gate, built entry by entry (the oracle for the gate
+loop), and the checks that hold the program to these, shared by the tests
+and the planted faults."""
 
 import math
 import tracemalloc
@@ -25,14 +26,18 @@ from qic.classifier import (
 from qic.errors import ImpossibleBranchError
 from qic.statevector import (
     BRANCH_FLOOR,
+    EXACT_TOL,
     GATE_ARITY,
     ROTATION_KINDS,
     QuantumState,
     apply_gate,
     check_unit,
+    circuit_unitary,
+    gate_matrix,
     h,
     postselect,
     qubit_probabilities,
+    simulate,
 )
 
 # bit order, least significant first: class bit, data bits, ancilla bit, index bits
@@ -210,6 +215,46 @@ def assert_prepares_no_amplitudes(train, x_tilde):
         tracemalloc.stop()
     block = ROW_BLOCK * train.dimension * train.vectors.itemsize
     assert peak <= train.M * train.vectors.itemsize + 3 * block
+
+
+def embed(op, n_qubits: int) -> np.ndarray:
+    """Full 2**n operator of one gate, built entry by entry from the basis
+    indices (the gate's first listed qubit is its most significant local bit)."""
+    m = gate_matrix(op)
+    k = len(op.qubits)
+    full = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
+    for col in range(1 << n_qubits):
+        local_in = sum(((col >> q) & 1) << (k - 1 - j) for j, q in enumerate(op.qubits))
+        rest = col & ~sum(1 << q for q in op.qubits)
+        for local_out in range(1 << k):
+            row = rest | sum(((local_out >> (k - 1 - j)) & 1) << q
+                             for j, q in enumerate(op.qubits))
+            full[row, col] = m[local_out, local_in]
+    return full
+
+
+def assert_gate_loop_matches_dense(circuit):
+    """circuit_unitary of the circuit, and simulate's state as its column 0,
+    against the product of each gate's embed operator, to EXACT_TOL."""
+    expected = np.eye(1 << circuit.n_qubits, dtype=complex)
+    for op in circuit.ops:
+        expected = embed(op, circuit.n_qubits) @ expected
+    assert np.allclose(circuit_unitary(circuit), expected, atol=EXACT_TOL, rtol=0.0)
+    assert np.allclose(simulate(circuit).amplitudes, expected[:, 0], atol=EXACT_TOL, rtol=0.0)
+
+
+def assert_state_is_a_read_only_copy(n_qubits: int, amplitudes, source: np.ndarray):
+    """A QuantumState of amplitudes (the array source or a view of it) is
+    complex, keeps its values when source, made writable, is overwritten,
+    and refuses writes to its own amplitudes."""
+    state = QuantumState(n_qubits, amplitudes)
+    before = state.amplitudes.copy()
+    assert state.amplitudes.dtype == complex
+    source.setflags(write=True)
+    source[...] = 0.0
+    assert np.array_equal(state.amplitudes, before)
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0] = 0.5
 
 
 def gate_op_error(kind, qubits, theta) -> str | None:

@@ -1,7 +1,8 @@
 """Planted faults: each fault is patched into the one readout core, into the
-blocks of training rows that it takes, or into prepare_state as an
-allocation of the amplitudes it does not build, and the shared checks of
-tests/reference.py must fail on inputs that they pass unpatched."""
+blocks of training rows that it takes, into prepare_state as an allocation
+of the amplitudes it does not build, into the statevector gate loop or into
+the QuantumState constructor, and the shared checks of tests/reference.py
+must fail on inputs that they pass unpatched."""
 
 import itertools
 
@@ -9,14 +10,18 @@ import numpy as np
 import pytest
 
 from qic import classifier
+from qic import statevector as sv
+from qic.circuit import Circuit
 from qic.classifier import TrainingSet
 from qic.presets import preset_input, training_set
 
 from reference import (
     assert_blocks_equal_one_pass,
+    assert_gate_loop_matches_dense,
     assert_matches_statevector,
     assert_prepares_no_amplitudes,
     assert_read_matches_gate_path,
+    assert_state_is_a_read_only_copy,
     randomly_labelled_set,
 )
 
@@ -47,14 +52,34 @@ def swapped_class_weights(monkeypatch):
 
 def allocated_amplitudes(monkeypatch):
     # prepare_state allocates the 2^n complex amplitudes of the state it
-    # encodes, at its qubit cap check
-    check = classifier.check_capacity
+    # encodes, as it runs the readout core
+    core = classifier._closed_form
 
-    def planted(n_qubits):
-        check(n_qubits)
+    def planted(train, X):
+        n_qubits = (train.M - 1).bit_length() + (train.dimension - 1).bit_length() + 2
         np.zeros(1 << n_qubits, dtype=complex)
+        return core(train, X)
 
-    monkeypatch.setattr(classifier, "check_capacity", planted)
+    monkeypatch.setattr(classifier, "_closed_form", planted)
+
+
+def untransposed_gate_loop(monkeypatch):
+    # the inverse of the loop's axis order taken as the identity, so its
+    # result keeps the axis order of the last matmul
+    monkeypatch.setattr(sv, "sorted", lambda axes, key: list(axes), raising=False)
+
+
+def uncopied_state_input(monkeypatch):
+    # a writable complex array is kept as the state's amplitudes, not copied
+    post_init = sv.QuantumState.__post_init__
+
+    def planted(state):
+        amps = state.amplitudes
+        post_init(state)
+        if isinstance(amps, np.ndarray) and amps.dtype == complex and amps.flags.writeable:
+            object.__setattr__(state, "amplitudes", amps)
+
+    monkeypatch.setattr(sv.QuantumState, "__post_init__", planted)
 
 
 def blocks_over_padded_rows(monkeypatch):
@@ -112,6 +137,17 @@ def block_edge_check():
         assert_blocks_equal_one_pass(*randomly_labelled_set(rng, M, 3))
 
 
+def gate_loop_check():
+    # gates that leave the axes out of their original order
+    assert_gate_loop_matches_dense(
+        Circuit(4, (sv.h(0), sv.cx(0, 2), sv.ccry(0.5, 1, 3, 0), sv.swap(2, 1))))
+
+
+def state_copy_check():
+    source = np.full(8, np.sqrt(1 / 8), dtype=complex)
+    assert_state_is_a_read_only_copy(3, source, source)
+
+
 def lone_row_check():
     # five rows of 16 features, one block unpatched, and a block of four and
     # a lone row under the fault; seed 1's readout tells the two apart
@@ -127,6 +163,8 @@ CASES = [
     (blocks_over_padded_rows, block_edge_check),
     (last_partial_block_skipped, block_edge_check),
     (lone_last_row_block, lone_row_check),
+    (untransposed_gate_loop, gate_loop_check),
+    (uncopied_state_input, state_copy_check),
 ]
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
@@ -12,7 +11,12 @@ from qic import statevector as sv
 from qic.circuit import Circuit
 from qic.errors import CapacityError, ImpossibleBranchError, NormalizationError
 
-from reference import gate_op_error
+from reference import (
+    assert_gate_loop_matches_dense,
+    assert_state_is_a_read_only_copy,
+    embed,
+    gate_op_error,
+)
 
 SQRT2_INV = 1 / math.sqrt(2)
 
@@ -47,22 +51,6 @@ def entangling_prefix(n_qubits: int, seed: int) -> tuple[sv.GateOp, ...]:
 def basis_prefix(j: int, n_qubits: int) -> tuple[sv.GateOp, ...]:
     """The x gates that take |0...0> to basis state j."""
     return tuple(sv.x(q) for q in range(n_qubits) if j >> q & 1)
-
-
-def embed(op: sv.GateOp, n_qubits: int) -> np.ndarray:
-    """Full 2**n operator of one gate, built entry by entry from the basis
-    indices (the gate's first listed qubit is its most significant local bit)."""
-    m = sv.gate_matrix(op)
-    k = len(op.qubits)
-    full = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
-    for col in range(1 << n_qubits):
-        local_in = sum(((col >> q) & 1) << (k - 1 - j) for j, q in enumerate(op.qubits))
-        rest = col & ~sum(1 << q for q in op.qubits)
-        for local_out in range(1 << k):
-            row = rest | sum(((local_out >> (k - 1 - j)) & 1) << q
-                             for j, q in enumerate(op.qubits))
-            full[row, col] = m[local_out, local_in]
-    return full
 
 
 @st.composite
@@ -110,9 +98,9 @@ class TestZeroState:
         assert np.allclose(sv.zero_state(2).amplitudes, [1, 0, 0, 0])
 
     def test_capacity_cap(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=f"\\[1, {sv.MAX_QUBITS}\\], got 25"):
             sv.zero_state(25)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="got 0"):
             sv.zero_state(0)
 
 
@@ -142,57 +130,20 @@ class TestQuantumState:
             state.amplitudes.setflags(write=True)
         assert np.array_equal(state.amplitudes, amps)
 
-    @pytest.mark.parametrize("source", ["buffer", "view", "read-only view", "float owner"])
+    @pytest.mark.parametrize("source", ["buffer", "view", "read-only view", "float owner",
+                                        "read-only owner"])
     def test_state_does_not_follow_later_writes_to_its_source(self, source):
+        # every input is copied, a read-only owner too, so the state keeps
+        # its values when its source is made writable again and overwritten
         buffer = random_state(3, 5).amplitudes.copy()
         if source == "float owner":
             buffer = buffer.real.copy()
+        if source in ("float owner", "read-only owner"):
             buffer.setflags(write=False)
-        amps = buffer if source in ("buffer", "float owner") else buffer[:]
+        amps = buffer if source in ("buffer", "float owner", "read-only owner") else buffer[:]
         if source == "read-only view":
             amps.setflags(write=False)
-        state = sv.QuantumState(3, amps)
-        before = state.amplitudes.copy()
-        assert state.amplitudes.dtype == complex
-        if source == "float owner":
-            buffer.setflags(write=True)
-        buffer[:] = 0.0
-        assert np.array_equal(state.amplitudes, before)
-
-    def test_read_only_complex_owner_is_kept_without_a_copy(self):
-        amps = random_state(3, 6).amplitudes.copy()
-        amps.setflags(write=False)
-        state = sv.QuantumState(3, amps)
-        assert state.amplitudes.base is amps
-
-    @pytest.mark.parametrize("run, states_at_peak", [
-        (lambda state: sv.apply_gate(state, sv.h(0)), 2),
-        (lambda state: sv.simulate(Circuit(12, (sv.h(0), sv.cx(0, 5)))), 3),
-    ], ids=["apply_gate", "simulate"])
-    def test_gate_loop_result_is_kept_without_a_copy(self, run, states_at_peak, monkeypatch):
-        apply_ops, results = sv._apply_ops, []
-
-        def recording(amps, n_qubits, ops):
-            # passes its input on and keeps no reference to it, as the
-            # callers' own calls do
-            held = [amps]
-            del amps
-            results.append(apply_ops(held.pop(), n_qubits, ops))
-            return results[-1]
-
-        monkeypatch.setattr(sv, "_apply_ops", recording)
-        state = random_state(12, 8)
-        tracemalloc.start()
-        try:
-            out = run(state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.amplitudes.base is results[0]
-        # a gate holds its matmul operand and product; simulate's loop holds
-        # the state before each gate as well (its |0...0> start at the first),
-        # and none older; a copy for the state would come on top
-        assert peak <= (states_at_peak + 0.1) * state.amplitudes.nbytes
+        assert_state_is_a_read_only_copy(3, amps, buffer)
 
     def test_amplitude_count_must_match(self):
         with pytest.raises(ValueError, match=r"expected 8 amplitudes, got \(4,\)"):
@@ -367,13 +318,7 @@ class TestGateLoop:
     @settings(max_examples=60, deadline=None)
     @given(circ=circuits(1, 2))
     def test_one_and_two_qubit_circuits_match_dense_product(self, circ):
-        expected = np.eye(1 << circ.n_qubits, dtype=complex)
-        for op in circ.ops:
-            expected = embed(op, circ.n_qubits) @ expected
-        assert np.allclose(sv.circuit_unitary(circ), expected,
-                           atol=sv.EXACT_TOL, rtol=0.0)
-        assert np.allclose(sv.simulate(circ).amplitudes, expected[:, 0],
-                           atol=sv.EXACT_TOL, rtol=0.0)
+        assert_gate_loop_matches_dense(circ)
 
     @pytest.mark.parametrize("ops", [
         # each gate after the first acts on the qubits the previous one left
