@@ -18,7 +18,6 @@ from .circuit import (
 )
 from .classifier import (
     ClassificationOutcome,
-    RegisterLayout,
     TrainingSet,
     classify,
     interfere_and_read,

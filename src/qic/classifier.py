@@ -39,15 +39,17 @@ ROW_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
-class RegisterLayout:
-    """Bit positions of the encoded registers.
-
-    Ordering (least significant first): class bit, data bits, ancilla bit,
-    index bits.
-    """
+class PreparedState:
+    """An encoded state as prepare_state returns it: the widths of its index
+    and data registers, laid out (least significant first) as class bit,
+    i_bits data bits, ancilla bit, m_bits index bits; the acceptance of
+    ancilla=0 after the ancilla Hadamard; and the class -1 share of that
+    branch (nan at or below BRANCH_FLOOR)."""
 
     m_bits: int
     i_bits: int
+    p_acc: float
+    p_class_minus: float
 
     @property
     def n_qubits(self) -> int:
@@ -56,21 +58,6 @@ class RegisterLayout:
     @property
     def ancilla_bit(self) -> int:
         return 1 + self.i_bits
-
-
-@dataclass(frozen=True)
-class PreparedState:
-    """An encoded state as prepare_state returns it: its register layout, the
-    acceptance of ancilla=0 after the ancilla Hadamard, and the class -1
-    share of that branch (nan at or below BRANCH_FLOOR)."""
-
-    layout: RegisterLayout
-    p_acc: float
-    p_class_minus: float
-
-    @property
-    def n_qubits(self) -> int:
-        return self.layout.n_qubits
 
 
 @dataclass
@@ -128,7 +115,7 @@ def _check_input(train: TrainingSet, x_tilde) -> np.ndarray:
 
 
 def prepare_state(train: TrainingSet, x_tilde) -> PreparedState:
-    """Encode one input against a training set as its register layout and its
+    """Encode one input against a training set as its register widths and its
     closed-form readout.
 
     The encoded state gives basis (m, a, i, c) the amplitude x~_i/sqrt(2M)
@@ -139,11 +126,11 @@ def prepare_state(train: TrainingSet, x_tilde) -> PreparedState:
     on this one input.
     """
     xt = _check_input(train, x_tilde)
-    # a lone index or data component still takes one qubit
-    layout = RegisterLayout(m_bits=max(1, (train.M - 1).bit_length()),
-                            i_bits=max(1, (train.dimension - 1).bit_length()))
     (p_acc,), (p_minus,) = _closed_form(train, xt[None])
-    return PreparedState(layout, float(p_acc), float(p_minus))
+    # a lone index or data component still takes one qubit
+    return PreparedState(m_bits=max(1, (train.M - 1).bit_length()),
+                         i_bits=max(1, (train.dimension - 1).bit_length()),
+                         p_acc=float(p_acc), p_class_minus=float(p_minus))
 
 
 def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
@@ -177,7 +164,7 @@ def interfere_and_read(state: PreparedState) -> ClassificationOutcome:
     p_acc, p_minus = _prepared_readout(state)
     if p_acc <= BRANCH_FLOOR:
         raise ImpossibleBranchError(
-            f"branch qubit {state.layout.ancilla_bit}=0 has probability {p_acc:.3e}"
+            f"branch qubit {state.ancilla_bit}=0 has probability {p_acc:.3e}"
         )
     return ClassificationOutcome(
         p_acc=p_acc,
@@ -209,9 +196,7 @@ def interfere_and_sample(
     rng = np.random.default_rng(seed)
     accepted = _count_below(rng, shots, p_acc_true)
     if accepted == 0:
-        raise EstimationFailedError(
-            f"no shots accepted out of {shots}", accepted=0
-        )
+        raise EstimationFailedError(f"no shots accepted out of {shots}")
     minus_count = _count_below(rng, accepted, p_minus_true)
 
     p_minus = minus_count / accepted

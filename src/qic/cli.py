@@ -313,6 +313,14 @@ class _CommandParser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
+        # an option given twice, under any of its names, is an error, not a
+        # new value; argparse reads every token that starts with an option's
+        # name (--output=b, -ob) as that option, never as another's value
+        given = [self._option_string_actions.get(a.partition("=")[0] if a[:2] == "--" else a[:2])
+                 for a in args]
+        for action in given:
+            if action is not None and given.count(action) > 1:
+                self.error(f"argument {'/'.join(action.option_strings)}: given more than once")
         if any(a.startswith("--") and a.partition("=")[0] not in self._option_string_actions
                for a in args):
             required = [item for item in (*self._actions, *self._mutually_exclusive_groups)

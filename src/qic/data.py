@@ -52,7 +52,7 @@ def iris(classes: tuple[int, int] = (1, 2)) -> LabeledDataset:
     labels = np.concatenate(
         [np.full(np.sum(targets == first), -1), np.full(np.sum(targets == second), +1)]
     )
-    return LabeledDataset(rows, labels, f"iris {first}&{second}")
+    return LabeledDataset(rows, labels)
 
 
 def circles() -> LabeledDataset:
@@ -65,7 +65,7 @@ def circles() -> LabeledDataset:
     pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     pts = pts + rng.normal(0.0, 0.05, pts.shape)
     labels = np.concatenate([np.full(50, -1), np.full(50, +1)])
-    return LabeledDataset(rows=pts, labels=labels, name="circles")
+    return LabeledDataset(rows=pts, labels=labels)
 
 
 def split(
@@ -103,8 +103,6 @@ CHUNK = 25
 
 @dataclass
 class BenchmarkReport:
-    dataset: str
-    repetitions: int
     mean_error: float
     error_variance: float
     mean_p_acc: float
@@ -119,8 +117,8 @@ def run_benchmark(
 ) -> list[BenchmarkReport]:
     """Repeatedly split, preprocess (fitted on the training part only), and
     classify every test point with the exact interference readout, for each
-    dataset of a batch (rows (G, n, d), a tuple of G names) with its own
-    number of feature-map copies; one report per dataset, in batch order.
+    dataset of a batch (rows (G, n, d)) with its own number of feature-map
+    copies (G of them); one report per dataset, in batch order.
 
     Repetition r splits with SeedSequence((master_seed, r)). Up to CHUNK
     repetitions are split once for the whole batch, and read in one Pipeline
@@ -130,13 +128,13 @@ def run_benchmark(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    names, copies = batch.name, tuple(copies)
-    if not (isinstance(names, tuple) and len(copies) == len(names)):
-        raise ValueError("a batch of datasets takes rows (G, n, d), G names and G copies")
+    copies = tuple(copies)
+    if batch.rows.ndim != 3 or len(copies) != len(batch.rows):
+        raise ValueError("a batch of G datasets takes rows (G, n, d) and G copies")
 
-    errors: list[list[float]] = [[] for _ in names]
-    p_accs: list[list[float]] = [[] for _ in names]
-    impossible = [0] * len(names)
+    errors: list[list[float]] = [[] for _ in copies]
+    p_accs: list[list[float]] = [[] for _ in copies]
+    impossible = [0] * len(copies)
     for start in range(0, repetitions, CHUNK):
         reps = range(start, min(start + CHUNK, repetitions))
         seeds = [np.random.SeedSequence((master_seed, rep)) for rep in reps]
@@ -162,11 +160,9 @@ def run_benchmark(
                 p_accs[g].extend(math.fsum(row) / n for row, n in zip(rows, counts) if n)
 
     reports = []
-    for name, errs, accs, n_impossible in zip(names, errors, p_accs, impossible):
+    for errs, accs, n_impossible in zip(errors, p_accs, impossible):
         mean_error = math.fsum(errs) / len(errs)
         reports.append(BenchmarkReport(
-            dataset=name,
-            repetitions=repetitions,
             mean_error=mean_error,
             error_variance=math.fsum((e - mean_error) ** 2 for e in errs) / len(errs),
             mean_p_acc=math.fsum(accs) / len(accs) if accs else 0.0,
@@ -235,7 +231,7 @@ def _shared_benchmark_groups() -> tuple[tuple[tuple[BenchmarkRowSpec, ...], Labe
         rows = np.stack([ds.rows for ds in parts])
         labels = np.stack([ds.labels for ds in parts])
         rows.flags.writeable = labels.flags.writeable = False
-        out.append((tuple(specs), LabeledDataset(rows, labels, tuple(ds.name for ds in parts))))
+        out.append((tuple(specs), LabeledDataset(rows, labels)))
     return tuple(out)
 
 

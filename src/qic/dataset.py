@@ -37,23 +37,19 @@ class LabeledDataset:
     """Feature matrix with labels in {-1, +1}, or a batch of them stacked
     along leading axes (rows (..., n, d), labels (..., n)).
 
-    A batch of distinct datasets (rows (G, n, d)) names each of them: name
-    is then a tuple of G names, and only such a batch takes a tuple name. A
-    batch of splits keeps the name of what it splits.
+    The datasets of a batch (rows (G, n, d)) are told apart by their
+    position along the first axis: pick selects by it, and run_benchmark
+    reports in its order.
 
     Construction checks rows and labels; subset, pick and with_rows derive
     from a checked dataset and check only what they bring in."""
 
     rows: np.ndarray
     labels: np.ndarray
-    name: str | tuple[str, ...] = ""
 
     def __post_init__(self):
         self.rows = _finite_matrix(self.rows)
         self.labels = check_labels(self.rows, self.labels)
-        if isinstance(self.name, tuple) and (self.rows.ndim, len(self.rows)) != (3, len(self.name)):
-            raise ValueError(f"a tuple of {len(self.name)} names needs rows (G, n, d) with "
-                             f"G = {len(self.name)}, got rows {self.rows.shape}")
 
     @property
     def n_samples(self) -> int:
@@ -67,7 +63,7 @@ class LabeledDataset:
         # built without __init__, so __post_init__ does not check again what
         # the caller has checked
         out = object.__new__(LabeledDataset)
-        out.rows, out.labels, out.name = rows, labels, self.name
+        out.rows, out.labels = rows, labels
         return out
 
     def with_rows(self, rows: np.ndarray) -> "LabeledDataset":
@@ -85,11 +81,6 @@ class LabeledDataset:
         )
 
     def pick(self, which: list[int]) -> "LabeledDataset":
-        """The datasets at positions which of a batch of distinct datasets
-        (the first axis), with their names; any other dataset raises
-        ValueError."""
-        if not isinstance(self.name, tuple):
-            raise ValueError(f"pick takes a batch of named datasets, not {self.name!r}")
-        out = self._derived(self.rows[which], self.labels[which])
-        out.name = tuple(self.name[g] for g in which)
-        return out
+        """The datasets at positions which along the first axis of a batch,
+        in that order."""
+        return self._derived(self.rows[which], self.labels[which])

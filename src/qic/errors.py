@@ -10,14 +10,7 @@ class ImpossibleBranchError(ValueError):
 
 
 class EstimationFailedError(RuntimeError):
-    """A sampled run produced no accepted shots, so nothing can be estimated.
-
-    Carries the number of accepted shots (always 0) for uniform reporting.
-    """
-
-    def __init__(self, message: str, accepted: int = 0):
-        super().__init__(message)
-        self.accepted = accepted
+    """A sampled run produced no accepted shots, so nothing can be estimated."""
 
 
 class UnsupportedGateError(ValueError):

@@ -45,8 +45,8 @@ CLASS_BIT = 0
 
 
 def basis_index(layout, m: int, ancilla: int, i: int, class_bit: int) -> int:
-    """Index of basis state |m>|ancilla>|i>|class bit> in a RegisterLayout;
-    integer arrays give an array of indices."""
+    """Index of basis state |m>|ancilla>|i>|class bit> in the register layout
+    of a PreparedState; integer arrays give an array of indices."""
     return (
         class_bit
         | (i << 1)
@@ -107,17 +107,17 @@ def classical_classify(train, x_tilde) -> tuple[float, int]:
 
 def encoded_state(train, x_tilde):
     """The encoded register of x_tilde against train, as a plain QuantumState
-    of entrywise_amplitudes in the layout prepare_state reports, and that
-    layout."""
-    layout = prepare_state(train, x_tilde).layout
+    of entrywise_amplitudes in the layout of the PreparedState that
+    prepare_state returns, and that PreparedState."""
+    layout = prepare_state(train, x_tilde)
     return QuantumState(layout.n_qubits, entrywise_amplitudes(train, x_tilde, layout)), layout
 
 
 def gate_path(state, layout):
-    """The readout of a state in a register layout, gate by gate: ancilla
-    Hadamard, postselect ancilla=0, class marginal. Returns (p_acc,
-    p_class_minus, p_class_plus); postselect raises ImpossibleBranchError at
-    or below its floor."""
+    """The readout of a state in the register layout of a PreparedState,
+    gate by gate: ancilla Hadamard, postselect ancilla=0, class marginal.
+    Returns (p_acc, p_class_minus, p_class_plus); postselect raises
+    ImpossibleBranchError at or below its floor."""
     interfered = apply_gate(state, h(layout.ancilla_bit))
     kept, p_acc = postselect(interfered, layout.ancilla_bit, 0)
     return (p_acc, *qubit_probabilities(kept, CLASS_BIT))

@@ -352,6 +352,41 @@ def test_every_long_option_parses_in_full(command, capsys):
         assert list(parsed[1].x1) == [-1.0, 1.0]
 
 
+def repeated_options():
+    """(command, argv, option name) for each option of FULL_OPTIONS given a
+    second time, --output as -o, and for repeats with a different value."""
+    for command, argvs in FULL_OPTIONS.items():
+        for argv in argvs:
+            for k, arg in enumerate(argv):
+                if arg.startswith("--"):
+                    option = arg.split("=")[0]
+                    again = argv[k:k + 1] if "=" in arg else argv[k:k + 2]
+                    if option == "--output":
+                        again = ["-o", *again[1:]]
+                    yield command, [*argv, *again], option
+    yield "classify", ["--preset", "xprime", "--preset", "xdoubleprime"], "--preset"
+    yield "export-qasm", ["--preset", "xprime", "-o", "a.qasm", "--output", "b.qasm"], "--output"
+    yield "shots", ["--eps", "0.1", "--eps=0.01"], "--eps"
+
+
+REPEATED = list(repeated_options())
+
+
+@pytest.mark.parametrize("command, argv, option", REPEATED,
+                         ids=[" ".join([c, *a]) for c, a, _ in REPEATED])
+def test_repeated_option_is_usage_error(command, argv, option, capsys, monkeypatch, tmp_path):
+    # last-wins would run the command and write its -o file here
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(command, *argv)
+    captured = capsys.readouterr()
+    name = "-o/--output" if option == "--output" else option
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: qic {command} ")
+    assert captured.err.endswith(f"qic {command}: error: argument {name}: given more than once\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 ABBREVIATED = [
     ("classify", "--inp", "0,1"),
     ("classify", "--pre", "xprime"),

@@ -41,7 +41,7 @@ def permutation(seed, rep, n):
 
 def run_alone(ds, reps, copies=1, master_seed=1234):
     """The report run_benchmark gives a batch of this one dataset."""
-    batch = LabeledDataset(ds.rows[None], ds.labels[None], (ds.name,))
+    batch = LabeledDataset(ds.rows[None], ds.labels[None])
     (report,) = run_benchmark(batch, reps, [copies], master_seed)
     return report
 
@@ -244,29 +244,15 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="rows must be finite"):
             LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
 
-    @pytest.mark.parametrize("rows, names", [
-        ((3, 2), ("a", "b", "c")),
-        ((3, 2), ("a",)),
-        ((2, 3, 2), ("a", "b", "c")),
-        ((2, 3, 2), ("a",)),
-        ((2, 1, 3, 2), ("a", "b")),
-    ], ids=["matrix", "matrix-one-name", "batch-of-2-3-names", "batch-of-2-1-name", "4d"])
-    def test_tuple_name_needs_one_name_per_dataset_of_a_batch(self, rows, names):
-        labels = np.ones(rows[:-1])
-        with pytest.raises(ValueError, match=f"a tuple of {len(names)} names needs rows"):
-            LabeledDataset(np.ones(rows), labels, names)
-        ds = LabeledDataset(np.ones((2, 3, 2)), np.ones((2, 3)), ("a", "b"))
-        assert ds.pick([1]).name == ("b",)
-        assert ds.subset(np.array([[2, 0]])).pick([1, 0]).name == ("b", "a")
-
-    @pytest.mark.parametrize("ds", [
-        LabeledDataset(np.ones((2, 3, 2)), np.ones((2, 3)), "ab"),
-        LabeledDataset(np.arange(4.0).reshape(2, 2), [1, -1], "iris"),
-        LabeledDataset(np.ones((2, 3, 2)), np.ones((2, 3))),
-    ], ids=["batch-of-splits", "matrix", "unnamed-batch"])
-    def test_pick_needs_a_batch_of_named_datasets(self, ds):
-        with pytest.raises(ValueError, match="pick takes a batch of named datasets"):
-            ds.pick([1])
+    def test_pick_selects_datasets_of_a_batch_by_position(self):
+        rows = np.arange(12.0).reshape(2, 3, 2)
+        ds = LabeledDataset(rows, [[1, 1, 1], [-1, -1, -1]])
+        picked = ds.pick([1, 0])
+        assert np.array_equal(picked.rows, rows[::-1])
+        assert picked.labels.tolist() == [[-1, -1, -1], [1, 1, 1]]
+        split_batch = ds.subset(np.array([[2, 0]])).pick([1])
+        assert np.array_equal(split_batch.rows, rows[1:, None, [2, 0]])
+        assert split_batch.labels.tolist() == [[[-1, -1]]]
 
     def test_with_rows_checks_the_new_rows(self):
         ds = LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0]], labels=[1, -1])
@@ -297,7 +283,6 @@ class TestLabeledDataset:
         out = batch.with_rows(-batch.rows)
         assert out.labels is batch.labels
         assert out.rows[0, 0].tolist() == [-5.0, -6.0]
-        assert out.name == ds.name
 
 
 class TestRunBenchmark:
@@ -356,17 +341,19 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_alone(iris(classes=(1, 2)), 0)
 
-    def test_batch_needs_one_name_and_copies_per_dataset(self):
+    def test_batch_needs_one_copies_per_dataset(self):
         ds = iris(classes=(1, 2))
-        batch = LabeledDataset(rows=np.stack([ds.rows] * 2), labels=np.stack([ds.labels] * 2),
-                               name=("a", "b"))
-        with pytest.raises(ValueError, match="G names and G copies"):
+        batch = LabeledDataset(rows=np.stack([ds.rows] * 2), labels=np.stack([ds.labels] * 2))
+        with pytest.raises(ValueError, match="G datasets takes rows \\(G, n, d\\) and G copies"):
             run_benchmark(batch, 1, [1])
-        with pytest.raises(ValueError, match="G names and G copies"):
+        with pytest.raises(ValueError, match="G copies"):
             run_benchmark(batch.pick([0]), 1, [1, 1])
-        # a lone dataset, or one copies for the batch, is not a batch's input
-        with pytest.raises(ValueError, match="G names and G copies"):
+        # a lone dataset, a batch of splits, or one copies for the batch, is
+        # not a batch's input
+        with pytest.raises(ValueError, match="G copies"):
             run_benchmark(ds, 1, [1])
+        with pytest.raises(ValueError, match="G copies"):
+            run_benchmark(batch.subset(np.array([[0, 1]])), 1, [1, 1])
         with pytest.raises(TypeError):
             run_benchmark(batch, 1, 1)
 
@@ -420,7 +407,6 @@ class TestRunBenchmark:
         reps = CHUNK + 1
         report = run_alone(ds, reps, copies, master_seed=5)
         errors, p_accs, impossible = statevector_reference(ds, reps, copies, master_seed=5)
-        assert report.repetitions == reps
         assert report.mean_error > 0.0
         assert report.mean_error == pytest.approx(np.mean(errors), abs=1e-12)
         assert report.error_variance == pytest.approx(np.var(errors), abs=1e-12)
@@ -459,13 +445,11 @@ class TestBenchmarkDataset:
         rows, labels = first.rows.copy(), first.labels.copy()
         first.rows = np.zeros_like(rows)
         first.labels = -labels
-        first.name = "changed"
         again = benchmark_dataset(key)
         assert again is not first
         # the second call returns the arrays the first call was handed
         assert np.array_equal(again.rows, rows)
         assert np.array_equal(again.labels, labels)
-        assert again.name != "changed"
 
     @pytest.mark.parametrize("key", ["iris-2-3-featmap", "circles"])
     def test_split_and_pipeline_outputs_are_writable(self, key):

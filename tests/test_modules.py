@@ -64,7 +64,7 @@ def test_no_private_names_across_modules(path):
     "source",
     [
         "from .statevector import _apply_matrix\n",
-        "from qic.classifier import RegisterLayout, _check_input\n",
+        "from qic.classifier import PreparedState, _check_input\n",
         "from . import statevector\nstatevector._apply_matrix(1, 2, 3, 4)\n",
         "import qic.encoding as enc\nenc._FLOOR\n",
     ],

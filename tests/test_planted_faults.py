@@ -1,18 +1,25 @@
 """Planted faults: each fault is patched into the one readout core, into the
 blocks of training rows that it takes, into prepare_state as an allocation
-of the amplitudes it does not build, into the statevector gate loop or into
-the QuantumState constructor, and the shared checks of tests/reference.py
-must fail on inputs that they pass unpatched."""
+of the amplitudes it does not build, into the statevector gate loop, into
+the QuantumState constructor, or into the link between the Table-2 rows and
+the batch positions of their datasets, and the shared checks of
+tests/reference.py or the Table-2 golden must fail on inputs that they pass
+unpatched."""
 
+import contextlib
+import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qic import classifier
+from qic import classifier, data
 from qic import statevector as sv
 from qic.circuit import Circuit
 from qic.classifier import TrainingSet
+from qic.cli import main
+from qic.dataset import LabeledDataset
 from qic.presets import preset_input, training_set
 
 from reference import (
@@ -27,6 +34,7 @@ from reference import (
 
 TRAIN = training_set()
 INPUTS = np.array([preset_input("xprime"), preset_input("xdoubleprime")])
+TABLE2_GOLDEN = Path(__file__).resolve().parent / "golden" / "table2_reps25_seed0.csv"
 
 
 def scaled_acceptance(monkeypatch):
@@ -106,6 +114,20 @@ def lone_last_row_block(monkeypatch):
         (start, min(start + 4, n_rows)) for start in range(0, n_rows, 4)])
 
 
+def reversed_pick(monkeypatch):
+    # the datasets of a batch picked in reverse order, so a report lands on
+    # the row of another dataset with the same copies
+    pick = LabeledDataset.pick
+    monkeypatch.setattr(LabeledDataset, "pick", lambda self, which: pick(self, which[::-1]))
+
+
+def featmap_row_at_one_copy(monkeypatch):
+    # every dataset of a batch read at one copy, the feature-map rows too
+    run = data.run_benchmark
+    monkeypatch.setattr(data, "run_benchmark", lambda batch, reps, copies, seed: run(
+        batch, reps, [1] * len(copies), seed))
+
+
 def read_batch_check():
     assert_matches_statevector(TRAIN, INPUTS)
 
@@ -154,6 +176,13 @@ def lone_row_check():
     assert_blocks_equal_one_pass(*randomly_labelled_set(np.random.default_rng(1), 5, 16))
 
 
+def table2_golden_check():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["reproduce", "--table", "2", "--reps", "25", "--seed", "0"]) == 0
+    assert out.getvalue().encode() == TABLE2_GOLDEN.read_bytes()
+
+
 CASES = [
     (scaled_acceptance, read_batch_check),
     (scaled_acceptance, prepared_readout_check),
@@ -165,6 +194,8 @@ CASES = [
     (lone_last_row_block, lone_row_check),
     (untransposed_gate_loop, gate_loop_check),
     (uncopied_state_input, state_copy_check),
+    (reversed_pick, table2_golden_check),
+    (featmap_row_at_one_copy, table2_golden_check),
 ]
 
 
