@@ -18,8 +18,9 @@ p_acc = (1/4M) sum_m |x~ + x^m|^2.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,10 +33,22 @@ from .statevector import BRANCH_FLOOR, check_unit
 # blocks as in one call
 SAMPLE_BLOCK = 1 << 20
 
-# the closed-form readout takes the training rows this many at a time, so
-# each block's transpose and sums stay in cache (a block of 16 features is
-# 128 KiB of sums)
-ROW_BLOCK = 1 << 10
+
+def acceptance_error(M: int, N: int) -> float:
+    """Bound on the rounding error of p_acc as read_batch returns it, for M
+    unit training rows of dimension N: 2 (N + M + 5) u, u the unit roundoff.
+
+    A class weight M_c |x|^2 + S_c + 2 <x, V_c> adds three terms, each a sum
+    of at most N + M products off by at most gamma_{N+M+1} (gamma_k =
+    k u / (1 - k u)) times the sum of their magnitudes: M_c rho, M_c rho and
+    2 M_c rho for unit rows (Cauchy-Schwarz; rho bounds a squared norm
+    within UNIT_TOL). Two additions, the class sum and the division by 4M
+    give |p_acc - exact| <= gamma_{N+M+5} rho, under 2 (N + M + 5) u while
+    (N + M + 5) u <= 1/4. Direct sums of |x + x^m|^2, all terms nonnegative,
+    keep a relative error of gamma_{N+M+4}, within the same bound as
+    p_acc <= rho.
+    """
+    return (N + M + 5) * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -60,21 +73,39 @@ class PreparedState:
         return 1 + self.i_bits
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingSet:
     """Unit-norm training vectors of a common dimension with labels in {-1,+1},
     or a batch of such sets stacked along leading axes (vectors (..., M, N),
-    labels (..., M)), which only read_batch takes."""
+    labels (..., M)), which only read_batch takes.
+
+    Immutable, so the class statistics every readout reads never go stale:
+    an array that owns its memory is taken over and made read-only in place
+    (a write to it raises, though numpy lets its owner, or a view made
+    before, still write), and any other input is copied once. Each array is
+    held as a view that numpy refuses to make writable again. Per set, class
+    -1 then +1: class_counts (..., 2), class_sq_norms (..., 2), the sums of
+    the rows' squared norms, and class_sums (..., 2, N), the rows' sums.
+    """
 
     vectors: np.ndarray
     labels: np.ndarray
+    class_counts: np.ndarray = field(init=False, repr=False)
+    class_sq_norms: np.ndarray = field(init=False, repr=False)
+    class_sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.ndim < 2 or self.vectors.shape[-2] < 1:
-            raise ValueError(f"vectors must be a nonempty matrix, got {self.vectors.shape}")
-        self.labels = check_labels(self.vectors, self.labels)
-        check_unit(self.vectors, "training vectors")
+        vectors = np.asarray(self.vectors, dtype=float)
+        if vectors.ndim < 2 or vectors.shape[-2] < 1:
+            raise ValueError(f"vectors must be a nonempty matrix, got {vectors.shape}")
+        labels = check_labels(vectors, self.labels)
+        sq_norms = check_unit(vectors, "training vectors")
+        values = (vectors, labels, *_class_statistics(vectors, labels, sq_norms))
+        for name, value in zip(("vectors", "labels", "class_counts", "class_sq_norms",
+                                "class_sums"), values):
+            value = value if value.flags.owndata else value.copy()
+            value.setflags(write=False)
+            object.__setattr__(self, name, value.view())
 
     @property
     def M(self) -> int:
@@ -83,6 +114,13 @@ class TrainingSet:
     @property
     def dimension(self) -> int:
         return self.vectors.shape[-1]
+
+
+def _class_statistics(vectors, labels, sq_norms):
+    """Per set, class -1 then +1: row counts, sums of squared norms, row sums."""
+    indicators = np.stack([labels == -1, labels == 1], axis=-2).astype(float)
+    return (indicators.sum(-1), np.einsum("...cm,...m->...c", indicators, sq_norms),
+            np.einsum("...cm,...mn->...cn", indicators, vectors))
 
 
 @dataclass
@@ -101,17 +139,17 @@ class ClassificationOutcome:
     accepted: int | None = None
 
 
-def _check_input(train: TrainingSet, x_tilde) -> np.ndarray:
-    if train.vectors.ndim != 2:
-        raise ValueError(f"expected one training set, got a batch {train.vectors.shape}")
-    xt = np.asarray(x_tilde, dtype=float)
-    if xt.shape != (train.dimension,):
+def _checked_rows(train: TrainingSet, X) -> np.ndarray:
+    """X as float rows of unit norm and the training dimension, batched as
+    the training sets are."""
+    X = np.asarray(X, dtype=float)
+    lead = train.vectors.shape[:-2]
+    if X.ndim != len(lead) + 2 or X.shape[:-2] != lead or X.shape[-1] != train.dimension:
         raise ValueError(
-            f"input dimension {xt.shape} does not match training dimension "
-            f"({train.dimension},)"
+            f"inputs {X.shape} must be rows of dimension {train.dimension}, batched as {lead}"
         )
-    check_unit(xt, "input")
-    return xt
+    check_unit(X, "inputs")
+    return X
 
 
 def prepare_state(train: TrainingSet, x_tilde) -> PreparedState:
@@ -125,20 +163,14 @@ def prepare_state(train: TrainingSet, x_tilde) -> PreparedState:
     and no qubit cap applies: the readout is the core that read_batch runs,
     on this one input.
     """
-    xt = _check_input(train, x_tilde)
-    (p_acc,), (p_minus,) = _closed_form(train, xt[None])
+    if train.vectors.ndim != 2:
+        raise ValueError(f"expected one training set, got a batch {train.vectors.shape}")
+    X = _checked_rows(train, np.asarray(x_tilde, dtype=float)[None])
+    (p_acc,), (p_minus,) = _closed_form(train, X)
     # a lone index or data component still takes one qubit
     return PreparedState(m_bits=max(1, (train.M - 1).bit_length()),
                          i_bits=max(1, (train.dimension - 1).bit_length()),
                          p_acc=float(p_acc), p_class_minus=float(p_minus))
-
-
-def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
-    """(start, stop) of each block of ROW_BLOCK training rows. A lone last row
-    joins the block before it: a block of one row, read for one input, would
-    sum its features pairwise, not in order, and round unlike one pass."""
-    stops = [*range(ROW_BLOCK, n_rows - 1, ROW_BLOCK), n_rows]
-    return list(zip([0, *stops[:-1]], stops))
 
 
 def _prepared_readout(state: PreparedState) -> tuple[float, float]:
@@ -223,23 +255,14 @@ def read_batch(train: TrainingSet, X) -> tuple[np.ndarray, np.ndarray]:
     """Exact readout of every row of X at once, without building a state.
 
     Returns the (p_acc, p_class_minus) arrays that interfere_and_read gives
-    row by row, from the sum-vector weights w_km = |x_k + x^m|^2; prepare_state
-    runs this one readout core too. Rows at or below the postselection
-    floor, where interfere_and_read raises ImpossibleBranchError, get
-    p_acc = 0 and p_class_minus = nan. A batch of
+    row by row, each row read in O(N) from the class statistics by the one
+    core that prepare_state runs too (_closed_form); p_acc is within
+    acceptance_error(M, N) of its exact value. Rows at or below the
+    postselection floor get p_acc = 0 and p_class_minus = nan. A batch of
     training sets (vectors (..., M, N)) reads the matching batch of inputs
-    (..., K, N) set by set. Holds a (... x K x M) array of weights and, for
-    one block of ROW_BLOCK training rows at a time, a (... x K x ROW_BLOCK x N)
-    temporary.
+    (..., K, N) set by set.
     """
-    X = np.asarray(X, dtype=float)
-    lead = train.vectors.shape[:-2]
-    if X.ndim != len(lead) + 2 or X.shape[:-2] != lead or X.shape[-1] != train.dimension:
-        raise ValueError(
-            f"inputs {X.shape} must be rows of dimension {train.dimension}, batched as {lead}"
-        )
-    check_unit(X, "inputs")
-    p_acc, p_minus = _closed_form(train, X)
+    p_acc, p_minus = _closed_form(train, _checked_rows(train, X))
     return np.where(p_acc > BRANCH_FLOOR, p_acc, 0.0), p_minus
 
 
@@ -247,26 +270,30 @@ def _closed_form(train: TrainingSet, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Acceptance of each checked row of X, not floored, and its class -1
     share, nan where the acceptance is at or below BRANCH_FLOOR.
 
-    Both come from the class sums of the weights w_km = |x_k + x^m|^2. (For
-    unit rows w_km = 2 + 2<x_k, x^m>, but that Gram form cancels badly where
-    x_k is nearly opposite x^m.) The weights are summed over the features
-    one block of training rows at a time, in the same order as in one pass.
+    Each class weight W_c = sum_{m in c} |x_k + x^m|^2 is read as M_c |x_k|^2
+    + S_c + 2 <x_k, V_c> (a negative one is rounding, and reads 0). That
+    form cancels where x_k is nearly opposite the rows. With e =
+    acceptance_error(M, N), a row read above sqrt(e) has p_acc to a relative
+    error under sqrt(e), and p_class_minus, whose weights are each off by at
+    most 4M e, within 2 e / p_acc. A row at or below sqrt(e) (> 3e-8) is
+    re-read with the direct sums over its set's rows, which keep a relative
+    error of e, so every impossible-branch decision, and the acceptance it
+    quotes, comes from the direct sums.
     """
-    # features outermost, so each broadcast step runs over a whole (K x block) plane
-    xs = np.ascontiguousarray(np.swapaxes(X, -1, -2))
-    w = np.empty(X.shape[:-1] + (train.M,))
-    for start, stop in _row_blocks(train.M):
-        vs = np.ascontiguousarray(np.swapaxes(train.vectors[..., start:stop, :], -1, -2))
-        sums = xs[..., :, :, None] + vs[..., :, None, :]
-        np.square(sums, out=sums).sum(-3, out=w[..., start:stop])
-        # freed here, or both stay alive while the next block's are built
-        del vs, sums
-    minus = (train.labels == -1)[..., None, :]
-    w_minus, w_plus = np.where(minus, w, 0.0).sum(-1), np.where(minus, 0.0, w).sum(-1)
-    total = w_minus + w_plus
+    sq_norms = np.einsum("...i,...i->...", X, X)[..., None]
+    dots = (X[..., :, None, :] * train.class_sums[..., None, :, :]).sum(-1)
+    # (... x K x 2) class weights, class -1 first
+    w = train.class_counts[..., None, :] * sq_norms + train.class_sq_norms[..., None, :]
+    w += 2 * dots
+    np.maximum(w, 0.0, out=w)
+    reread = w.sum(-1) / (4 * train.M) <= math.sqrt(acceptance_error(train.M, train.dimension))
+    for index in zip(*np.nonzero(reread)):
+        rows = np.square(X[index] + train.vectors[index[:-1]]).sum(-1)
+        w[index] = np.bincount((train.labels[index[:-1]] + 1) // 2, rows, minlength=2)
+    total = w.sum(-1)
     p_acc = total / (4 * train.M)
     possible = p_acc > BRANCH_FLOOR
-    p_minus = w_minus / np.where(possible, total, 1.0)
+    p_minus = w[..., 0] / np.where(possible, total, 1.0)
     return p_acc, np.where(possible, p_minus, np.nan)
 
 

@@ -217,14 +217,17 @@ def zero_state(n_qubits: int) -> QuantumState:
     return QuantumState(n_qubits, amps)
 
 
-def check_unit(v, what: str) -> None:
-    """Raise unless v, or each row of v, is finite with unit norm; NaN fails."""
-    deviation = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
+def check_unit(v, what: str) -> np.ndarray:
+    """Raise unless v, or each row of v, is finite with unit norm (NaN fails);
+    return the squared norms it checked."""
+    sq_norms = np.einsum("...i,...i->...", v, v)
+    deviation = np.abs(np.sqrt(sq_norms) - 1.0)
     if not np.all(deviation <= UNIT_TOL):
         raise NormalizationError(
             f"{what} must be finite with unit norm "
             f"(worst deviation {float(np.max(deviation)):.2e})"
         )
+    return sq_norms
 
 
 def _check_indices(n_qubits: int, qubits: tuple[int, ...]):

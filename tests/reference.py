@@ -3,21 +3,23 @@ register's basis index, from its documented bit order, and the amplitudes
 placed by it (which the program never builds; tests pin them to the
 simulated experiment circuit), the paper's classical kernel-sum decision
 rule, the statevector readout of that register gate by gate (the oracle for
-the program's one closed-form readout), that closed form taken over all
-training rows in one pass, the gate rules checked one at a time, the full
-2^n operator of one gate, built entry by entry (the oracle for the gate
+the program's one closed-form readout), that closed form in exact rational
+arithmetic from its class sums, the gate rules checked one at a time, the
+full 2^n operator of one gate, built entry by entry (the oracle for the gate
 loop), and the checks that hold the program to these, shared by the tests
 and the planted faults."""
 
+import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qic.classifier import (
-    ROW_BLOCK,
     TrainingSet,
+    acceptance_error,
     interfere_and_read,
     interfere_and_sample,
     prepare_state,
@@ -67,16 +69,6 @@ def entrywise_amplitudes(train, x_tilde, layout) -> np.ndarray:
     amplitudes[basis_index(layout, m, 0, i, c)] = w * np.asarray(x_tilde, dtype=float)
     amplitudes[basis_index(layout, m, 1, i, c)] = w * train.vectors
     return amplitudes
-
-
-def randomly_labelled_set(rng, M: int, N: int):
-    """M unit training vectors of dimension N with labels drawn one by one
-    from {-1, +1}, and a unit input."""
-    vectors = rng.normal(size=(M, N))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    train = TrainingSet(vectors=vectors, labels=rng.choice([-1, 1], size=M))
-    x_tilde = rng.normal(size=N)
-    return train, x_tilde / np.linalg.norm(x_tilde)
 
 
 def kernel(x, x_prime, M: int) -> float:
@@ -130,48 +122,126 @@ def gate_read(train, x_tilde):
     return p_acc, p_minus, (-1 if p_minus > 0.5 else +1)
 
 
-def one_pass_readout(train, X):
-    """read_batch's (p_acc, p_class_minus) with every training row transposed
-    and summed at once: the weights w_km = |x_k + x^m|^2, summed over the
-    features in order, their class sums, and p_acc floored to 0 with
-    p_class_minus nan at or below BRANCH_FLOOR."""
-    xs, vs = (np.ascontiguousarray(np.swapaxes(a, -1, -2)) for a in (X, train.vectors))
-    sums = xs[..., :, :, None] + vs[..., :, None, :]
-    w = np.square(sums, out=sums).sum(-3)
-    minus = (train.labels == -1)[..., None, :]
-    w_minus, w_plus = np.where(minus, w, 0.0).sum(-1), np.where(minus, 0.0, w).sum(-1)
-    total = w_minus + w_plus
-    p_acc = total / (4 * train.M)
-    possible = p_acc > BRANCH_FLOOR
-    p_minus = w_minus / np.where(possible, total, 1.0)
-    return np.where(possible, p_acc, 0.0), np.where(possible, p_minus, np.nan)
+def exact_class_sums(train):
+    """Per class of one training set, -1 then +1, in exact rational arithmetic
+    on its float values (every float is a dyadic rational): the row count, the
+    sum of the rows' squared norms and the sum of the rows."""
+    sums = []
+    for label in (-1, 1):
+        rows = [[Fraction(v) for v in row]
+                for row, y in zip(train.vectors.tolist(), train.labels.tolist()) if y == label]
+        sums.append((len(rows), sum((v * v for row in rows for v in row), Fraction(0)),
+                     [sum(column, Fraction(0)) for column in zip(*rows)]
+                     or [Fraction(0)] * train.dimension))
+    return sums
 
 
-def assert_blocks_equal_one_pass(train, x_tilde, shots=8192, seed=0):
-    """For an input whose branch is possible: read_batch, of the input alone
-    and stacked over two training rows, and both readouts of the prepared
-    state equal one_pass_readout exactly, the sampled one through the draws
-    it makes."""
-    state = prepare_state(train, x_tilde)
-    for X in (x_tilde[None], np.vstack([x_tilde, train.vectors[:2]])):
-        p_acc, p_minus = read_batch(train, X)
-        ref_acc, ref_minus = one_pass_readout(train, X)
-        assert np.array_equal(p_acc, ref_acc)
-        assert np.array_equal(p_minus, ref_minus, equal_nan=True)
-    (p_acc,), (p_minus,) = one_pass_readout(train, x_tilde[None])
-    outcome = interfere_and_read(state)
-    assert (outcome.p_acc, outcome.p_class_minus) == (p_acc, p_minus)
-    assert outcome.p_class_plus == 1.0 - p_minus
-    rng = np.random.default_rng(seed)
-    accepted = int(np.count_nonzero(rng.random(shots) < p_acc))
-    minus_count = int(np.count_nonzero(rng.random(accepted) < p_minus))
-    sampled = interfere_and_sample(state, shots, seed)
-    assert (sampled.accepted, sampled.p_class_minus) == (accepted, minus_count / accepted)
+def exact_readout(train, x_tilde, class_sums=None):
+    """(p_acc, p_class_minus) of one input against one training set, exact:
+    each class weight sum_m |x + x^m|^2 taken as M_c |x|^2 + S_c + 2 <x, V_c>
+    from exact_class_sums (or the class_sums given), with p_class_minus None
+    where p_acc is 0."""
+    x = [Fraction(v) for v in np.asarray(x_tilde, dtype=float).tolist()]
+    sq_norm = sum((v * v for v in x), Fraction(0))
+    weights = [count * sq_norm + sq_sum + 2 * sum(a * b for a, b in zip(x, vector_sum))
+               for count, sq_sum, vector_sum in class_sums or exact_class_sums(train)]
+    total = sum(weights)
+    return total / (4 * train.M), (weights[0] / total if total else None)
+
+
+def assert_within_rounding_bound(train, X):
+    """read_batch of the rows of X, and prepare_state of each, against
+    exact_readout, with e = acceptance_error(M, N): p_acc within e, and
+    within e of itself where the class sums must have put it at or below
+    sqrt(e), so that the row was re-read directly; p_class_minus within
+    2 e / p_acc; and the branch impossible exactly where the exact acceptance
+    is at or below BRANCH_FLOOR, unless it lies within e * BRANCH_FLOOR of
+    the floor, where the direct sums may round to either side."""
+    e = acceptance_error(train.M, train.dimension)
+    p_acc, p_minus = read_batch(train, X)
+    class_sums = exact_class_sums(train)
+    for k, x in enumerate(X):
+        exact_acc, exact_minus = exact_readout(train, x, class_sums)
+        state = prepare_state(train, x)
+        tol = e * exact_acc if exact_acc + e <= math.sqrt(e) else e
+        assert abs(Fraction(state.p_acc) - exact_acc) <= tol
+        if abs(exact_acc - Fraction(BRANCH_FLOOR)) <= e * BRANCH_FLOOR:
+            continue
+        if exact_acc <= BRANCH_FLOOR:
+            assert p_acc[k] == 0.0 and math.isnan(p_minus[k])
+            assert math.isnan(state.p_class_minus)
+            continue
+        assert abs(Fraction(p_acc[k]) - exact_acc) <= tol
+        for got in (p_minus[k], state.p_class_minus):
+            assert abs(Fraction(got) - exact_minus) <= 2 * e / p_acc[k]
+
+
+def near_antipodal_pair(v, eps: float):
+    """A training set of the one unit row v/|v| in class -1, and the unit
+    input a step eps from its opposite, orthogonal to it, towards the first
+    axis: an acceptance of about eps^2/4."""
+    v = np.asarray(v, dtype=float) / np.linalg.norm(v)
+    step = np.eye(len(v))[0] - v[0] * v
+    x = -v + eps * step / np.linalg.norm(step)
+    return TrainingSet(vectors=[v], labels=[-1]), x / np.linalg.norm(x)
+
+
+def assert_quotes_exact_acceptance(train, x_tilde):
+    """For an input whose exact acceptance is below half of BRANCH_FLOOR: the
+    readout of its prepared state raises ImpossibleBranchError quoting that
+    exact acceptance to the three digits of the message."""
+    exact_acc, _ = exact_readout(train, x_tilde)
+    assert exact_acc < BRANCH_FLOOR / 2
+    with pytest.raises(ImpossibleBranchError) as read:
+        interfere_and_read(prepare_state(train, x_tilde))
+    assert str(read.value).endswith(f" has probability {float(exact_acc):.3e}")
+
+
+def assert_training_set_is_read_only(vectors, labels):
+    """TrainingSets of writable arrays of vectors and labels that own their
+    memory, and of writable views of such arrays: assigning to a field
+    raises, every array a set holds refuses writes and refuses to be made
+    writable, and a set never follows a write to its source: an owning
+    source was taken over, so the write raises, and a view was copied."""
+    for owning in (True, False):
+        sources = [np.array(vectors, dtype=float), np.array(labels)]
+        if not owning:
+            sources = [source.view() for source in sources]
+        train = TrainingSet(vectors=sources[0], labels=sources[1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            train.vectors = sources[0]
+        arrays = {field.name: getattr(train, field.name) for field in dataclasses.fields(train)}
+        before = {name: array.copy() for name, array in arrays.items()}
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+        for source in sources:
+            if owning:
+                with pytest.raises(ValueError, match="read-only"):
+                    source.flat[0] = 0
+            else:
+                source[...] = 0
+        for name, array in arrays.items():
+            assert np.array_equal(array, before[name]), name
+
+
+def assert_same_label(train, x_tilde, p_acc, p_minus, ref_label):
+    """The label of a readout (p_acc, p_minus) is ref_label, the gate path's,
+    unless the exact class -1 share is within the readout's rounding bound
+    2 e / p_acc of the 0.5 tie, where the two may round to either side."""
+    if (-1 if p_minus > 0.5 else +1) != ref_label:
+        _, exact_minus = exact_readout(train, x_tilde)
+        e = acceptance_error(train.M, train.dimension)
+        assert abs(exact_minus - Fraction(1, 2)) <= 2 * e / p_acc
 
 
 def assert_matches_statevector(train, X):
     """read_batch against gate_read row by row: p_acc and p_minus to 1e-12,
-    the label exactly, and (0, nan) where postselection fails."""
+    the label as assert_same_label holds it, and (0, nan) where
+    postselection fails."""
     p_acc, p_minus = read_batch(train, X)
     for k, x in enumerate(X):
         try:
@@ -181,13 +251,14 @@ def assert_matches_statevector(train, X):
             continue
         assert abs(p_acc[k] - ref_acc) <= 1e-12
         assert abs(p_minus[k] - ref_minus) <= 1e-12
-        assert (-1 if p_minus[k] > 0.5 else +1) == ref_label
+        assert_same_label(train, x, p_acc[k], p_minus[k], ref_label)
 
 
 def assert_read_matches_gate_path(train, x_tilde):
     """interfere_and_read of the prepared state of x_tilde against gate_path
     of its encoded register: p_acc, p_class_minus and p_class_plus to 1e-12,
-    the label exactly, and ImpossibleBranchError from both or from neither."""
+    the label as assert_same_label holds it, and ImpossibleBranchError from
+    both or from neither."""
     state = prepare_state(train, x_tilde)
     try:
         p_acc, p_minus, p_plus = gate_path(*encoded_state(train, x_tilde))
@@ -199,22 +270,32 @@ def assert_read_matches_gate_path(train, x_tilde):
     assert abs(outcome.p_acc - p_acc) <= 1e-12
     assert abs(outcome.p_class_minus - p_minus) <= 1e-12
     assert abs(outcome.p_class_plus - p_plus) <= 1e-12
-    assert outcome.predicted == (-1 if p_minus > 0.5 else +1)
+    assert outcome.predicted == (-1 if outcome.p_class_minus > 0.5 else +1)
+    assert_same_label(train, x_tilde, outcome.p_acc, outcome.p_class_minus,
+                      -1 if p_minus > 0.5 else +1)
+
+
+# the tracemalloc peak of reading inputs, past their (K x 2 x N) products:
+# array headers and scalars, under 3 KiB for one input
+READ_OVERHEAD = 4096
+
+
+def read_peak(read, train, X) -> int:
+    """The tracemalloc peak of read(train, X)."""
+    tracemalloc.start()
+    try:
+        read(train, X)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_prepares_no_amplitudes(train, x_tilde):
-    """prepare_state's tracemalloc peak: the weights of the M training rows
-    and at most three blocks of ROW_BLOCK rows' temporaries; any amplitude
-    array of the state, or a block's temporaries kept alive into the next
-    block, would add more."""
-    tracemalloc.start()
-    try:
-        prepare_state(train, x_tilde)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    block = ROW_BLOCK * train.dimension * train.vectors.itemsize
-    assert peak <= train.M * train.vectors.itemsize + 3 * block
+    """prepare_state's tracemalloc peak: a few (2 x N) products of the input
+    with the class sums, and nothing that grows with M; any amplitude array of
+    the state, or any weight per training row, would add more."""
+    peak = read_peak(prepare_state, train, x_tilde)
+    assert peak <= 4 * 2 * train.dimension * train.vectors.itemsize + READ_OVERHEAD
 
 
 def embed(op, n_qubits: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 import math
-import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,9 +11,9 @@ from qic import classifier
 from qic import statevector as sv
 from qic.circuit import build_experiment_circuit
 from qic.classifier import (
-    ROW_BLOCK,
     SAMPLE_BLOCK,
     TrainingSet,
+    acceptance_error,
     classify,
     interfere_and_read,
     interfere_and_sample,
@@ -29,17 +29,22 @@ from qic.presets import X1, preset_input, training_set
 
 from reference import (
     CLASS_BIT,
-    assert_blocks_equal_one_pass,
+    READ_OVERHEAD,
     assert_matches_statevector,
     assert_prepares_no_amplitudes,
+    assert_quotes_exact_acceptance,
     assert_read_matches_gate_path,
+    assert_training_set_is_read_only,
+    assert_within_rounding_bound,
     basis_index,
     classical_classify,
     encoded_state,
+    exact_class_sums,
     gate_path,
     gate_read,
     kernel,
-    randomly_labelled_set,
+    near_antipodal_pair,
+    read_peak,
 )
 
 # the start of the ValueError both readouts raise for a state that
@@ -123,6 +128,24 @@ class TestTrainingSet:
         with pytest.raises(NormalizationError):
             TrainingSet(vectors=[[bad, 1.0]], labels=[-1])
 
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)], ids=["one set", "batch"])
+    def test_is_read_only(self, shape):
+        vectors = np.random.default_rng(0).normal(size=shape)
+        vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+        assert_training_set_is_read_only(vectors, np.where(vectors[..., 0] < 0, -1, 1))
+
+    @pytest.mark.parametrize("M, N", [(1, 1), (7, 3), (64, 16)])
+    def test_class_statistics_are_the_exact_class_sums(self, M, N):
+        # each sum is off by rounding alone, within acceptance_error(M, N)
+        # times the M unit-bounded terms it adds
+        train, _ = random_instance(np.random.default_rng(M + N), M, N)
+        tol = acceptance_error(M, N) * M
+        for c, (count, sq_sum, vector_sum) in enumerate(exact_class_sums(train)):
+            assert train.class_counts[c] == count
+            assert abs(Fraction(float(train.class_sq_norms[c])) - sq_sum) <= tol
+            for got, exact in zip(train.class_sums[c].tolist(), vector_sum):
+                assert abs(Fraction(got) - exact) <= tol
+
 
 class TestPrepareState:
     def test_holds_no_amplitudes(self):
@@ -157,32 +180,6 @@ class TestPrepareState:
         train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
         with pytest.raises(NormalizationError):
             prepare_state(train, [bad, 1.0])
-
-
-def block_edges(block):
-    """Training-row counts around the edges of blocks of this many rows."""
-    return [block - 1, block, block + 1, 2 * block + 3]
-
-
-class TestRowBlocks:
-    """The closed-form readout takes the training rows ROW_BLOCK at a time;
-    at each block edge every readout equals one pass over all the rows, bit
-    for bit."""
-
-    @pytest.mark.parametrize("N", [1, 3, 16])
-    @pytest.mark.parametrize("M", block_edges(ROW_BLOCK))
-    def test_block_edges_equal_one_pass(self, M, N):
-        rng = np.random.default_rng(M * 100 + N)
-        assert_blocks_equal_one_pass(*randomly_labelled_set(rng, M, N))
-
-    @pytest.mark.parametrize("M", block_edges(4))
-    def test_small_block_edges_equal_one_pass(self, M, monkeypatch):
-        # at four rows a block, a last block's rounding reaches the readout:
-        # a lone last row, summed over its 16 features pairwise and not in
-        # order, changed it for 10 of these 40 inputs of five rows
-        monkeypatch.setattr(classifier, "ROW_BLOCK", 4)
-        for seed in range(40):
-            assert_blocks_equal_one_pass(*randomly_labelled_set(np.random.default_rng(seed), M, 16))
 
 
 class TestInterfereAndRead:
@@ -254,6 +251,13 @@ class TestInterfereAndRead:
         assert abs(float(str(gate.value)[len(prefix):]) - eps ** 2 / 4) <= 1e-30
         with pytest.raises(EstimationFailedError, match="no shots accepted out of 1000$"):
             interfere_and_sample(state, shots=1000, seed=0)
+
+    @pytest.mark.parametrize("v", [[1.0, 2.0, 2.0], [0.6, 0.8], [1.0, 2.0, 3.0, 4.0]])
+    @pytest.mark.parametrize("eps", [3e-9, 1e-8, 2e-8])
+    def test_near_antipodal_quotes_exact_acceptance(self, v, eps):
+        # acceptance about eps^2/4, where the class sums cancel to 0 or to a
+        # rounding error of up to 1.1e-16; the row is re-read directly
+        assert_quotes_exact_acceptance(*near_antipodal_pair(v, eps))
 
     def test_probability_difference_tracks_score_for_balanced_labels(self):
         rng = np.random.default_rng(99)
@@ -600,6 +604,7 @@ class TestReadBatch:
         weight_gap = abs(p_minus[0] - 0.5) * 8 * train.M * p_acc[0]
         assert 0.0 < weight_gap <= 4 * offset * pairs
         assert_matches_statevector(train, x[None, :])
+        assert_within_rounding_bound(train, x[None, :])
 
     def test_antipodal_input_is_reported_impossible(self):
         v = unit([1.0, 2.0, 2.0])
@@ -651,18 +656,12 @@ class TestReadBatch:
 
     @pytest.mark.parametrize("M", [1 << 12, 1 << 14])
     def test_holds_blocks_of_rows_not_the_whole_set(self, M):
+        # an input is read from the class sums: a few (2 x N) products, and
+        # no term that grows with M (a weight per training row would add
+        # 8 M bytes, the old blocks of 1024 rows 128 KiB each)
         train, x_tilde = random_instance(np.random.default_rng(5), M, N=16)
-        tracemalloc.start()
-        try:
-            read_batch(train, x_tilde[None])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the sums of a few blocks of ROW_BLOCK rows, and per row a weight,
-        # a masked copy of it and a label mask (17 bytes); no term grows with
-        # M x N (one pass over the whole set held twice the set's bytes)
-        block = ROW_BLOCK * train.dimension * train.vectors.itemsize
-        assert peak <= 4 * block + 20 * M
+        peak = read_peak(read_batch, train, x_tilde[None])
+        assert peak <= 4 * 2 * train.dimension * train.vectors.itemsize + READ_OVERHEAD
 
     def test_reference_inputs(self):
         X = np.array([preset_input("xprime"), preset_input("xdoubleprime")])
@@ -687,3 +686,33 @@ class TestReadBatch:
         train = TrainingSet(vectors=[[1.0, 0.0]], labels=[-1])
         with pytest.raises(NormalizationError):
             read_batch(train, [[1.0, 0.0], [bad, 1.0]])
+
+
+class TestExactOracle:
+    """read_batch and prepare_state against the exact rational readout, within
+    acceptance_error(M, N); TestReadBatch holds its mirrored near-ties to it
+    too."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 9), N=st.integers(1, 7),
+           spread=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0]),
+           offset=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    def test_near_antipodal_inputs(self, seed, M, N, spread, offset):
+        # training rows within spread of one direction v, and inputs within
+        # offset of -v: acceptances from exactly 0 up to about 1/2
+        rng = np.random.default_rng(seed)
+        train, _ = random_instance(rng, M, N)
+        v = train.vectors[0]
+        vectors = v + spread * rng.normal(size=(M, N))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        train = TrainingSet(vectors=vectors, labels=train.labels)
+        X = -v + offset * rng.normal(size=(3, N))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        assert_within_rounding_bound(train, X)
+
+    @pytest.mark.parametrize("M, N", [(1023, 1), (1025, 3), (2051, 16)])
+    def test_large_sets(self, M, N):
+        # one random input, and one within 1e-6 of the opposite of row 0
+        train, x_tilde = random_instance(np.random.default_rng(M * 100 + N), M, N)
+        near_opposite = unit(1e-6 * x_tilde - train.vectors[0])
+        assert_within_rounding_bound(train, np.array([x_tilde, near_opposite]))

@@ -1,14 +1,14 @@
 """Planted faults: each fault is patched into the one readout core, into the
-blocks of training rows that it takes, into prepare_state as an allocation
-of the amplitudes it does not build, into the statevector gate loop, into
-the QuantumState constructor, or into the link between the Table-2 rows and
-the batch positions of their datasets, and the shared checks of
-tests/reference.py or the Table-2 golden must fail on inputs that they pass
-unpatched."""
+class statistics or the writable arrays of a TrainingSet, into the bound
+below which the core re-reads a row directly, into prepare_state as an
+allocation of the amplitudes it does not build, into the statevector gate
+loop, into the QuantumState constructor, or into the link between the
+Table-2 rows and the batch positions of their datasets, and the shared
+checks of tests/reference.py or the Table-2 golden must fail on inputs that
+they pass unpatched."""
 
 import contextlib
 import io
-import itertools
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +23,14 @@ from qic.dataset import LabeledDataset
 from qic.presets import preset_input, training_set
 
 from reference import (
-    assert_blocks_equal_one_pass,
     assert_gate_loop_matches_dense,
     assert_matches_statevector,
     assert_prepares_no_amplitudes,
+    assert_quotes_exact_acceptance,
     assert_read_matches_gate_path,
     assert_state_is_a_read_only_copy,
-    randomly_labelled_set,
+    assert_training_set_is_read_only,
+    near_antipodal_pair,
 )
 
 TRAIN = training_set()
@@ -90,28 +91,28 @@ def uncopied_state_input(monkeypatch):
     monkeypatch.setattr(sv.QuantumState, "__post_init__", planted)
 
 
-def blocks_over_padded_rows(monkeypatch):
-    # each block counted as ROW_BLOCK rows, past the training rows it holds
-    # into the padded index branches: a lone last row that joined the block
-    # before it is left out
-    blocks = classifier._row_blocks
-    monkeypatch.setattr(classifier, "_row_blocks", lambda n_rows: [
-        (start, start + classifier.ROW_BLOCK) for start, _ in blocks(n_rows)])
+def swapped_label_statistics(monkeypatch):
+    # the class statistics of a new TrainingSet built from its labels negated
+    statistics = classifier._class_statistics
+    monkeypatch.setattr(classifier, "_class_statistics",
+                        lambda vectors, labels, sq_norms: statistics(vectors, -labels, sq_norms))
 
 
-def last_partial_block_skipped(monkeypatch):
-    blocks = classifier._row_blocks
-    monkeypatch.setattr(classifier, "_row_blocks", lambda n_rows: [
-        (start, stop) for start, stop in blocks(n_rows)
-        if stop - start >= classifier.ROW_BLOCK])
+def zero_reread_bound(monkeypatch):
+    # no row re-read directly unless its class sums cancel to 0 or below
+    monkeypatch.setattr(classifier, "acceptance_error", lambda M, N: 0.0)
 
 
-def lone_last_row_block(monkeypatch):
-    # a last row left in a block of its own, which sums its features
-    # pairwise; at four rows a block its rounding reaches the readout
-    monkeypatch.setattr(classifier, "ROW_BLOCK", 4)
-    monkeypatch.setattr(classifier, "_row_blocks", lambda n_rows: [
-        (start, min(start + 4, n_rows)) for start in range(0, n_rows, 4)])
+def writable_training_set(monkeypatch):
+    # a TrainingSet keeps writable copies of its vectors and labels
+    post_init = TrainingSet.__post_init__
+
+    def planted(train):
+        post_init(train)
+        for name in ("vectors", "labels"):
+            object.__setattr__(train, name, np.array(getattr(train, name)))
+
+    monkeypatch.setattr(TrainingSet, "__post_init__", planted)
 
 
 def reversed_pick(monkeypatch):
@@ -137,8 +138,13 @@ def prepared_readout_check():
         assert_read_matches_gate_path(TRAIN, x)
 
 
+def new_set_read_check():
+    # a training set built after the fault is planted
+    assert_matches_statevector(training_set(), INPUTS)
+
+
 def no_amplitudes_check():
-    # four blocks of training rows, encoded in 18 qubits
+    # 4096 training rows, encoded in 18 qubits
     rng = np.random.default_rng(3)
     vectors = rng.normal(size=(1 << 12, 16))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -147,16 +153,15 @@ def no_amplitudes_check():
                                   x / np.linalg.norm(x))
 
 
-# a fresh seed on every call, so that a block a fault leaves unwritten cannot
-# hold the values an earlier call left in the same memory
-BLOCK_SEEDS = itertools.count()
+def below_floor_check():
+    # acceptances of 1.0e-16, where the class sums of one input leave
+    # 5.6e-17 and of the other 1.1e-16
+    for v in ([1.0, 2.0, 2.0], [0.6, 0.8]):
+        assert_quotes_exact_acceptance(*near_antipodal_pair(v, 2e-8))
 
 
-def block_edge_check():
-    # a last row that joins the block before it, and a last block of three rows
-    rng = np.random.default_rng(next(BLOCK_SEEDS))
-    for M in (classifier.ROW_BLOCK + 1, 2 * classifier.ROW_BLOCK + 3):
-        assert_blocks_equal_one_pass(*randomly_labelled_set(rng, M, 3))
+def read_only_set_check():
+    assert_training_set_is_read_only(TRAIN.vectors, TRAIN.labels)
 
 
 def gate_loop_check():
@@ -168,12 +173,6 @@ def gate_loop_check():
 def state_copy_check():
     source = np.full(8, np.sqrt(1 / 8), dtype=complex)
     assert_state_is_a_read_only_copy(3, source, source)
-
-
-def lone_row_check():
-    # five rows of 16 features, one block unpatched, and a block of four and
-    # a lone row under the fault; seed 1's readout tells the two apart
-    assert_blocks_equal_one_pass(*randomly_labelled_set(np.random.default_rng(1), 5, 16))
 
 
 def table2_golden_check():
@@ -189,9 +188,9 @@ CASES = [
     (swapped_class_weights, read_batch_check),
     (swapped_class_weights, prepared_readout_check),
     (allocated_amplitudes, no_amplitudes_check),
-    (blocks_over_padded_rows, block_edge_check),
-    (last_partial_block_skipped, block_edge_check),
-    (lone_last_row_block, lone_row_check),
+    (swapped_label_statistics, new_set_read_check),
+    (zero_reread_bound, below_floor_check),
+    (writable_training_set, read_only_set_check),
     (untransposed_gate_loop, gate_loop_check),
     (uncopied_state_input, state_copy_check),
     (reversed_pick, table2_golden_check),
