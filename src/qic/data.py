@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifier import TrainingSet, read_batch
 from .dataset import LabeledDataset
-from .encoding import Pipeline
+from .encoding import Pipeline, kron_power
 
 IRIS_SHA256 = "c8a2fdaf394fc79fd145487203d7d69163f0e6d0053ea46afe97fa3542d12822"
 
@@ -69,35 +69,43 @@ def circles() -> LabeledDataset:
 
 
 def split(
-    dataset: LabeledDataset, train_fraction: float, seeds: Sequence
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded shuffle splits, one per seed (an int or a SeedSequence), stacked
-    along a new axis before the rows: rows (n, d) give (R, k, d), and a batch
-    of datasets, rows (G, n, d), gives (G, R, k, d).
+    datasets: Sequence[LabeledDataset], train_fraction: float, seeds: Sequence
+) -> list[tuple[LabeledDataset, LabeledDataset]]:
+    """Seeded shuffle splits of each dataset, one per seed (an int or a
+    SeedSequence), stacked along a new axis before the rows: rows (n, d)
+    give (R, k, d), and a batch of datasets, rows (G, n, d), gives
+    (G, R, k, d). One (train, test) pair per dataset, in order.
 
     Split r permutes the rows with default_rng(seeds[r]); its train side
-    keeps the first floor(fraction*n) of them and its test side the rest. A
-    batch of datasets is split with one draw per seed, so every matrix loses
-    the same rows.
+    keeps the first floor(fraction*n) of them and its test side the rest.
+    Each permutation is drawn once for all the datasets, which must have the
+    same n, so every matrix loses the same rows.
     """
+    datasets = tuple(datasets)
+    sizes = {ds.n_samples for ds in datasets}  # empty, or more than one n, is rejected
+    if len(sizes) != 1 or any(ds.rows.ndim > 3 for ds in datasets):
+        shapes = ", ".join(str(ds.rows.shape) for ds in datasets)
+        raise ValueError("split takes datasets (n, d) or batches (G, n, d) of one n, "
+                         f"got rows [{shapes}]")
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = dataset.n_samples
+    (n,) = sizes
     n_train = int(train_fraction * n)
     if n_train == 0 or n_train == n:
         raise ValueError(
             f"fraction {train_fraction} leaves an empty split for {n} rows"
         )
     perm = np.stack([np.random.default_rng(s).permutation(n) for s in seeds])
-    return dataset.subset(perm[:, :n_train]), dataset.subset(perm[:, n_train:])
+    train, test = perm[:, :n_train], perm[:, n_train:]
+    return [(ds.subset(train), ds.subset(test)) for ds in datasets]
 
 
 # every benchmark split keeps floor(0.8 * n) rows for training
 TRAIN_FRACTION = 0.8
-# repetitions per vectorized pass of run_benchmark. The readout temporary is
-# CHUNK x features x n_test x n_train floats: 5 MB for the 16-feature rows.
-# On a 2-vCPU VM, Table 2 at 1000 reps takes the same time in chunks of 25
-# as of 100, and 100 adds 22 MB to the peak RSS.
+# repetitions per vectorized pass of run_benchmark. tracemalloc puts the peak
+# of one whole chunk of Table 2 at 2.0 MiB for 25 and 7.7 MiB for 100. On a
+# 2-vCPU VM, Table 2 at 1000 reps takes the same time (0.21 s in-process) in
+# chunks of 25 as of 100, and 100 adds 7 MB to the peak RSS.
 CHUNK = 25
 
 
@@ -110,40 +118,37 @@ class BenchmarkReport:
 
 
 def run_benchmark(
-    batch: LabeledDataset,
-    repetitions: int,
-    copies: Sequence[int],
-    master_seed: int = 1234,
-) -> list[BenchmarkReport]:
+    batches: Sequence[LabeledDataset], repetitions: int, master_seed: int = 1234
+) -> list[list[BenchmarkReport]]:
     """Repeatedly split, preprocess (fitted on the training part only), and
     classify every test point with the exact interference readout, for each
-    dataset of a batch (rows (G, n, d)) with its own number of feature-map
-    copies (G of them); one report per dataset, in batch order.
+    dataset of each batch (rows (G, n, d), every batch with the same n); one
+    list of reports per batch, one report per dataset in batch order.
 
     Repetition r splits with SeedSequence((master_seed, r)). Up to CHUNK
-    repetitions are split once for the whole batch, and read in one Pipeline
-    and read_batch pass per distinct copies; each report is the one its
-    dataset gives in a batch of one. Test points whose acceptance probability
-    vanishes are counted as misclassified and tallied separately.
+    repetitions are split in one call for all the batches, and each batch is
+    read in one Pipeline and read_batch pass; each report is the one its
+    dataset gives in a batch of one. Test points whose acceptance
+    probability vanishes are counted as misclassified and tallied separately.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    copies = tuple(copies)
-    if batch.rows.ndim != 3 or len(copies) != len(batch.rows):
-        raise ValueError("a batch of G datasets takes rows (G, n, d) and G copies")
+    batches = tuple(batches)
+    for batch in batches:
+        if batch.rows.ndim != 3:
+            raise ValueError(f"a batch of datasets takes rows (G, n, d), got {batch.rows.shape}")
 
-    errors: list[list[float]] = [[] for _ in copies]
-    p_accs: list[list[float]] = [[] for _ in copies]
-    impossible = [0] * len(copies)
+    # per batch, per dataset: [per-rep errors, per-rep mean p_acc, impossible count]
+    tallies = [[[[], [], 0] for _ in batch.rows] for batch in batches]
     for start in range(0, repetitions, CHUNK):
         reps = range(start, min(start + CHUNK, repetitions))
         seeds = [np.random.SeedSequence((master_seed, rep)) for rep in reps]
-        train_raw, test_raw = split(batch, TRAIN_FRACTION, seeds)  # (datasets, reps, ...)
-        for c in dict.fromkeys(copies):
-            which = [g for g, cg in enumerate(copies) if cg == c]
-            pipe = Pipeline(c)
-            train = pipe.fit_transform(train_raw.pick(which))
-            test = pipe.transform(test_raw.pick(which))
+        for (train_raw, test_raw), batch_tallies in zip(
+            split(batches, TRAIN_FRACTION, seeds), tallies  # (datasets, reps, ...)
+        ):
+            pipe = Pipeline()
+            train = pipe.fit_transform(train_raw)
+            test = pipe.transform(test_raw)
             training = TrainingSet(vectors=train.rows, labels=train.labels)
 
             p_acc, p_minus = read_batch(training, test.rows)  # (datasets, reps, test points)
@@ -151,24 +156,25 @@ def run_benchmark(
             n_accepted = accepted.sum(axis=-1)
             predicted = np.where(p_minus > 0.5, -1, +1)
             wrong = np.count_nonzero(~accepted | (predicted != test.labels), axis=-1)
-            for g, rows, counts, errs in zip(
-                which, p_acc.tolist(), n_accepted.tolist(), (wrong / test.n_samples).tolist()
+            for tally, rows, counts, errs in zip(
+                batch_tallies, p_acc.tolist(), n_accepted.tolist(),
+                (wrong / test.n_samples).tolist(),
             ):
-                impossible[g] += test.n_samples * len(counts) - sum(counts)
-                errors[g].extend(errs)
+                tally[0].extend(errs)
                 # rejected points hold p_acc = 0, which leaves the exact fsum unchanged
-                p_accs[g].extend(math.fsum(row) / n for row, n in zip(rows, counts) if n)
+                tally[1].extend(math.fsum(row) / n for row, n in zip(rows, counts) if n)
+                tally[2] += test.n_samples * len(counts) - sum(counts)
+    return [[_report(*tally) for tally in batch_tallies] for batch_tallies in tallies]
 
-    reports = []
-    for errs, accs, n_impossible in zip(errors, p_accs, impossible):
-        mean_error = math.fsum(errs) / len(errs)
-        reports.append(BenchmarkReport(
-            mean_error=mean_error,
-            error_variance=math.fsum((e - mean_error) ** 2 for e in errs) / len(errs),
-            mean_p_acc=math.fsum(accs) / len(accs) if accs else 0.0,
-            impossible_branch_count=n_impossible,
-        ))
-    return reports
+
+def _report(errors: list[float], p_accs: list[float], impossible: int) -> BenchmarkReport:
+    mean_error = math.fsum(errors) / len(errors)
+    return BenchmarkReport(
+        mean_error=mean_error,
+        error_variance=math.fsum((e - mean_error) ** 2 for e in errors) / len(errors),
+        mean_p_acc=math.fsum(p_accs) / len(p_accs) if p_accs else 0.0,
+        impossible_branch_count=impossible,
+    )
 
 
 @dataclass(frozen=True)
@@ -220,18 +226,20 @@ def _shared_benchmark_dataset(key: str) -> LabeledDataset:
 
 @functools.cache
 def _shared_benchmark_groups() -> tuple[tuple[tuple[BenchmarkRowSpec, ...], LabeledDataset], ...]:
-    """TABLE2_ROWS grouped by dataset shape, in row order, each group's
-    datasets stacked into one read-only batch (rows (G, n, d))."""
-    groups: dict[tuple[int, ...], list[BenchmarkRowSpec]] = {}
+    """TABLE2_ROWS grouped by mapped width, in row order: each row's dataset
+    under its feature map (kron_power of the raw rows, spec.copies fold),
+    each group's datasets stacked into one read-only batch (rows (G, n, d))."""
+    groups: dict[tuple[int, ...], list] = {}
     for spec in TABLE2_ROWS:
-        groups.setdefault(_shared_benchmark_dataset(spec.key).rows.shape, []).append(spec)
+        ds = _shared_benchmark_dataset(spec.key)
+        mapped = kron_power(ds.rows, spec.copies)
+        groups.setdefault(mapped.shape, []).append((spec, mapped, ds.labels))
     out = []
-    for specs in groups.values():
-        parts = [_shared_benchmark_dataset(spec.key) for spec in specs]
-        rows = np.stack([ds.rows for ds in parts])
-        labels = np.stack([ds.labels for ds in parts])
+    for members in groups.values():
+        specs, rows, labels = zip(*members)
+        rows, labels = np.stack(rows), np.stack(labels)
         rows.flags.writeable = labels.flags.writeable = False
-        out.append((tuple(specs), LabeledDataset(rows, labels)))
+        out.append((specs, LabeledDataset(rows, labels)))
     return tuple(out)
 
 
@@ -254,12 +262,12 @@ def run_table2(
 ) -> list[tuple[BenchmarkRowSpec, BenchmarkReport]]:
     """Run all canonical benchmark rows and pair each with its reference spec.
 
-    Rows whose datasets share a shape run as one batch (one run_benchmark
-    call), so each chunk of repetitions is split once per shape; every report
-    equals the one its row's dataset gives alone.
+    The feature map is applied once per process, and rows whose mapped
+    datasets share a width run as one batch: one run_benchmark call over the
+    three batches splits each chunk of repetitions once and reads it in three
+    passes. Every report equals the one its row's mapped dataset gives alone.
     """
-    reports: dict[BenchmarkRowSpec, BenchmarkReport] = {}
-    for specs, batch in _shared_benchmark_groups():
-        copies = [spec.copies for spec in specs]
-        reports.update(zip(specs, run_benchmark(batch, repetitions, copies, master_seed)))
-    return [(spec, reports[spec]) for spec in TABLE2_ROWS]
+    groups = _shared_benchmark_groups()
+    reports = run_benchmark([batch for _, batch in groups], repetitions, master_seed)
+    by_spec = {s: r for (specs, _), rs in zip(groups, reports) for s, r in zip(specs, rs)}
+    return [(spec, by_spec[spec]) for spec in TABLE2_ROWS]

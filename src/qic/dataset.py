@@ -38,11 +38,10 @@ class LabeledDataset:
     along leading axes (rows (..., n, d), labels (..., n)).
 
     The datasets of a batch (rows (G, n, d)) are told apart by their
-    position along the first axis: pick selects by it, and run_benchmark
-    reports in its order.
+    position along the first axis: run_benchmark reports in its order.
 
-    Construction checks rows and labels; subset, pick and with_rows derive
-    from a checked dataset and check only what they bring in."""
+    Construction checks rows and labels; subset and with_rows derive from a
+    checked dataset and check only what they bring in."""
 
     rows: np.ndarray
     labels: np.ndarray
@@ -79,8 +78,3 @@ class LabeledDataset:
         return self._derived(
             np.take(self.rows, indices, axis=-2), np.take(self.labels, indices, axis=-1)
         )
-
-    def pick(self, which: list[int]) -> "LabeledDataset":
-        """The datasets at positions which along the first axis of a batch,
-        in that order."""
-        return self._derived(self.rows[which], self.labels[which])

@@ -46,26 +46,24 @@ def kron_power(v: np.ndarray, copies: int) -> np.ndarray:
 
 
 class Pipeline:
-    """Feature map -> standardize -> normalize, with the column statistics
-    fitted on the training split and reused for held-out data.
+    """Standardize -> normalize, with the column statistics fitted on the
+    training split and reused for held-out data.
 
-    The tensor power is taken of the raw feature rows (the map has to see the
-    raw scale: row-normalizing first would erase radial structure), so the
-    mapped columns are plain monomials; standardizing and normalizing them
-    gives the unit-norm encodable vectors.
+    A feature map belongs before it: the tensor power has to see the raw
+    scale (row-normalizing first would erase radial structure), so the
+    mapped columns are plain monomials, and standardizing and normalizing
+    them gives the unit-norm encodable vectors.
 
     A batch of datasets (rows (R, n, d)) is fitted split by split in one
     pass: means and stds get shape (R, d), and transform takes the matching
     batch of held-out rows.
     """
 
-    def __init__(self, copies: int = 1):
-        self.copies = copies
-        self.means: np.ndarray | None = None
-        self.stds: np.ndarray | None = None
+    means: np.ndarray | None = None
+    stds: np.ndarray | None = None
 
     def fit_transform(self, dataset: LabeledDataset) -> LabeledDataset:
-        rows = kron_power(dataset.rows, self.copies)
+        rows = dataset.rows
         if rows.shape[-2] < 2:
             raise ValueError("standardization needs at least 2 samples")
         means = rows.mean(axis=-2)
@@ -83,7 +81,6 @@ class Pipeline:
     def transform(self, dataset: LabeledDataset) -> LabeledDataset:
         if self.means is None:
             raise RuntimeError("pipeline is not fitted; call fit_transform first")
-        rows = kron_power(dataset.rows, self.copies)
         return dataset.with_rows(
-            normalize((rows - self.means[..., None, :]) / self.stds[..., None, :])
+            normalize((dataset.rows - self.means[..., None, :]) / self.stds[..., None, :])
         )

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from qic.data import (
     split,
 )
 from qic.dataset import LabeledDataset
-from qic.encoding import Pipeline
+from qic.encoding import Pipeline, kron_power
 from qic.errors import ImpossibleBranchError
 
 from reference import gate_read
@@ -40,25 +41,29 @@ def permutation(seed, rep, n):
 
 
 def run_alone(ds, reps, copies=1, master_seed=1234):
-    """The report run_benchmark gives a batch of this one dataset."""
-    batch = LabeledDataset(ds.rows[None], ds.labels[None])
-    (report,) = run_benchmark(batch, reps, [copies], master_seed)
+    """The report run_benchmark gives a batch of this one dataset under the
+    feature map of copies."""
+    batch = LabeledDataset(kron_power(ds.rows, copies)[None], ds.labels[None])
+    ((report,),) = run_benchmark([batch], reps, master_seed)
     return report
 
 
 def statevector_reference(ds, reps, copies, master_seed):
     """run_benchmark one split and one test point at a time, through the
-    gate-by-gate statevector readout, with each permutation drawn here and
-    the pipeline that data.Pipeline names: (per-rep errors, per-rep mean
-    p_acc, impossible)."""
+    gate-by-gate statevector readout, with each permutation drawn here, the
+    feature map of copies applied to each split's rows, and the pipeline
+    that data.Pipeline names: (per-rep errors, per-rep mean p_acc,
+    impossible)."""
     n_train = int(TRAIN_FRACTION * ds.n_samples)
     impossible, errors, p_accs = 0, [], []
     for rep in range(reps):
         perm = permutation(master_seed, rep, ds.n_samples)
         train_rows, test_rows = perm[:n_train], perm[n_train:]
-        pipe = data.Pipeline(copies)
-        train = pipe.fit_transform(LabeledDataset(ds.rows[train_rows], ds.labels[train_rows]))
-        test = pipe.transform(LabeledDataset(ds.rows[test_rows], ds.labels[test_rows]))
+        pipe = data.Pipeline()
+        train = pipe.fit_transform(LabeledDataset(
+            kron_power(ds.rows[train_rows], copies), ds.labels[train_rows]))
+        test = pipe.transform(LabeledDataset(
+            kron_power(ds.rows[test_rows], copies), ds.labels[test_rows]))
         training = TrainingSet(vectors=train.rows, labels=train.labels)
         wrong, rep_p_acc = 0, []
         for xt, yt in zip(test.rows, test.labels):
@@ -159,28 +164,28 @@ class TestCircles:
 class TestSplit:
     def test_eighty_twenty(self):
         ds = iris(classes=(1, 2))
-        train, test = split(ds, 0.8, [0])
+        [(train, test)] = split([ds], 0.8, [0])
         assert train.rows.shape == (1, 80, 4)
         assert train.n_samples == 80
         assert test.n_samples == 20
 
     def test_disjoint_and_exhaustive(self):
         ds = circles()
-        train, test = split(ds, 0.6, [7])
+        [(train, test)] = split([ds], 0.6, [7])
         joined = np.vstack([train.rows[0], test.rows[0]])
         assert joined.shape == ds.rows.shape
         assert np.allclose(np.sort(joined, axis=0), np.sort(ds.rows, axis=0))
 
     def test_seed_determinism(self):
         ds = iris(classes=(1, 3))
-        a = split(ds, 0.8, [11])[0]
-        b = split(ds, 0.8, [11])[0]
+        a = split([ds], 0.8, [11])[0][0]
+        b = split([ds], 0.8, [11])[0][0]
         assert np.array_equal(a.rows, b.rows)
 
     def test_list_of_seeds_stacks_the_single_splits(self):
         ds = iris(classes=(1, 3))
         seeds = [np.random.SeedSequence((4, rep)) for rep in range(3)]
-        train, test = split(ds, 0.8, seeds)
+        [(train, test)] = split([ds], 0.8, seeds)
         assert train.rows.shape == (3, 80, 4) and test.labels.shape == (3, 20)
         assert (train.n_samples, test.n_samples, train.n_features) == (80, 20, 4)
         for r in range(3):
@@ -190,24 +195,58 @@ class TestSplit:
             assert np.array_equal(test.rows[r], ds.rows[perm[80:]])
             assert np.array_equal(test.labels[r], ds.labels[perm[80:]])
 
+    def test_datasets_of_one_call_equal_their_splits_alone(self, monkeypatch):
+        # a dataset, a batch of another width and a batch of one, split in
+        # one call, with one permutation drawn per seed for all of them
+        pair = [iris(classes=(1, 2)), circles()]
+        batch = LabeledDataset(np.stack([pair[1].rows, -pair[1].rows]),
+                               np.stack([pair[1].labels, pair[1].labels]))
+        lone = LabeledDataset(pair[0].rows[None], pair[0].labels[None])
+        seeds = [np.random.SeedSequence((6, rep)) for rep in range(4)]
+        alone = [split([ds], 0.8, seeds)[0] for ds in (pair[0], batch, lone)]
+        draws = []
+        real_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: draws.append(s) or real_rng(s))
+        together = split([pair[0], batch, lone], 0.8, seeds)
+        assert draws == seeds
+        assert len(together) == 3
+        for got, expected in zip(together, alone):
+            for side_got, side_expected in zip(got, expected):
+                assert np.array_equal(side_got.rows, side_expected.rows)
+                assert np.array_equal(side_got.labels, side_expected.labels)
+
     def test_one_seed_is_not_a_batch(self):
         # the seeds are a sequence; a lone seed, by keyword or by position, fails
         ds = iris(classes=(1, 3))
         with pytest.raises(TypeError):
-            split(ds, 0.8, seed=0)
+            split([ds], 0.8, seed=0)
         for seed in (0, np.random.SeedSequence(0)):
             with pytest.raises(TypeError):
-                split(ds, 0.8, seed)
+                split([ds], 0.8, seed)
+
+    def test_lone_dataset_is_not_a_sequence(self):
+        with pytest.raises(TypeError):
+            split(iris(classes=(1, 3)), 0.8, [0])
+
+    @pytest.mark.parametrize("shapes", [
+        [(100, 4), (50, 2)], [(2, 100, 4), (10, 2)], [], [(2, 3, 100, 4)],
+    ], ids=["different-n", "batch-of-different-n", "empty", "four-dimensional"])
+    def test_rejects_what_one_permutation_cannot_split(self, shapes):
+        datasets = [LabeledDataset(np.ones(shape), np.ones(shape[:-1])) for shape in shapes]
+        listed = ", ".join(map(str, shapes))
+        with pytest.raises(ValueError, match=re.escape(
+                f"split takes datasets (n, d) or batches (G, n, d) of one n, got rows [{listed}]")):
+            split(datasets, 0.8, [0])
 
     def test_empty_side_rejected(self):
         # with the floor rule the train side empties out for tiny fractions
         ds = LabeledDataset(rows=circles().rows[45:55], labels=[-1, 1] * 5)
         with pytest.raises(ValueError):
-            split(ds, 0.05, [0])
+            split([ds], 0.05, [0])
         with pytest.raises(ValueError):
-            split(ds, 1.0, [0])
+            split([ds], 1.0, [0])
         with pytest.raises(ValueError):
-            split(ds, 0.0, [0])
+            split([ds], 0.0, [0])
 
 
 class TestLabeledDataset:
@@ -237,22 +276,12 @@ class TestLabeledDataset:
                                  labels=np.stack([ds.labels for ds in pair]))
         for seeds in ([11], [np.random.SeedSequence((5, rep)) for rep in range(3)]):
             for g, ds in enumerate(pair):
-                for got, alone in zip(split(stacked, 0.8, seeds), split(ds, 0.8, seeds)):
+                for got, alone in zip(split([stacked], 0.8, seeds)[0], split([ds], 0.8, seeds)[0]):
                     assert np.array_equal(got.rows[g], alone.rows)
                     assert np.array_equal(got.labels[g], alone.labels)
         rows[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="rows must be finite"):
             LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
-
-    def test_pick_selects_datasets_of_a_batch_by_position(self):
-        rows = np.arange(12.0).reshape(2, 3, 2)
-        ds = LabeledDataset(rows, [[1, 1, 1], [-1, -1, -1]])
-        picked = ds.pick([1, 0])
-        assert np.array_equal(picked.rows, rows[::-1])
-        assert picked.labels.tolist() == [[-1, -1, -1], [1, 1, 1]]
-        split_batch = ds.subset(np.array([[2, 0]])).pick([1])
-        assert np.array_equal(split_batch.rows, rows[1:, None, [2, 0]])
-        assert split_batch.labels.tolist() == [[[-1, -1]]]
 
     def test_with_rows_checks_the_new_rows(self):
         ds = LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0]], labels=[1, -1])
@@ -307,19 +336,16 @@ class TestRunBenchmark:
         # statevector loop, which sees ImpossibleBranchError there.
         # The real pipeline cannot produce this branch: standardized training
         # rows have mean 0, so they cannot all point away from one input.
-        from qic.encoding import kron_power, normalize
+        from qic.encoding import normalize
 
         class Unstandardized:
             """Pipeline without the standardization stage."""
-
-            def __init__(self, copies=1):
-                self.copies = copies
 
             def fit_transform(self, dataset):
                 return self.transform(dataset)
 
             def transform(self, dataset):
-                return dataset.with_rows(normalize(kron_power(dataset.rows, self.copies)))
+                return dataset.with_rows(normalize(dataset.rows))
 
         monkeypatch.setattr(data, "Pipeline", Unstandardized)
         rows = [[s, 2.0 * s] for s in range(1, 10)] + [[-1.0, -2.0]]
@@ -341,21 +367,23 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_alone(iris(classes=(1, 2)), 0)
 
-    def test_batch_needs_one_copies_per_dataset(self):
+    @pytest.mark.parametrize("shapes, message", [
+        ([(2, 100, 4), (1, 50, 2)], r"split takes .* of one n, got rows \[\(2, 100, 4\), \(1, 50, 2\)\]"),
+        ([], r"split takes .* of one n, got rows \[\]"),
+        ([(2, 100, 4), (100, 2)], r"a batch of datasets takes rows \(G, n, d\), got \(100, 2\)"),
+        ([(1, 3, 100, 2)], r"a batch of datasets takes rows \(G, n, d\), got \(1, 3, 100, 2\)"),
+    ], ids=["different-n", "empty", "lone-dataset", "batch-of-splits"])
+    def test_rejects_what_is_not_batches_of_one_n(self, shapes, message):
+        rows = iris(classes=(1, 2)).rows
+        batches = [LabeledDataset(np.broadcast_to(rows[: shape[-2], : shape[-1]], shape),
+                                  np.ones(shape[:-1])) for shape in shapes]
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(batches, 1)
+
+    def test_lone_batch_is_not_a_sequence(self):
         ds = iris(classes=(1, 2))
-        batch = LabeledDataset(rows=np.stack([ds.rows] * 2), labels=np.stack([ds.labels] * 2))
-        with pytest.raises(ValueError, match="G datasets takes rows \\(G, n, d\\) and G copies"):
-            run_benchmark(batch, 1, [1])
-        with pytest.raises(ValueError, match="G copies"):
-            run_benchmark(batch.pick([0]), 1, [1, 1])
-        # a lone dataset, a batch of splits, or one copies for the batch, is
-        # not a batch's input
-        with pytest.raises(ValueError, match="G copies"):
-            run_benchmark(ds, 1, [1])
-        with pytest.raises(ValueError, match="G copies"):
-            run_benchmark(batch.subset(np.array([[0, 1]])), 1, [1, 1])
         with pytest.raises(TypeError):
-            run_benchmark(batch, 1, 1)
+            run_benchmark(LabeledDataset(ds.rows[None], ds.labels[None]), 1)
 
     @pytest.mark.parametrize("seed", [0, 77])
     @pytest.mark.parametrize("reps", [1, CHUNK, CHUNK + 1])
@@ -367,8 +395,9 @@ class TestRunBenchmark:
             got = (report.mean_error, report.error_variance, report.mean_p_acc)
             assert np.allclose(got, expected, atol=1e-12, rtol=0.0)
 
-    def test_table2_splits_once_per_shape_and_fits_once_per_copies(self, monkeypatch):
-        # a return to one split -> Pipeline -> read_batch pass per row fails here
+    def test_table2_splits_once_per_chunk_and_fits_once_per_batch(self, monkeypatch):
+        # a return to one split per dataset shape, or to one Pipeline ->
+        # read_batch pass per row or per (shape, copies), fails here
         calls = {"split": 0, "fit": 0}
         real_split, real_fit = data.split, Pipeline.fit_transform
 
@@ -383,12 +412,9 @@ class TestRunBenchmark:
         monkeypatch.setattr(data, "split", counted_split)
         monkeypatch.setattr(Pipeline, "fit_transform", counted_fit)
         data.run_table2(CHUNK + 1, 3)
-        shapes = {benchmark_dataset(spec.key).rows.shape for spec in TABLE2_ROWS}
-        passes = {(benchmark_dataset(spec.key).rows.shape, spec.copies) for spec in TABLE2_ROWS}
-        chunks = 2
-        assert (len(shapes), len(passes)) == (2, 4)
-        assert calls["split"] <= len(shapes) * chunks
-        assert calls["fit"] == len(passes) * chunks
+        widths = {benchmark_dataset(spec.key).n_features ** spec.copies for spec in TABLE2_ROWS}
+        assert widths == {2, 4, 16}
+        assert calls == {"split": 2, "fit": 3 * 2}
 
     def test_row_keys_resolve(self):
         for spec in TABLE2_ROWS:
@@ -455,13 +481,34 @@ class TestBenchmarkDataset:
     def test_split_and_pipeline_outputs_are_writable(self, key):
         spec = next(spec for spec in TABLE2_ROWS if spec.key == key)
         seeds = [np.random.SeedSequence((1234, rep)) for rep in range(3)]
-        for batch in (seeds[:1], seeds):
-            train_raw, test_raw = split(benchmark_dataset(key), TRAIN_FRACTION, batch)
-            pipe = Pipeline(spec.copies)
-            outputs = [train_raw, test_raw, pipe.fit_transform(train_raw),
-                       pipe.transform(test_raw)]
+        (batch,) = (batch for specs, batch in data._shared_benchmark_groups() if spec in specs)
+        for reps in (seeds[:1], seeds):
+            [(train_raw, test_raw), (batch_train, batch_test)] = split(
+                [benchmark_dataset(key), batch], TRAIN_FRACTION, reps)
+            pipe = Pipeline()
+            outputs = [train_raw, test_raw, batch_train, batch_test,
+                       pipe.fit_transform(batch_train), pipe.transform(batch_test)]
             for ds in outputs:
                 assert ds.rows.flags.writeable
                 assert ds.labels.flags.writeable
                 ds.rows[..., 0, 0] = 0.0
         assert benchmark_dataset(key).rows[0, 0] != 0.0
+        assert batch.rows[0, 0, 0] != 0.0
+
+    def test_table2_batches_hold_the_mapped_datasets_by_width(self):
+        # three read-only batches, in row order within each: every dataset
+        # under its feature map, the featmap rows too
+        groups = data._shared_benchmark_groups()
+        assert [[spec.key for spec in specs] for specs, _ in groups] == [
+            ["iris-1-2", "iris-1-3", "iris-2-3", "circles-featmap"],
+            ["iris-2-3-featmap"],
+            ["circles"],
+        ]
+        assert [batch.rows.shape for _, batch in groups] == [
+            (4, 100, 4), (1, 100, 16), (1, 100, 2)]
+        for specs, batch in groups:
+            assert not batch.rows.flags.writeable and not batch.labels.flags.writeable
+            for spec, rows, labels in zip(specs, batch.rows, batch.labels):
+                ds = benchmark_dataset(spec.key)
+                assert np.array_equal(rows, kron_power(ds.rows, spec.copies))
+                assert np.array_equal(labels, ds.labels)

@@ -17,6 +17,11 @@ def toy_dataset(rows, labels=None):
     return LabeledDataset(rows=rows, labels=labels)
 
 
+def mapped(ds, copies):
+    """The dataset under the tensor-copy feature map, which precedes Pipeline."""
+    return ds.with_rows(kron_power(ds.rows, copies))
+
+
 class TestStandardize:
     """The standardization stage of Pipeline, read through its statistics."""
 
@@ -120,10 +125,10 @@ class TestTensorCopyMap:
             assert np.dot(fu, fv) == pytest.approx(np.dot(u, v) ** 2, abs=1e-12)
 
     def test_non_finite_rejected(self):
-        # squaring 1e200 overflows; the pipeline must not hand on inf or NaN
+        # squaring 1e200 overflows; no dataset may hold the mapped inf
         ds = toy_dataset([(1e200, 1.0), (1.0, 2.0), (3.0, 5.0), (2.0, 1.0)])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
-            Pipeline(2).fit_transform(ds)
+            Pipeline().fit_transform(mapped(ds, 2))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_batched_rows_equal_row_by_row_kron(self, k):
@@ -169,20 +174,20 @@ class TestPipeline:
 
     def test_feature_map_dimension(self):
         ds = toy_dataset([(1, 2), (3, 4), (5, 7), (2, 9)])
-        out = Pipeline(2).fit_transform(ds)
+        out = Pipeline().fit_transform(mapped(ds, 2))
         assert out.n_features == 4
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         ds = toy_dataset(rng.normal(size=(20, 3)))
-        a = Pipeline(2).fit_transform(ds)
-        b = Pipeline(2).fit_transform(ds)
+        a = Pipeline().fit_transform(mapped(ds, 2))
+        b = Pipeline().fit_transform(mapped(ds, 2))
         assert np.array_equal(a.rows, b.rows)
 
     def test_mapped_circles_become_linearly_separable(self):
         from qic.data import circles
 
-        ds = Pipeline(2).fit_transform(circles())
+        ds = Pipeline().fit_transform(mapped(circles(), 2))
         # a perceptron converges only on linearly separable data
         X = np.c_[ds.rows, np.ones(len(ds.rows))]
         w = np.zeros(X.shape[1])
@@ -200,21 +205,18 @@ class TestPipeline:
         with pytest.raises(RuntimeError):
             Pipeline().transform(toy_dataset([(1, 2), (3, 4)]))
 
-    def test_copies_must_be_positive(self):
-        with pytest.raises(ValueError, match="copies must be >= 1"):
-            Pipeline(0).fit_transform(toy_dataset([(1, 2), (3, 4)]))
-
     @pytest.mark.parametrize("copies", [1, 2])
     def test_batch_of_splits_equals_split_by_split(self, copies):
         rng = np.random.default_rng(copies)
-        train_rows, test_rows = rng.normal(size=(3, 12, 3)), rng.normal(size=(3, 5, 3))
+        train_rows = kron_power(rng.normal(size=(3, 12, 3)), copies)
+        test_rows = kron_power(rng.normal(size=(3, 5, 3)), copies)
         train_labels, test_labels = np.tile([-1, 1], (3, 6)), np.tile([-1, 1, 1, -1, 1], (3, 1))
-        batch = Pipeline(copies)
+        batch = Pipeline()
         fitted = batch.fit_transform(LabeledDataset(train_rows, train_labels))
         held_out = batch.transform(LabeledDataset(test_rows, test_labels))
         assert batch.means.shape == batch.stds.shape == (3, 3 ** copies)
         for r in range(3):
-            one = Pipeline(copies)
+            one = Pipeline()
             one_fitted = one.fit_transform(LabeledDataset(train_rows[r], train_labels[r]))
             one_held_out = one.transform(LabeledDataset(test_rows[r], test_labels[r]))
             assert np.array_equal(batch.means[r], one.means)
@@ -244,8 +246,8 @@ class TestPipeline:
         ),
     )
     def test_transform_of_train_equals_fit_transform(self, copies, rows):
-        train = toy_dataset(rows)
-        pipe = Pipeline(copies)
+        train = mapped(toy_dataset(rows), copies)
+        pipe = Pipeline()
         try:
             fitted = pipe.fit_transform(train)
         except DegenerateFeatureError:

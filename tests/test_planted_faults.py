@@ -2,12 +2,14 @@
 class statistics or the writable arrays of a TrainingSet, into the bound
 below which the core re-reads a row directly, into prepare_state as an
 allocation of the amplitudes it does not build, into the statevector gate
-loop, into the QuantumState constructor, or into the link between the
-Table-2 rows and the batch positions of their datasets, and the shared
-checks of tests/reference.py or the Table-2 golden must fail on inputs that
-they pass unpatched."""
+loop, into the QuantumState constructor, into the link between the
+Table-2 rows and the batch positions of their datasets, or into the feature
+map of the stacked Table-2 datasets, and the shared checks of
+tests/reference.py or the Table-2 golden must fail on inputs that they pass
+unpatched."""
 
 import contextlib
+import functools
 import io
 from pathlib import Path
 
@@ -19,7 +21,6 @@ from qic import statevector as sv
 from qic.circuit import Circuit
 from qic.classifier import TrainingSet
 from qic.cli import main
-from qic.dataset import LabeledDataset
 from qic.presets import preset_input, training_set
 
 from reference import (
@@ -115,18 +116,20 @@ def writable_training_set(monkeypatch):
     monkeypatch.setattr(TrainingSet, "__post_init__", planted)
 
 
-def reversed_pick(monkeypatch):
-    # the datasets of a batch picked in reverse order, so a report lands on
-    # the row of another dataset with the same copies
-    pick = LabeledDataset.pick
-    monkeypatch.setattr(LabeledDataset, "pick", lambda self, which: pick(self, which[::-1]))
-
-
-def featmap_row_at_one_copy(monkeypatch):
-    # every dataset of a batch read at one copy, the feature-map rows too
+def swapped_batch_reports(monkeypatch):
+    # the reports of each batch in reverse order, so a report lands on the
+    # row of another dataset of its batch
     run = data.run_benchmark
-    monkeypatch.setattr(data, "run_benchmark", lambda batch, reps, copies, seed: run(
-        batch, reps, [1] * len(copies), seed))
+    monkeypatch.setattr(data, "run_benchmark", lambda batches, reps, seed: [
+        reports[::-1] for reports in run(batches, reps, seed)])
+
+
+def unmapped_featmap(monkeypatch):
+    # the Table-2 datasets stacked without their feature map, into a fresh
+    # cache that the patch drops again afterwards
+    monkeypatch.setattr(data, "kron_power", lambda rows, copies: rows)
+    monkeypatch.setattr(data, "_shared_benchmark_groups",
+                        functools.cache(data._shared_benchmark_groups.__wrapped__))
 
 
 def read_batch_check():
@@ -193,8 +196,8 @@ CASES = [
     (writable_training_set, read_only_set_check),
     (untransposed_gate_loop, gate_loop_check),
     (uncopied_state_input, state_copy_check),
-    (reversed_pick, table2_golden_check),
-    (featmap_row_at_one_copy, table2_golden_check),
+    (swapped_batch_reports, table2_golden_check),
+    (unmapped_featmap, table2_golden_check),
 ]
 
 
