@@ -40,6 +40,8 @@ from .qasm import export_qasm
 from .stats import WORST_CASE, shots_for_error
 
 DEFAULT_SEED = 1234
+# Table 2's repetitions when --reps is not given
+CANONICAL_REPS = 1000
 ENV_SEED = "QIC_SEED"
 # formats each reproduced table can be written in; the first is the default
 _REPRODUCE_FORMATS = {1: ("table", "json"), 2: ("csv",)}
@@ -223,7 +225,7 @@ def _cmd_reproduce(args, parser) -> int:
         return _write_output("\n".join(out) + "\n", args.output)
 
     # table 2: full benchmark grid as CSV
-    reps = 1000 if args.reps is None else args.reps
+    reps = CANONICAL_REPS if args.reps is None else args.reps
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -244,8 +246,8 @@ def _cmd_reproduce(args, parser) -> int:
             ]
         )
     text = buf.getvalue()
-    if reps != 1000:
-        print(f"note: {reps} repetitions (canonical runs use 1000)", file=sys.stderr)
+    if reps != CANONICAL_REPS:
+        print(f"note: {reps} repetitions (canonical runs use {CANONICAL_REPS})", file=sys.stderr)
     return _write_output(text, args.output)
 
 
@@ -281,13 +283,9 @@ def _cmd_export_qasm(args, parser) -> int:
 def _cmd_shots(args, parser) -> int:
     # only the JSON payload reports the seed, but a bad QIC_SEED fails either format
     seed = _default_seed(parser)
-    if not 0 < args.eps < 0.5:
-        parser.error(f"--eps must be in (0, 0.5), got {args.eps}")
-    if not (np.isfinite(args.z) and args.z > 0):
-        parser.error(f"--z must be positive and finite, got {args.z}")
     try:
         count = shots_for_error(args.eps, args.z, args.method)
-    except ValueError as exc:  # the count overflows
+    except ValueError as exc:  # epsilon or z out of range, or the count overflows
         parser.error(str(exc))
     bound = WORST_CASE[args.method](count, args.z)
     if args.format == "json":
@@ -374,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("reproduce", help="rerun the bundled reference scenarios")
     p.add_argument("--table", type=int, choices=(1, 2), required=True)
     p.add_argument("--reps", type=_positive_int, default=None,
-                   help="repetitions for the benchmark grid (table 2 only; default 1000)")
+                   help="repetitions for the benchmark grid "
+                        f"(table 2 only; default {CANONICAL_REPS})")
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--format", choices=("table", "json", "csv"), default=None,
                    help="table 1: table (default) or json; table 2: csv (default)")

@@ -69,24 +69,22 @@ def circles() -> LabeledDataset:
 
 
 def split(
-    datasets: Sequence[LabeledDataset], train_fraction: float, seeds: Sequence
+    batches: Sequence[LabeledDataset], train_fraction: float, seeds: Sequence
 ) -> list[tuple[LabeledDataset, LabeledDataset]]:
-    """Seeded shuffle splits of each dataset, one per seed (an int or a
-    SeedSequence), stacked along a new axis before the rows: rows (n, d)
-    give (R, k, d), and a batch of datasets, rows (G, n, d), gives
-    (G, R, k, d). One (train, test) pair per dataset, in order.
+    """Seeded shuffle splits of each batch of datasets (rows (G, n, d)), one
+    per seed (an int or a SeedSequence), stacked along a new axis before the
+    rows: (G, R, k, d). One (train, test) pair per batch, in order.
 
     Split r permutes the rows with default_rng(seeds[r]); its train side
     keeps the first floor(fraction*n) of them and its test side the rest.
-    Each permutation is drawn once for all the datasets, which must have the
+    Each permutation is drawn once for all the batches, which must have the
     same n, so every matrix loses the same rows.
     """
-    datasets = tuple(datasets)
-    sizes = {ds.n_samples for ds in datasets}  # empty, or more than one n, is rejected
-    if len(sizes) != 1 or any(ds.rows.ndim > 3 for ds in datasets):
-        shapes = ", ".join(str(ds.rows.shape) for ds in datasets)
-        raise ValueError("split takes datasets (n, d) or batches (G, n, d) of one n, "
-                         f"got rows [{shapes}]")
+    batches = tuple(batches)
+    sizes = {ds.n_samples for ds in batches}  # empty, or more than one n, is rejected
+    if len(sizes) != 1 or any(ds.rows.ndim != 3 for ds in batches):
+        shapes = ", ".join(str(ds.rows.shape) for ds in batches)
+        raise ValueError(f"split takes batches (G, n, d) of one n, got rows [{shapes}]")
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     (n,) = sizes
@@ -97,7 +95,7 @@ def split(
         )
     perm = np.stack([np.random.default_rng(s).permutation(n) for s in seeds])
     train, test = perm[:, :n_train], perm[:, n_train:]
-    return [(ds.subset(train), ds.subset(test)) for ds in datasets]
+    return [(ds.subset(train), ds.subset(test)) for ds in batches]
 
 
 # every benchmark split keeps floor(0.8 * n) rows for training
@@ -118,12 +116,13 @@ class BenchmarkReport:
 
 
 def run_benchmark(
-    batches: Sequence[LabeledDataset], repetitions: int, master_seed: int = 1234
+    batches: Sequence[LabeledDataset], repetitions: int, master_seed: int
 ) -> list[list[BenchmarkReport]]:
     """Repeatedly split, preprocess (fitted on the training part only), and
     classify every test point with the exact interference readout, for each
-    dataset of each batch (rows (G, n, d), every batch with the same n); one
-    list of reports per batch, one report per dataset in batch order.
+    dataset of each batch (rows (G, n, d), every batch with the same n, as
+    split checks); one list of reports per batch, one report per dataset in
+    batch order.
 
     Repetition r splits with SeedSequence((master_seed, r)). Up to CHUNK
     repetitions are split in one call for all the batches, and each batch is
@@ -134,10 +133,6 @@ def run_benchmark(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     batches = tuple(batches)
-    for batch in batches:
-        if batch.rows.ndim != 3:
-            raise ValueError(f"a batch of datasets takes rows (G, n, d), got {batch.rows.shape}")
-
     # per batch, per dataset: [per-rep errors, per-rep mean p_acc, impossible count]
     tallies = [[[[], [], 0] for _ in batch.rows] for batch in batches]
     for start in range(0, repetitions, CHUNK):
@@ -258,7 +253,7 @@ def benchmark_dataset(key: str) -> LabeledDataset:
 
 
 def run_table2(
-    repetitions: int = 1000, master_seed: int = 1234
+    repetitions: int, master_seed: int
 ) -> list[tuple[BenchmarkRowSpec, BenchmarkReport]]:
     """Run all canonical benchmark rows and pair each with its reference spec.
 

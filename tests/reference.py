@@ -1,9 +1,10 @@
 """Independent references the tests hold the program to: the encoded
 register's basis index, from its documented bit order, and the amplitudes
 placed by it (which the program never builds; tests pin them to the
-simulated experiment circuit), the paper's classical kernel-sum decision
-rule, the statevector readout of that register gate by gate (the oracle for
-the program's one closed-form readout), that closed form in exact rational
+simulated experiment circuit), the random training sets with balanced
+labels that the tests draw, the paper's classical kernel-sum decision rule,
+the statevector readout of that register gate by gate (the oracle for the
+program's one closed-form readout), that closed form in exact rational
 arithmetic from its class sums, the gate rules checked one at a time, the
 full 2^n operator of one gate, built entry by entry (the oracle for the gate
 loop), and the checks that hold the program to these, shared by the tests
@@ -69,6 +70,20 @@ def entrywise_amplitudes(train, x_tilde, layout) -> np.ndarray:
     amplitudes[basis_index(layout, m, 0, i, c)] = w * np.asarray(x_tilde, dtype=float)
     amplitudes[basis_index(layout, m, 1, i, c)] = w * train.vectors
     return amplitudes
+
+
+def random_instance(rng, M, N):
+    """Training set with balanced labels plus a unit input vector."""
+    vectors = rng.normal(size=(M, N))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    if M == 1:
+        labels = np.array([rng.choice([-1, 1])])
+    else:
+        labels = np.array(([-1, 1] * ((M + 1) // 2))[:M])
+        rng.shuffle(labels)
+    x_tilde = rng.normal(size=N)
+    x_tilde /= np.linalg.norm(x_tilde)
+    return TrainingSet(vectors=vectors, labels=labels), x_tilde
 
 
 def kernel(x, x_prime, M: int) -> float:

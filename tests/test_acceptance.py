@@ -12,15 +12,7 @@ import numpy as np
 import pytest
 
 from qic import statevector as sv
-from qic.circuit import (
-    Circuit,
-    build_experiment_circuit,
-    decompose,
-    default_assignment,
-    ibmq5_connectivity,
-    validate_connectivity,
-    with_interference,
-)
+from qic.circuit import build_experiment_circuit, verify_decompositions
 from qic.classifier import (
     TrainingSet,
     classify,
@@ -30,10 +22,10 @@ from qic.classifier import (
 )
 from qic.data import TABLE2_ROWS, iris, run_table2
 from qic.errors import ImpossibleBranchError
-from qic.presets import X0, X1, preset_input, training_set
+from qic.presets import preset_input, training_set
 from qic.stats import wald_worst_case, wilson, wilson_worst_case
 
-from reference import classical_classify, encoded_state, gate_path
+from reference import classical_classify, encoded_state, gate_path, random_instance
 
 REFERENCE_THEORY = {
     "xprime": {"p_acc": 0.729, "p_c0": 0.629},
@@ -41,11 +33,12 @@ REFERENCE_THEORY = {
 }
 
 
-def verdict(criterion: str, ok: bool, detail: str = ""):
-    line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}"
-    if detail:
-        line += f"  ({detail})"
-    print(line)
+def verdict(criterion: str, detail: str, conditions: dict[str, bool]):
+    """Print the criterion's verdict line, PASS when every named condition
+    holds, and assert them all, naming each that failed."""
+    failed = [name for name, ok in conditions.items() if not ok]
+    print(f"ACCEPTANCE {criterion}: {'FAIL' if failed else 'PASS'}  ({detail})")
+    assert not failed, f"criterion {criterion} failed: {', '.join(failed)}"
 
 
 # ---------------------------------------------------------------------------
@@ -59,42 +52,34 @@ def test_criterion_1_exact_values():
     results = {name: classify(train, preset_input(name)) for name in REFERENCE_THEORY}
     elapsed = time.perf_counter() - start
 
-    ok = elapsed < 1.0
+    conditions = {"under 1 s": elapsed < 1.0}
     details = [f"{elapsed * 1000:.0f} ms"]
     for name, ref in REFERENCE_THEORY.items():
         got = results[name]
-        ok &= abs(got.p_acc - ref["p_acc"]) <= 1e-3
-        ok &= abs(got.p_class_minus - ref["p_c0"]) <= 1e-3
+        conditions[f"{name} p_acc"] = abs(got.p_acc - ref["p_acc"]) <= 1e-3
+        conditions[f"{name} p(c0)"] = abs(got.p_class_minus - ref["p_c0"]) <= 1e-3
         details.append(f"{name}: p_acc={got.p_acc:.4f} p(c0)={got.p_class_minus:.4f}")
-    verdict("1 analytic demo values", ok, "; ".join(details))
-
-    assert elapsed < 1.0
-    for name, ref in REFERENCE_THEORY.items():
-        assert results[name].p_acc == pytest.approx(ref["p_acc"], abs=1e-3)
-        assert results[name].p_class_minus == pytest.approx(ref["p_c0"], abs=1e-3)
+    verdict("1 analytic demo values", "; ".join(details), conditions)
 
 
 def test_criterion_2_sampled_values():
     """8192-shot seeded estimates land within 0.02 of the analytic values."""
     start = time.perf_counter()
     train = training_set()
-    ok = True
-    details = []
+    conditions, details = {}, []
     for name in REFERENCE_THEORY:
         state = prepare_state(train, preset_input(name))
         exact = interfere_and_read(state)
         sampled = interfere_and_sample(state, shots=8192, seed=1234)
-        ok &= abs(sampled.p_acc - exact.p_acc) <= 0.02
-        ok &= abs(sampled.p_class_minus - exact.p_class_minus) <= 0.02
+        conditions[f"{name} p_acc"] = abs(sampled.p_acc - exact.p_acc) <= 0.02
+        conditions[f"{name} p(c0)"] = abs(sampled.p_class_minus - exact.p_class_minus) <= 0.02
         details.append(
             f"{name}: p_acc={sampled.p_acc:.4f} p(c0)={sampled.p_class_minus:.4f}"
         )
-        assert sampled.p_acc == pytest.approx(exact.p_acc, abs=0.02)
-        assert sampled.p_class_minus == pytest.approx(exact.p_class_minus, abs=0.02)
     elapsed = time.perf_counter() - start
-    verdict("2 sampled demo values", ok and elapsed < 1.0,
-            "; ".join(details + [f"{elapsed * 1000:.0f} ms"]))
-    assert elapsed < 1.0
+    conditions["under 1 s"] = elapsed < 1.0
+    verdict("2 sampled demo values", "; ".join(details + [f"{elapsed * 1000:.0f} ms"]),
+            conditions)
 
 
 def test_criterion_3_both_inputs_classified_minus_one():
@@ -103,9 +88,8 @@ def test_criterion_3_both_inputs_classified_minus_one():
     predictions = {
         name: classify(train, preset_input(name)).predicted for name in REFERENCE_THEORY
     }
-    ok = all(label == -1 for label in predictions.values())
-    verdict("3 demo predictions", ok, f"{predictions} (noisy-hardware rows excluded)")
-    assert all(label == -1 for label in predictions.values())
+    verdict("3 demo predictions", f"{predictions} (noisy-hardware rows excluded)",
+            {f"{name} is -1": label == -1 for name, label in predictions.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +171,16 @@ def _check_featmap_row(spec, report):
     floor = held_out[always_wrong].sum() / (TABLE2_REPS * n_test)
     unmet_bound = spec.expected_error + spec.tolerance
 
-    recomputed = (
-        abs(report.mean_error - err) <= 1e-12
-        and abs(report.error_variance - var) <= 1e-12
-        and abs(report.mean_p_acc - p_acc) <= 1e-12
-    )
-    reachable = abs(report.mean_error - FEATMAP_REACHABLE_ERROR) <= spec.tolerance
-    p_acc_ok = abs(report.mean_p_acc - 0.50) <= 0.05
-    ok = (recomputed and len(always_wrong) >= 6 and floor > unmet_bound
-          and reachable and p_acc_ok)
+    conditions = {
+        "error recomputed": abs(report.mean_error - err) <= 1e-12,
+        "variance recomputed": abs(report.error_variance - var) <= 1e-12,
+        "p_acc recomputed": abs(report.mean_p_acc - p_acc) <= 1e-12,
+        "6 always wrong": len(always_wrong) >= 6,
+        "floor above the reference": floor > unmet_bound,
+        "error reachable": abs(report.mean_error - FEATMAP_REACHABLE_ERROR) <= spec.tolerance,
+        "p_acc near 0.5": abs(report.mean_p_acc - 0.50) <= 0.05,
+    }
+    recomputed = all(conditions[f"{v} recomputed"] for v in ("error", "variance", "p_acc"))
     detail = (
         f"err={report.mean_error:.4f} reachable {FEATMAP_REACHABLE_ERROR:.2f}"
         f"+-{spec.tolerance:.2f}, p_acc={report.mean_p_acc:.3f}, "
@@ -204,15 +189,7 @@ def _check_featmap_row(spec, report):
         f"samples {always_wrong.tolist()} wrong in every held-out split, "
         f"floor {floor:.5f}"
     )
-    verdict(f"4 benchmark {spec.key}", ok, detail)
-
-    assert report.mean_error == pytest.approx(err, abs=1e-12)
-    assert report.error_variance == pytest.approx(var, abs=1e-12)
-    assert report.mean_p_acc == pytest.approx(p_acc, abs=1e-12)
-    assert len(always_wrong) >= 6
-    assert floor > unmet_bound
-    assert abs(report.mean_error - FEATMAP_REACHABLE_ERROR) <= spec.tolerance
-    assert report.mean_p_acc == pytest.approx(0.50, abs=0.05)
+    verdict(f"4 benchmark {spec.key}", detail, conditions)
 
 
 @pytest.mark.parametrize("key", [spec.key for spec in TABLE2_ROWS])
@@ -223,28 +200,24 @@ def test_criterion_4_benchmark_row(table2, key):
         _check_featmap_row(spec, report)
         return
     if key == "circles":
-        ok = report.mean_error >= 0.40
-        detail = f"err={report.mean_error:.4f} (>= 0.40)"
-        verdict(f"4 benchmark {key}", ok, detail)
-        assert report.mean_error >= 0.40
+        verdict(f"4 benchmark {key}", f"err={report.mean_error:.4f} (>= 0.40)",
+                {"error at least 0.40": report.mean_error >= 0.40})
         return
-    ok = abs(report.mean_error - spec.expected_error) <= spec.tolerance
+    conditions = {"error within tolerance":
+                  abs(report.mean_error - spec.expected_error) <= spec.tolerance}
+    if spec.check_p_acc:
+        conditions["p_acc near 0.5"] = abs(report.mean_p_acc - 0.50) <= 0.05
     detail = (
         f"err={report.mean_error:.4f} expected {spec.expected_error:.2f}"
         f"+-{spec.tolerance:.2f}, p_acc={report.mean_p_acc:.3f}"
     )
-    if spec.check_p_acc:
-        ok &= abs(report.mean_p_acc - 0.50) <= 0.05
-    verdict(f"4 benchmark {key}", ok, detail)
-    assert abs(report.mean_error - spec.expected_error) <= spec.tolerance
-    if spec.check_p_acc:
-        assert report.mean_p_acc == pytest.approx(0.50, abs=0.05)
+    verdict(f"4 benchmark {key}", detail, conditions)
 
 
 def test_criterion_4_runtime(table2):
     _, elapsed = table2
-    verdict("4 benchmark runtime", elapsed < 120.0, f"{elapsed:.1f} s for 6x1000 reps")
-    assert elapsed < 120.0
+    verdict("4 benchmark runtime", f"{elapsed:.1f} s for 6x1000 reps",
+            {"under 120 s": elapsed < 120.0})
 
 
 # ---------------------------------------------------------------------------
@@ -252,74 +225,25 @@ def test_criterion_4_runtime(table2):
 
 
 def test_criterion_5_decompositions():
-    ok = True
-    details = []
-
-    ideal = sv.circuit_unitary(Circuit(2, (sv.swap(0, 1),)))
-    got = sv.circuit_unitary(decompose(Circuit(2, (sv.swap(0, 1),))))
-    swap_dev = float(np.abs(got - ideal).max())
-    ok &= swap_dev <= sv.EXACT_TOL
-    details.append(f"swap dev {swap_dev:.1e}")
-
-    ideal = sv.circuit_unitary(Circuit(3, (sv.ccx(0, 1, 2),)))
-    got = sv.circuit_unitary(decompose(Circuit(3, (sv.ccx(0, 1, 2),))))
-    toffoli_dev = float(np.abs(got - ideal).max())
-    ok &= toffoli_dev <= sv.EXACT_TOL
-    details.append(f"toffoli dev {toffoli_dev:.1e}")
-
-    rng = np.random.default_rng(55)
-    worst = 0.0
-    for theta in rng.uniform(-2 * math.pi, 2 * math.pi, 50):
-        for gate, n in ((sv.cry(theta, 0, 1), 2), (sv.ccry(theta, 0, 1, 2), 3)):
-            circ = Circuit(n, (gate,))
-            dev = float(
-                np.abs(sv.circuit_unitary(decompose(circ)) - sv.circuit_unitary(circ)).max()
-            )
-            worst = max(worst, dev)
-    ok &= worst <= sv.EXACT_TOL
-    details.append(f"controlled-ry dev {worst:.1e}")
-
-    lowered = decompose(
-        with_interference(build_experiment_circuit(preset_input("xprime"), X0, X1))
-    )
-    ok &= len(lowered) <= 80
-    violations = validate_connectivity(lowered, ibmq5_connectivity(), default_assignment())
-    ok &= not violations
-    details.append(f"{len(lowered)} gates, {len(violations)} connectivity violations")
-
-    verdict("5 decomposition soundness", ok, "; ".join(details))
-    assert swap_dev <= sv.EXACT_TOL
-    assert toffoli_dev <= sv.EXACT_TOL
-    assert worst <= sv.EXACT_TOL
-    assert len(lowered) <= 80
-    assert violations == []
+    """Every check of the shipped `qic verify-decompositions` passes."""
+    checks = verify_decompositions()
+    verdict("5 decomposition soundness",
+            "; ".join(f"{name}: {detail}" for name, _, detail in checks),
+            {name: ok for name, ok, _ in checks})
 
 
 # ---------------------------------------------------------------------------
 # criterion 6: three-way equivalence
 
 
-def _random_balanced_instance(rng, M: int, N: int):
-    vectors = rng.normal(size=(M, N))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    if M == 1:
-        labels = np.array([rng.choice([-1, 1])])
-    else:
-        labels = np.array([-1, 1] * (M // 2))
-        rng.shuffle(labels)
-    x_tilde = rng.normal(size=N)
-    x_tilde /= np.linalg.norm(x_tilde)
-    return TrainingSet(vectors=vectors, labels=labels), x_tilde
-
-
 def test_criterion_6_three_way_equivalence():
     rng = np.random.default_rng(2024)
     sizes = [(M, N) for M in (1, 2, 4, 8) for N in (2, 4)]
-    checked = circuit_checked = 0
-    agreements = prob_ok = True
+    checked = circuit_checked = agreed = 0
+    states_ok = p_acc_ok = p_minus_ok = True
     while checked < 200:
         M, N = sizes[checked % len(sizes)]
-        train, x_tilde = _random_balanced_instance(rng, M, N)
+        train, x_tilde = random_instance(rng, M, N)
         state = prepare_state(train, x_tilde)
         try:
             quantum = interfere_and_read(state)
@@ -329,8 +253,7 @@ def test_criterion_6_three_way_equivalence():
             continue
         checked += 1
         _, label = classical_classify(train, x_tilde)
-        agreements &= quantum.predicted == label
-        assert quantum.predicted == label
+        agreed += quantum.predicted == label
 
         if train.M == 2 and train.dimension == 2:
             if train.labels[0] == 1:  # the circuit fixes class -1 at index 0
@@ -342,20 +265,22 @@ def test_criterion_6_three_way_equivalence():
             reference, layout = encoded_state(train, x_tilde)
             p_acc, p_minus, _ = gate_path(simulated, layout)
             circuit_checked += 1
-            prob_ok &= np.allclose(simulated.amplitudes, reference.amplitudes, atol=1e-10)
-            prob_ok &= abs(p_acc - quantum.p_acc) <= 1e-10
-            prob_ok &= abs(p_minus - quantum.p_class_minus) <= 1e-10
-            assert np.allclose(simulated.amplitudes, reference.amplitudes, atol=1e-10)
-            assert p_acc == pytest.approx(quantum.p_acc, abs=1e-10)
-            assert p_minus == pytest.approx(quantum.p_class_minus, abs=1e-10)
+            states_ok &= np.allclose(simulated.amplitudes, reference.amplitudes, atol=1e-10)
+            p_acc_ok &= abs(p_acc - quantum.p_acc) <= 1e-10
+            p_minus_ok &= abs(p_minus - quantum.p_class_minus) <= 1e-10
 
-    ok = agreements and prob_ok and circuit_checked >= 20
     verdict(
         "6 three-way equivalence",
-        ok,
-        f"200 instances agree; {circuit_checked} circuit state and gate-path checks at 1e-10",
+        f"{agreed} of 200 instances agree; {circuit_checked} circuit state and "
+        "gate-path checks at 1e-10",
+        {
+            "labels agree": agreed == 200,
+            "circuit states": states_ok,
+            "gate-path p_acc": p_acc_ok,
+            "gate-path p(c0)": p_minus_ok,
+            "at least 20 circuits": circuit_checked >= 20,
+        },
     )
-    assert circuit_checked >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +288,10 @@ def test_criterion_6_three_way_equivalence():
 
 
 def test_criterion_7_statistics():
-    ok = True
-    details = []
+    conditions, details = {}, []
 
     bound = wald_worst_case(8192, 2.58)
-    ok &= abs(bound - 0.01425) <= 1e-5
+    conditions["wald bound"] = abs(bound - 0.01425) <= 1e-5
     details.append(f"wald bound {bound:.6f}")
 
     z, shots, successes = 2.58, 8192, 3000
@@ -376,9 +300,10 @@ def test_criterion_7_statistics():
     expected = (z / (1 + z * z / shots)) * math.sqrt(
         p_raw * (1 - p_raw) / shots + z * z / (4 * shots * shots)
     )
-    ok &= abs(est.max_error - expected) <= 1e-12
+    conditions["wilson error"] = abs(est.max_error - expected) <= 1e-12
     wilson_bound = wilson_worst_case(shots, z)
-    ok &= abs(wilson_bound - math.sqrt(z * z * (shots + z * z) / (4 * shots * shots))) <= 1e-12
+    conditions["wilson bound"] = abs(
+        wilson_bound - math.sqrt(z * z * (shots + z * z) / (4 * shots * shots))) <= 1e-12
     details.append(f"wilson bound {wilson_bound:.6f}")
 
     rng = np.random.default_rng(321)
@@ -386,7 +311,7 @@ def test_criterion_7_statistics():
     p_hat = rng.binomial(trials, p, size=reps) / trials
     covered = np.abs(p_hat - p) <= 2.58 * np.sqrt(p_hat * (1 - p_hat) / trials)
     coverage = covered.mean()
-    ok &= coverage >= 0.98
+    conditions["coverage"] = coverage >= 0.98
     details.append(f"coverage {coverage:.4f}")
 
     state = prepare_state(training_set(), preset_input("xprime"))
@@ -400,14 +325,10 @@ def test_criterion_7_statistics():
         ]
         mean_err.append(np.mean(errs))
     slope = float(np.polyfit(np.log10(levels), np.log10(mean_err), 1)[0])
-    ok &= abs(slope + 0.5) <= 0.1
+    conditions["shot-error slope"] = abs(slope + 0.5) <= 0.1
     details.append(f"shot-error slope {slope:.3f}")
 
-    verdict("7 statistics suite", ok, "; ".join(details))
-    assert abs(bound - 0.01425) <= 1e-5
-    assert abs(est.max_error - expected) <= 1e-12
-    assert coverage >= 0.98
-    assert slope == pytest.approx(-0.5, abs=0.1)
+    verdict("7 statistics suite", "; ".join(details), conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +339,10 @@ def test_criterion_8_benchmark_csv_is_byte_identical(tmp_path):
     from qic.cli import main
 
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for path in paths:
-        code = main(
-            ["reproduce", "--table", "2", "--reps", "3", "--seed", "77", "-o", str(path)]
-        )
-        assert code == 0
-    identical = paths[0].read_bytes() == paths[1].read_bytes()
-    verdict("8 seeded reruns byte-identical", identical, "reproduce --table 2 twice")
-    assert identical
+    codes = [
+        main(["reproduce", "--table", "2", "--reps", "3", "--seed", "77", "-o", str(path)])
+        for path in paths
+    ]
+    verdict("8 seeded reruns byte-identical", "reproduce --table 2 twice",
+            {"both exit 0": codes == [0, 0],
+             "identical": paths[0].read_bytes() == paths[1].read_bytes()})

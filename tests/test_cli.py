@@ -305,10 +305,10 @@ USAGE_ERRORS = [
     (("reproduce", "--table", "2", "--reps", "0"), "--reps: must be >= 1, got 0"),
     (("reproduce", "--table", "2", "--reps", "-3"), "--reps: must be >= 1, got -3"),
     (("reproduce", "--table", "2", "--reps", "x"), "--reps: not an integer: 'x'"),
-    (("shots", "--eps", "0.7"), "--eps must be in (0, 0.5)"),
-    (("shots", "--eps", "0.1", "--z", "0"), "--z must be positive"),
-    (("shots", "--eps", "0.01", "--z", "inf"), "--z must be positive and finite, got inf"),
-    (("shots", "--eps", "0.01", "--z", "nan"), "--z must be positive and finite, got nan"),
+    (("shots", "--eps", "0.7"), "epsilon must be in (0, 0.5), got 0.7"),
+    (("shots", "--eps", "0.1", "--z", "0"), "z must be positive"),
+    (("shots", "--eps", "0.01", "--z", "inf"), "z must be positive and finite, got inf"),
+    (("shots", "--eps", "0.01", "--z", "nan"), "z must be positive and finite, got nan"),
     (("shots", "--eps", "1e-300"), "epsilon 1e-300 at z 2.58 needs more than 2**53 shots"),
 ]
 

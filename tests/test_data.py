@@ -40,6 +40,11 @@ def permutation(seed, rep, n):
     return np.random.default_rng(np.random.SeedSequence((seed, rep))).permutation(n)
 
 
+def batch_of(ds):
+    """ds as a batch of one dataset, rows (1, n, d), over views of its arrays."""
+    return LabeledDataset(ds.rows[None], ds.labels[None])
+
+
 def run_alone(ds, reps, copies=1, master_seed=1234):
     """The report run_benchmark gives a batch of this one dataset under the
     feature map of copies."""
@@ -164,50 +169,52 @@ class TestCircles:
 class TestSplit:
     def test_eighty_twenty(self):
         ds = iris(classes=(1, 2))
-        [(train, test)] = split([ds], 0.8, [0])
-        assert train.rows.shape == (1, 80, 4)
+        [(train, test)] = split([batch_of(ds)], 0.8, [0])
+        assert train.rows.shape == (1, 1, 80, 4)
         assert train.n_samples == 80
         assert test.n_samples == 20
 
     def test_disjoint_and_exhaustive(self):
         ds = circles()
-        [(train, test)] = split([ds], 0.6, [7])
-        joined = np.vstack([train.rows[0], test.rows[0]])
+        [(train, test)] = split([batch_of(ds)], 0.6, [7])
+        joined = np.vstack([train.rows[0, 0], test.rows[0, 0]])
         assert joined.shape == ds.rows.shape
         assert np.allclose(np.sort(joined, axis=0), np.sort(ds.rows, axis=0))
 
     def test_seed_determinism(self):
-        ds = iris(classes=(1, 3))
-        a = split([ds], 0.8, [11])[0][0]
-        b = split([ds], 0.8, [11])[0][0]
+        batch = batch_of(iris(classes=(1, 3)))
+        a = split([batch], 0.8, [11])[0][0]
+        b = split([batch], 0.8, [11])[0][0]
         assert np.array_equal(a.rows, b.rows)
 
     def test_list_of_seeds_stacks_the_single_splits(self):
         ds = iris(classes=(1, 3))
         seeds = [np.random.SeedSequence((4, rep)) for rep in range(3)]
-        [(train, test)] = split([ds], 0.8, seeds)
-        assert train.rows.shape == (3, 80, 4) and test.labels.shape == (3, 20)
+        [(train, test)] = split([batch_of(ds)], 0.8, seeds)
+        assert train.rows.shape == (1, 3, 80, 4) and test.labels.shape == (1, 3, 20)
         assert (train.n_samples, test.n_samples, train.n_features) == (80, 20, 4)
         for r in range(3):
             perm = permutation(4, r, 100)
-            assert np.array_equal(train.rows[r], ds.rows[perm[:80]])
-            assert np.array_equal(train.labels[r], ds.labels[perm[:80]])
-            assert np.array_equal(test.rows[r], ds.rows[perm[80:]])
-            assert np.array_equal(test.labels[r], ds.labels[perm[80:]])
+            assert np.array_equal(train.rows[0, r], ds.rows[perm[:80]])
+            assert np.array_equal(train.labels[0, r], ds.labels[perm[:80]])
+            assert np.array_equal(test.rows[0, r], ds.rows[perm[80:]])
+            assert np.array_equal(test.labels[0, r], ds.labels[perm[80:]])
 
     def test_datasets_of_one_call_equal_their_splits_alone(self, monkeypatch):
-        # a dataset, a batch of another width and a batch of one, split in
-        # one call, with one permutation drawn per seed for all of them
+        # a batch of one and batches of two of either width, split in one
+        # call, with one permutation drawn per seed for all of them
         pair = [iris(classes=(1, 2)), circles()]
-        batch = LabeledDataset(np.stack([pair[1].rows, -pair[1].rows]),
-                               np.stack([pair[1].labels, pair[1].labels]))
-        lone = LabeledDataset(pair[0].rows[None], pair[0].labels[None])
+        lone = batch_of(pair[0])
+        negated = LabeledDataset(np.stack([pair[1].rows, -pair[1].rows]),
+                                 np.stack([pair[1].labels, pair[1].labels]))
+        scaled = LabeledDataset(np.stack([pair[0].rows, 2 * pair[0].rows]),
+                                np.stack([pair[0].labels, -pair[0].labels]))
         seeds = [np.random.SeedSequence((6, rep)) for rep in range(4)]
-        alone = [split([ds], 0.8, seeds)[0] for ds in (pair[0], batch, lone)]
+        alone = [split([ds], 0.8, seeds)[0] for ds in (lone, negated, scaled)]
         draws = []
         real_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda s: draws.append(s) or real_rng(s))
-        together = split([pair[0], batch, lone], 0.8, seeds)
+        together = split([lone, negated, scaled], 0.8, seeds)
         assert draws == seeds
         assert len(together) == 3
         for got, expected in zip(together, alone):
@@ -217,30 +224,32 @@ class TestSplit:
 
     def test_one_seed_is_not_a_batch(self):
         # the seeds are a sequence; a lone seed, by keyword or by position, fails
-        ds = iris(classes=(1, 3))
+        batch = batch_of(iris(classes=(1, 3)))
         with pytest.raises(TypeError):
-            split([ds], 0.8, seed=0)
+            split([batch], 0.8, seed=0)
         for seed in (0, np.random.SeedSequence(0)):
             with pytest.raises(TypeError):
-                split([ds], 0.8, seed)
+                split([batch], 0.8, seed)
 
     def test_lone_dataset_is_not_a_sequence(self):
         with pytest.raises(TypeError):
-            split(iris(classes=(1, 3)), 0.8, [0])
+            split(batch_of(iris(classes=(1, 3))), 0.8, [0])
 
     @pytest.mark.parametrize("shapes", [
-        [(100, 4), (50, 2)], [(2, 100, 4), (10, 2)], [], [(2, 3, 100, 4)],
-    ], ids=["different-n", "batch-of-different-n", "empty", "four-dimensional"])
+        [(1, 100, 4), (1, 50, 2)], [(2, 100, 4), (2, 10, 4)], [], [(2, 3, 100, 4)],
+        [(100, 4)],
+    ], ids=["different-n", "batch-of-different-n", "empty", "four-dimensional",
+            "lone-dataset"])
     def test_rejects_what_one_permutation_cannot_split(self, shapes):
         datasets = [LabeledDataset(np.ones(shape), np.ones(shape[:-1])) for shape in shapes]
         listed = ", ".join(map(str, shapes))
         with pytest.raises(ValueError, match=re.escape(
-                f"split takes datasets (n, d) or batches (G, n, d) of one n, got rows [{listed}]")):
+                f"split takes batches (G, n, d) of one n, got rows [{listed}]")):
             split(datasets, 0.8, [0])
 
     def test_empty_side_rejected(self):
         # with the floor rule the train side empties out for tiny fractions
-        ds = LabeledDataset(rows=circles().rows[45:55], labels=[-1, 1] * 5)
+        ds = batch_of(LabeledDataset(rows=circles().rows[45:55], labels=[-1, 1] * 5))
         with pytest.raises(ValueError):
             split([ds], 0.05, [0])
         with pytest.raises(ValueError):
@@ -276,9 +285,10 @@ class TestLabeledDataset:
                                  labels=np.stack([ds.labels for ds in pair]))
         for seeds in ([11], [np.random.SeedSequence((5, rep)) for rep in range(3)]):
             for g, ds in enumerate(pair):
-                for got, alone in zip(split([stacked], 0.8, seeds)[0], split([ds], 0.8, seeds)[0]):
-                    assert np.array_equal(got.rows[g], alone.rows)
-                    assert np.array_equal(got.labels[g], alone.labels)
+                alone = split([batch_of(ds)], 0.8, seeds)[0]
+                for got, side in zip(split([stacked], 0.8, seeds)[0], alone):
+                    assert np.array_equal(got.rows[g], side.rows[0])
+                    assert np.array_equal(got.labels[g], side.labels[0])
         rows[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="rows must be finite"):
             LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
@@ -367,23 +377,22 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_alone(iris(classes=(1, 2)), 0)
 
-    @pytest.mark.parametrize("shapes, message", [
-        ([(2, 100, 4), (1, 50, 2)], r"split takes .* of one n, got rows \[\(2, 100, 4\), \(1, 50, 2\)\]"),
-        ([], r"split takes .* of one n, got rows \[\]"),
-        ([(2, 100, 4), (100, 2)], r"a batch of datasets takes rows \(G, n, d\), got \(100, 2\)"),
-        ([(1, 3, 100, 2)], r"a batch of datasets takes rows \(G, n, d\), got \(1, 3, 100, 2\)"),
+    @pytest.mark.parametrize("shapes", [
+        [(2, 100, 4), (1, 50, 2)], [], [(2, 100, 4), (100, 2)], [(1, 3, 100, 2)],
     ], ids=["different-n", "empty", "lone-dataset", "batch-of-splits"])
-    def test_rejects_what_is_not_batches_of_one_n(self, shapes, message):
+    def test_rejects_what_is_not_batches_of_one_n(self, shapes):
+        # split's one shape check, on the first chunk
         rows = iris(classes=(1, 2)).rows
         batches = [LabeledDataset(np.broadcast_to(rows[: shape[-2], : shape[-1]], shape),
                                   np.ones(shape[:-1])) for shape in shapes]
-        with pytest.raises(ValueError, match=message):
-            run_benchmark(batches, 1)
+        listed = ", ".join(map(str, shapes))
+        with pytest.raises(ValueError, match=re.escape(
+                f"split takes batches (G, n, d) of one n, got rows [{listed}]")):
+            run_benchmark(batches, 1, 0)
 
     def test_lone_batch_is_not_a_sequence(self):
-        ds = iris(classes=(1, 2))
-        with pytest.raises(TypeError):
-            run_benchmark(LabeledDataset(ds.rows[None], ds.labels[None]), 1)
+        with pytest.raises(TypeError, match="not iterable"):
+            run_benchmark(batch_of(iris(classes=(1, 2))), 1, 0)
 
     @pytest.mark.parametrize("seed", [0, 77])
     @pytest.mark.parametrize("reps", [1, CHUNK, CHUNK + 1])
@@ -484,7 +493,7 @@ class TestBenchmarkDataset:
         (batch,) = (batch for specs, batch in data._shared_benchmark_groups() if spec in specs)
         for reps in (seeds[:1], seeds):
             [(train_raw, test_raw), (batch_train, batch_test)] = split(
-                [benchmark_dataset(key), batch], TRAIN_FRACTION, reps)
+                [batch_of(benchmark_dataset(key)), batch], TRAIN_FRACTION, reps)
             pipe = Pipeline()
             outputs = [train_raw, test_raw, batch_train, batch_test,
                        pipe.fit_transform(batch_train), pipe.transform(batch_test)]
