@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -316,6 +317,20 @@ class TestReadoutsOfAPreparedState:
         (p_acc,), (p_minus,) = read_batch(train, x_tilde[None])
         outcome = interfere_and_read(prepared)
         assert (outcome.p_acc, outcome.p_class_minus) == (p_acc, p_minus)
+
+
+class TestKeptBranchReadOnce:
+    """The gate path reads the kept branch of a register whose amplitudes
+    fit its layout; a register of any other length is refused when built."""
+
+    @pytest.mark.parametrize("size", [8, 32])
+    def test_amplitude_count_must_fit_the_layout(self, size):
+        state, _ = encoded_state(training_set(), preset_input("xprime"))
+        message = f"expected 16 amplitudes, got \\({size},\\)"
+        with pytest.raises(ValueError, match=message):
+            sv.QuantumState(4, np.resize(state.amplitudes, size))
+        with pytest.raises(ValueError, match=message):
+            replace(state, amplitudes=np.resize(state.amplitudes, size))
 
 
 class TestPreparedReadout:

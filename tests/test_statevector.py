@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,13 +146,8 @@ class TestQuantumState:
         assert_state_is_a_read_only_copy(3, amps, buffer)
 
     def test_amplitude_count_must_match(self):
-        # built directly, or copied from a valid state with other amplitudes
-        for size in (4, 16):
-            message = rf"expected 8 amplitudes, got \({size},\)"
-            with pytest.raises(ValueError, match=message):
-                sv.QuantumState(3, np.zeros(size, dtype=complex))
-            with pytest.raises(ValueError, match=message):
-                replace(sv.zero_state(3), amplitudes=np.zeros(size, dtype=complex))
+        with pytest.raises(ValueError, match=r"expected 8 amplitudes, got \(4,\)"):
+            sv.QuantumState(3, np.zeros(4, dtype=complex))
 
 
 class TestGateOp:
