@@ -244,9 +244,13 @@ def _check_qubit(n_qubits: int, qubit) -> None:
     _check_indices(n_qubits, (qubit,))
 
 
-# bound on the step plans kept, at most about 1 KB each at MAX_QUBITS; the
-# experiment circuit, composed and lowered, needs under a hundred
+# bound on the step plans kept, at most about 1 KB each at MAX_QUBITS, and on
+# the fused runs kept, at most 1 KB of matrix each plus the run's ops; the
+# experiment circuit, composed and lowered, needs under a hundred plans and
+# under ten runs
 _PLAN_CACHE_SIZE = 1024
+# a fused run's wires: never wider than a ccx step, which the loop already takes
+_FUSED_WIDTH = max(GATE_ARITY.values())
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -263,24 +267,80 @@ def _step_plan(
     return perm, tuple(order[p] for p in perm)
 
 
-def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
-    """Apply the ops in order to amplitudes shaped (2**n,) or (2**n, B); any
-    trailing axis is a batch of states. Returns the input's shape.
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _fused_run(run: tuple[GateOp, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The run's wires, in order of first use, and its read-only unitary over
+    them: the gate loop applied once to the 2**k identity, wire i as local
+    qubit k-1-i (the first wire is the most significant bit, as for a gate).
+    Keyed by the ops' values, so a run built from new expansions is new."""
+    wires = tuple(dict.fromkeys(q for op in run for q in op.qubits))
+    local = {q: len(wires) - 1 - i for i, q in enumerate(wires)}
+    steps = ((tuple(local[q] for q in op.qubits), gate_matrix(op)) for op in run)
+    matrix = _apply_steps(np.eye(1 << len(wires), dtype=complex), len(wires), steps)
+    matrix.setflags(write=False)
+    return wires, matrix
 
-    Each gate copies the state once, into the operand of its matmul (not at all
-    when its qubits already lead). The product stays in that axis order, and
-    the original order is restored once, after the last gate.
+
+def _steps(ops):
+    """(qubits, matrix) of each step of the ops: a rotation alone, and each
+    maximal run of consecutive angle-free gates on at most _FUSED_WIDTH
+    qubits as one step."""
+    run: list[GateOp] = []
+    wires: set[int] = set()
+    for op in ops:
+        if op.kind in ROTATION_KINDS:
+            if run:
+                yield _run_step(run)
+            run, wires = [], set()
+            yield op.qubits, gate_matrix(op)
+            continue
+        wires.update(op.qubits)
+        if len(wires) > _FUSED_WIDTH:
+            yield _run_step(run)
+            run, wires = [], set(op.qubits)
+        run.append(op)
+    if run:
+        yield _run_step(run)
+
+
+def _run_step(run: list[GateOp]) -> tuple[tuple[int, ...], np.ndarray]:
+    """A run of one gate is that gate's step; a longer run is fused."""
+    if len(run) == 1:
+        return run[0].qubits, gate_matrix(run[0])
+    return _fused_run(tuple(run))
+
+
+def _apply_steps(amps: np.ndarray, n_qubits: int, steps) -> np.ndarray:
+    """Apply each (qubits, matrix) step in order to amplitudes shaped (2**n,)
+    or (2**n, B); any trailing axis is a batch of states. Returns the input's
+    shape.
+
+    Each step copies the state once, into the operand of its matmul (not at
+    all when its qubits already lead). The product stays in that axis order,
+    and the original order is restored once, after the last step.
     """
     in_shape = amps.shape
     psi = amps.reshape((2,) * n_qubits + in_shape[1:])
     order = tuple(range(psi.ndim))
-    for op in ops:
-        perm, order = _step_plan(n_qubits, order, op.qubits)
+    for qubits, matrix in steps:
+        perm, order = _step_plan(n_qubits, order, qubits)
         psi = psi.transpose(perm)
-        matrix = gate_matrix(op)
         psi = matrix.dot(psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
     inverse = sorted(range(len(order)), key=order.__getitem__)
     return np.ascontiguousarray(psi.transpose(inverse)).reshape(in_shape)
+
+
+def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
+    """Apply the ops in order to amplitudes shaped as _apply_steps takes them.
+
+    Each rotation is one step. Each maximal run of consecutive angle-free
+    gates (h, x, t, tdg, s, cx, swap, ccx) whose qubits number at most
+    _FUSED_WIDTH is one step too: its unitary over those qubits is built
+    once per run of op values by the same loop and kept read-only in a
+    bounded cache, so a lowered ccx's sixteen gates cost one transpose and one
+    matmul. An out-of-range qubit raises IndexError at its step, every time.
+    """
+    return _apply_steps(amps, n_qubits, _steps(ops))
 
 
 def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:

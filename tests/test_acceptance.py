@@ -1,8 +1,8 @@
 """Acceptance suite: every shipped claim checked at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -s` to see one verdict line per
-criterion. The full benchmark grid (criterion 4) runs once per session and
-takes roughly half a minute.
+criterion. The full benchmark grid (criterion 4) runs once per session; its
+verdict line prints its time, 0.2 to 0.3 s for 6x1000 reps on a 2-vCPU VM.
 """
 
 import math

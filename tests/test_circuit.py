@@ -225,6 +225,23 @@ class TestExpansionCache:
         monkeypatch.undo()
         assert decompose(circ) == exact
 
+    def test_patched_expansion_changes_the_lowered_unitary_after_fused_runs_are_cached(
+            self, monkeypatch):
+        # the gate loop keeps each fused run's matrix by the run's op values,
+        # so the patched expansion's ops miss that cache and build their own
+        full = with_interference(build_experiment_circuit(preset_input("xprime"), X0, X1))
+        exact = sv.circuit_unitary(decompose(full))
+        exact_ccx = circuit._decompose_ccx
+
+        def faulted(*qubits):
+            return [sv.tdg(op.qubits[0]) if op.kind == "t" else op for op in exact_ccx(*qubits)]
+
+        monkeypatch.setattr(circuit, "_decompose_ccx", faulted)
+        planted = sv.circuit_unitary(decompose(full))
+        assert np.max(np.abs(planted - exact)) > 0.1
+        monkeypatch.undo()
+        assert np.array_equal(sv.circuit_unitary(decompose(full)), exact)
+
     def test_cache_is_bounded(self):
         size = circuit._FIXED_EXPANSION_CACHE_SIZE
         n = 10  # 720 ordered qubit triples, more than the cache keeps

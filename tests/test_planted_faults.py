@@ -2,11 +2,11 @@
 class statistics or the writable arrays of a TrainingSet, into the bound
 below which the core re-reads a row directly, into prepare_state as an
 allocation of the amplitudes it does not build, into the statevector gate
-loop, into the QuantumState constructor, into the link between the
-Table-2 rows and the batch positions of their datasets, or into the feature
-map of the stacked Table-2 datasets, and the shared checks of
-tests/reference.py or the Table-2 golden must fail on inputs that they pass
-unpatched."""
+loop or its fused gate runs, into the QuantumState constructor, into the
+link between the Table-2 rows and the batch positions of their datasets, or
+into the feature map of the stacked Table-2 datasets, and the shared checks
+of tests/reference.py or the Table-2 golden must fail on inputs that they
+pass unpatched."""
 
 import contextlib
 import functools
@@ -77,6 +77,26 @@ def untransposed_gate_loop(monkeypatch):
     # the inverse of the loop's axis order taken as the identity, so its
     # result keeps the axis order of the last matmul
     monkeypatch.setattr(sv, "sorted", lambda axes, key: list(axes), raising=False)
+
+
+def reversed_fused_wires(monkeypatch):
+    # each fused run's matrix laid on its wires in reverse order, as if wire
+    # i were local qubit i and not k-1-i
+    build = sv._fused_run.__wrapped__
+
+    def planted(run):
+        wires, matrix = build(run)
+        return wires[::-1], matrix
+
+    monkeypatch.setattr(sv, "_fused_run", planted)
+
+
+def qubit_blind_fused_cache(monkeypatch):
+    # fused runs kept by their ops' kinds alone, so a run of the same kinds on
+    # other qubits gets the first such run's wires and matrix
+    build, kept = sv._fused_run.__wrapped__, {}
+    monkeypatch.setattr(sv, "_fused_run", lambda run: kept.setdefault(
+        tuple(op.kind for op in run), build(run)))
 
 
 def uncopied_state_input(monkeypatch):
@@ -168,9 +188,11 @@ def read_only_set_check():
 
 
 def gate_loop_check():
-    # gates that leave the axes out of their original order
+    # gates that leave the axes out of their original order; two fused runs
+    # of the same kinds on other wires, and a fused width-3 run in 5 qubits
     assert_gate_loop_matches_dense(
-        Circuit(4, (sv.h(0), sv.cx(0, 2), sv.ccry(0.5, 1, 3, 0), sv.swap(2, 1))))
+        Circuit(5, (sv.h(0), sv.cx(0, 2), sv.ccry(0.5, 1, 3, 0), sv.swap(2, 1),
+                    sv.ccx(4, 1, 3), sv.t(1), sv.h(4), sv.ry(0.9, 2), sv.h(3), sv.cx(3, 0))))
 
 
 def state_copy_check():
@@ -195,6 +217,8 @@ CASES = [
     (zero_reread_bound, below_floor_check),
     (writable_training_set, read_only_set_check),
     (untransposed_gate_loop, gate_loop_check),
+    (reversed_fused_wires, gate_loop_check),
+    (qubit_blind_fused_cache, gate_loop_check),
     (uncopied_state_input, state_copy_check),
     (swapped_batch_reports, table2_golden_check),
     (unmapped_featmap, table2_golden_check),
@@ -205,6 +229,14 @@ CASES = [
                          ids=[f"{f.__name__}-{c.__name__}" for f, c in CASES])
 def test_check_passes_and_catches_its_fault(fault, check, monkeypatch):
     check()
-    fault(monkeypatch)
-    with pytest.raises(AssertionError):
-        check()
+    # untransposed_gate_loop patches sorted, which building a fused run also
+    # calls: each fault starts from no fused runs, and none built under it
+    # outlives it
+    sv._fused_run.cache_clear()
+    try:
+        fault(monkeypatch)
+        with pytest.raises(AssertionError):
+            check()
+    finally:
+        monkeypatch.undo()
+        sv._fused_run.cache_clear()

@@ -69,6 +69,35 @@ def circuits(draw, min_qubits=3, max_qubits=7):
 
 
 @st.composite
+def angle_free_runs(draw):
+    """Random circuits on 3 to 7 qubits, one gate in six a rotation, on 3 or
+    4 wires drawn per circuit: runs of angle-free gates that fuse, runs broken
+    at the width bound by a fourth wire, and both inside wider registers."""
+    n = draw(st.integers(3, 7))
+    wires = draw(st.permutations(range(n)))[: draw(st.integers(3, min(n, 4)))]
+    angle_free = sorted(set(sv.GATE_ARITY) - sv.ROTATION_KINDS)
+    ops = []
+    for _ in range(draw(st.integers(2, 24))):
+        rotation = draw(st.integers(0, 5)) == 0
+        kind = draw(st.sampled_from(sorted(sv.ROTATION_KINDS) if rotation else angle_free))
+        qubits = tuple(draw(st.permutations(wires))[: sv.GATE_ARITY[kind]])
+        theta = draw(st.floats(-2 * math.pi, 2 * math.pi)) if rotation else None
+        ops.append(sv.GateOp(kind, qubits, theta))
+    return Circuit(n, tuple(ops))
+
+
+def assert_equals_gate_chain(amplitudes, state, ops):
+    """amplitudes against the ops applied to state one apply_gate at a time,
+    and against the product of their embed operators, to EXACT_TOL."""
+    dense, stepped = state.amplitudes, state
+    for op in ops:
+        dense = embed(op, state.n_qubits) @ dense
+        stepped = sv.apply_gate(stepped, op)
+    assert np.allclose(amplitudes, stepped.amplitudes, atol=sv.EXACT_TOL, rtol=0.0)
+    assert np.allclose(amplitudes, dense, atol=sv.EXACT_TOL, rtol=0.0)
+
+
+@st.composite
 def gate_fields(draw):
     """Fields of a gate, often valid: a known or unknown kind with 0-4 qubits
     (often the kind's arity), in a tuple or a list, some replaced by a repeat,
@@ -207,6 +236,16 @@ class TestGateMatrix:
             m[0, 0] = 5.0
         assert np.array_equal(sv.gate_matrix(op), before)
 
+    def test_fused_matrices_are_read_only(self):
+        run = (sv.h(4), sv.cx(4, 1), sv.t(1), sv.ccx(1, 4, 6), sv.swap(6, 4))
+        wires, m = sv._fused_run(run)
+        assert wires == (4, 1, 6) and m.shape == (8, 8)
+        before = m.copy()
+        with pytest.raises(ValueError):
+            m[0, 0] = 5.0
+        assert sv._fused_run(run)[1] is m
+        assert np.array_equal(m, before)
+
     def test_rotation_matrix_is_built_once_per_op(self, monkeypatch):
         built = []
         exact = sv._ry_matrix
@@ -295,20 +334,15 @@ class TestApplyGate:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_simulate_equals_gate_by_gate(self, seed):
+        # simulate fuses runs of angle-free gates, apply_gate takes one gate
+        # at a time: the same unitaries, multiplied in another order
         circ = random_circuit(5, 25, seed + 500)
         prefix = entangling_prefix(5, seed + 600)
         state = sv.simulate(Circuit(5, prefix))
         assert np.all(state.amplitudes != 0)
-        expected = state.amplitudes
-        for op in circ.ops:
-            expected = embed(op, 5) @ expected
-        stepped = state
-        for op in circ.ops:
-            stepped = sv.apply_gate(stepped, op)
         got = sv.simulate(Circuit(5, prefix + circ.ops))
         assert got.amplitudes.shape == (32,)
-        assert np.array_equal(got.amplitudes, stepped.amplitudes)
-        assert np.allclose(got.amplitudes, expected, atol=1e-12, rtol=0.0)
+        assert_equals_gate_chain(got.amplitudes, state, circ.ops)
 
 
 class TestGateLoop:
@@ -330,11 +364,28 @@ class TestGateLoop:
     ], ids=["one-qubit", "two-qubit", "three-qubit", "reordered"])
     def test_repeated_qubits_equal_apply_gate_chain(self, ops):
         prefix = entangling_prefix(5, 77)
+        got = sv.simulate(Circuit(5, prefix + ops)).amplitudes
+        assert_equals_gate_chain(got, sv.simulate(Circuit(5, prefix)), ops)
+
+    def test_unfused_steps_equal_apply_gate_chain_bit_for_bit(self):
+        # a rotation before and after each angle-free gate: every step is one
+        # gate, as in apply_gate, so only the axis-order bookkeeping differs
+        ops = (sv.ry(0.3, 2), sv.h(2), sv.cry(-0.7, 1, 3), sv.cx(1, 3), sv.ry(1.2, 4),
+               sv.swap(0, 3), sv.ccry(1.9, 0, 4, 2), sv.ccx(0, 4, 2), sv.ry(-0.4, 0),
+               sv.tdg(1), sv.cry(0.8, 3, 1), sv.cx(3, 0), sv.ry(0.6, 3))
+        assert len(list(sv._steps(ops))) == len(ops)
+        prefix = entangling_prefix(5, 78)
         stepped = sv.simulate(Circuit(5, prefix))
         for op in ops:
             stepped = sv.apply_gate(stepped, op)
         assert np.array_equal(sv.simulate(Circuit(5, prefix + ops)).amplitudes,
                               stepped.amplitudes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(circ=angle_free_runs())
+    def test_angle_free_runs_match_dense_product(self, circ):
+        assert all(len(qubits) <= 3 for qubits, _ in sv._steps(circ.ops))
+        assert_gate_loop_matches_dense(circ)
 
     def test_out_of_range_qubit_after_valid_gates_raises_every_time(self):
         # Circuit rejects the op itself, so the loop gets a bare op sequence
