@@ -50,13 +50,25 @@ class Circuit:
             raise ValueError(f"n_qubits must be >= 1, got {n}")
         if type(self.ops) is not tuple:
             object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
-            for q in op.qubits:
-                if q >= n:
-                    raise ValueError(f"op {op} references qubit {q} on a {n}-qubit circuit")
+        try:
+            for op in self.ops:
+                for q in op.qubits:
+                    if q >= n:
+                        raise ValueError(f"op {op} references qubit {q} on a {n}-qubit circuit")
+        except AttributeError:
+            # only an op that is no GateOp lacks qubits; naming it costs the
+            # valid path nothing
+            i = next(i for i, op in enumerate(self.ops) if not isinstance(op, GateOp))
+            raise ValueError(f"op {i} is not a GateOp: {self.ops[i]!r}") from None
 
     def __len__(self) -> int:
         return len(self.ops)
+
+    @functools.cached_property
+    def program(self) -> sv.GateProgram:
+        """The gate program that simulate and circuit_unitary run, built on
+        first use and kept, so its ops are grouped and planned once."""
+        return sv.gate_program(self.n_qubits, self.ops)
 
 
 def _load_angle(v) -> float:

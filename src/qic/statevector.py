@@ -245,9 +245,9 @@ def _check_qubit(n_qubits: int, qubit) -> None:
 
 
 # bound on the step plans kept, at most about 1 KB each at MAX_QUBITS, and on
-# the fused runs kept, at most 1 KB of matrix each plus the run's ops; the
-# experiment circuit, composed and lowered, needs under a hundred plans and
-# under ten runs
+# the fused runs kept, at most 1 KB of matrix each plus the run's ops; both
+# are looked up when a program is built, once per Circuit, and the experiment
+# circuit, composed and lowered, needs under a hundred plans and under ten runs
 _PLAN_CACHE_SIZE = 1024
 # a fused run's wires: never wider than a ccx step, which the loop already takes
 _FUSED_WIDTH = max(GATE_ARITY.values())
@@ -270,13 +270,13 @@ def _step_plan(
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _fused_run(run: tuple[GateOp, ...]) -> tuple[tuple[int, ...], np.ndarray]:
     """The run's wires, in order of first use, and its read-only unitary over
-    them: the gate loop applied once to the 2**k identity, wire i as local
-    qubit k-1-i (the first wire is the most significant bit, as for a gate).
+    them: the gate loop run once on the 2**k identity, wire i as local qubit
+    k-1-i (the first wire is the most significant bit, as for a gate).
     Keyed by the ops' values, so a run built from new expansions is new."""
     wires = tuple(dict.fromkeys(q for op in run for q in op.qubits))
     local = {q: len(wires) - 1 - i for i, q in enumerate(wires)}
     steps = ((tuple(local[q] for q in op.qubits), gate_matrix(op)) for op in run)
-    matrix = _apply_steps(np.eye(1 << len(wires), dtype=complex), len(wires), steps)
+    matrix = _plan(len(wires), steps).run(np.eye(1 << len(wires), dtype=complex))
     matrix.setflags(write=False)
     return wires, matrix
 
@@ -310,42 +310,68 @@ def _run_step(run: list[GateOp]) -> tuple[tuple[int, ...], np.ndarray]:
     return _fused_run(tuple(run))
 
 
-def _apply_steps(amps: np.ndarray, n_qubits: int, steps) -> np.ndarray:
-    """Apply each (qubits, matrix) step in order to amplitudes shaped (2**n,)
-    or (2**n, B); any trailing axis is a batch of states. Returns the input's
-    shape.
+@dataclass(frozen=True, eq=False)
+class GateProgram:
+    """The gate loop of one op sequence, planned: each step's transpose and
+    matrix, in order, and the transpose that restores the original axis order
+    after the last step. Its axes are the n qubits, axis 0 the most
+    significant, and one trailing batch axis that no step moves."""
 
-    Each step copies the state once, into the operand of its matmul (not at
-    all when its qubits already lead). The product stays in that axis order,
-    and the original order is restored once, after the last step.
-    """
-    in_shape = amps.shape
-    psi = amps.reshape((2,) * n_qubits + in_shape[1:])
-    order = tuple(range(psi.ndim))
+    n_qubits: int
+    steps: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    inverse: tuple[int, ...]
+
+    def run(self, amps: np.ndarray) -> np.ndarray:
+        """Apply the steps in order to amplitudes shaped (2**n,) or (2**n, B),
+        any trailing axis a batch of states; returns the input's shape.
+
+        Each step copies the state once, into the operand of its matmul (not
+        at all when its qubits already lead). The product stays in that axis
+        order, and the original order is restored once, after the last step.
+        """
+        psi = amps.reshape((2,) * self.n_qubits + (-1,))
+        for perm, matrix in self.steps:
+            psi = psi.transpose(perm)
+            psi = matrix.dot(psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
+        return np.ascontiguousarray(psi.transpose(self.inverse)).reshape(amps.shape)
+
+
+def _plan(n_qubits: int, steps) -> GateProgram:
+    """The program of (qubits, matrix) steps, each step's transpose taken from
+    the _step_plan cache. Raises IndexError for an out-of-range qubit."""
+    order = tuple(range(n_qubits + 1))
+    planned = []
     for qubits, matrix in steps:
         perm, order = _step_plan(n_qubits, order, qubits)
-        psi = psi.transpose(perm)
-        psi = matrix.dot(psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
-    inverse = sorted(range(len(order)), key=order.__getitem__)
-    return np.ascontiguousarray(psi.transpose(inverse)).reshape(in_shape)
+        planned.append((perm, matrix))
+    inverse = tuple(sorted(range(len(order)), key=order.__getitem__))
+    return GateProgram(n_qubits, tuple(planned), inverse)
 
 
-def _apply_ops(amps: np.ndarray, n_qubits: int, ops) -> np.ndarray:
-    """Apply the ops in order to amplitudes shaped as _apply_steps takes them.
+def gate_program(n_qubits: int, ops) -> GateProgram:
+    """The program that applies the ops in order to an n-qubit state.
 
     Each rotation is one step. Each maximal run of consecutive angle-free
     gates (h, x, t, tdg, s, cx, swap, ccx) whose qubits number at most
     _FUSED_WIDTH is one step too: its unitary over those qubits is built
     once per run of op values by the same loop and kept read-only in a
     bounded cache, so a lowered ccx's sixteen gates cost one transpose and one
-    matmul. An out-of-range qubit raises IndexError at its step, every time.
+    matmul. Raises IndexError for an out-of-range qubit.
     """
-    return _apply_steps(amps, n_qubits, _steps(ops))
+    return _plan(n_qubits, _steps(ops))
+
+
+def _program(circuit) -> GateProgram:
+    """A Circuit's program, built on first use and kept on it; any other
+    object with n_qubits and ops gets one built for this call, so an
+    out-of-range qubit raises IndexError every time."""
+    program = getattr(circuit, "program", None)
+    return gate_program(circuit.n_qubits, circuit.ops) if program is None else program
 
 
 def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
     """Return the state transformed by the op's unitary; input is not mutated."""
-    amps = _apply_ops(state.amplitudes, state.n_qubits, (op,))
+    amps = gate_program(state.n_qubits, (op,)).run(state.amplitudes)
     return QuantumState(state.n_qubits, amps)
 
 
@@ -386,20 +412,19 @@ def postselect(
 
 
 def simulate(circuit) -> QuantumState:
-    """Run a circuit on |0...0>."""
-    amps = _apply_ops(zero_state(circuit.n_qubits).amplitudes, circuit.n_qubits, circuit.ops)
-    return QuantumState(circuit.n_qubits, amps)
+    """Run a circuit's program on |0...0>."""
+    amps = zero_state(circuit.n_qubits).amplitudes
+    return QuantumState(circuit.n_qubits, _program(circuit).run(amps))
 
 
 def circuit_unitary(circuit) -> np.ndarray:
     """Unitary of a circuit: column j is the image of basis state j.
 
-    Each gate is applied once to the whole matrix, its columns as a batch.
+    The circuit's program runs once on the identity, its columns as a batch.
     """
     if circuit.n_qubits > MAX_UNITARY_QUBITS:
         raise CapacityError(
             f"circuit_unitary supports at most {MAX_UNITARY_QUBITS} qubits, "
             f"got {circuit.n_qubits}"
         )
-    return _apply_ops(np.eye(1 << circuit.n_qubits, dtype=complex), circuit.n_qubits,
-                      circuit.ops)
+    return _program(circuit).run(np.eye(1 << circuit.n_qubits, dtype=complex))

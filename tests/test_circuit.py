@@ -58,6 +58,15 @@ class TestCircuit:
         with pytest.raises(ValueError):
             Circuit(1, (sv.cx(0, 1),))
 
+    @pytest.mark.parametrize("ops, index", [
+        (("h",), 0),
+        ((sv.h(0), None), 1),
+        ((sv.h(0), sv.cx(0, 1), ("cx", (0, 1))), 2),
+    ], ids=["string", "none", "tuple"])
+    def test_rejects_an_op_that_is_not_a_gate_op(self, ops, index):
+        with pytest.raises(ValueError, match=f"op {index} is not a GateOp"):
+            Circuit(2, ops)
+
     @pytest.mark.parametrize("n", [2.5, 2.0, True, np.bool_(True), "2"])
     def test_n_qubits_must_be_an_integer_and_not_bool(self, n):
         with pytest.raises(ValueError, match="n_qubits must be an integer"):

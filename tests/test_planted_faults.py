@@ -2,11 +2,11 @@
 class statistics or the writable arrays of a TrainingSet, into the bound
 below which the core re-reads a row directly, into prepare_state as an
 allocation of the amplitudes it does not build, into the statevector gate
-loop or its fused gate runs, into the QuantumState constructor, into the
-link between the Table-2 rows and the batch positions of their datasets, or
-into the feature map of the stacked Table-2 datasets, and the shared checks
-of tests/reference.py or the Table-2 golden must fail on inputs that they
-pass unpatched."""
+loop, its fused gate runs or the gate programs that circuits keep, into the
+QuantumState constructor, into the link between the Table-2 rows and the
+batch positions of their datasets, or into the feature map of the stacked
+Table-2 datasets, and the shared checks of tests/reference.py or the
+Table-2 golden must fail on inputs that they pass unpatched."""
 
 import contextlib
 import functools
@@ -99,6 +99,20 @@ def qubit_blind_fused_cache(monkeypatch):
         tuple(op.kind for op in run), build(run)))
 
 
+def programs_kept_by_size(monkeypatch):
+    # gate programs kept by qubit count and op count, so a circuit of the
+    # same size runs the first such circuit's program
+    build, kept = sv.gate_program, {}
+    monkeypatch.setattr(sv, "gate_program", lambda n_qubits, ops: kept.setdefault(
+        (n_qubits, len(ops)), build(n_qubits, ops)))
+
+
+def reversed_program_steps(monkeypatch):
+    # each program's steps planned and run last to first
+    steps = sv._steps
+    monkeypatch.setattr(sv, "_steps", lambda ops: reversed(list(steps(ops))))
+
+
 def uncopied_state_input(monkeypatch):
     # a writable complex array is kept as the state's amplitudes, not copied
     post_init = sv.QuantumState.__post_init__
@@ -187,12 +201,22 @@ def read_only_set_check():
     assert_training_set_is_read_only(TRAIN.vectors, TRAIN.labels)
 
 
+# gates that leave the axes out of their original order; two fused runs of
+# the same kinds on other wires, and a fused width-3 run in 5 qubits
+GATE_LOOP_OPS = (sv.h(0), sv.cx(0, 2), sv.ccry(0.5, 1, 3, 0), sv.swap(2, 1), sv.ccx(4, 1, 3),
+                 sv.t(1), sv.h(4), sv.ry(0.9, 2), sv.h(3), sv.cx(3, 0))
+
+
 def gate_loop_check():
-    # gates that leave the axes out of their original order; two fused runs
-    # of the same kinds on other wires, and a fused width-3 run in 5 qubits
-    assert_gate_loop_matches_dense(
-        Circuit(5, (sv.h(0), sv.cx(0, 2), sv.ccry(0.5, 1, 3, 0), sv.swap(2, 1),
-                    sv.ccx(4, 1, 3), sv.t(1), sv.h(4), sv.ry(0.9, 2), sv.h(3), sv.cx(3, 0))))
+    # the circuit is built here, as in every gate loop check: one built
+    # before a fault keeps a program built without it
+    assert_gate_loop_matches_dense(Circuit(5, GATE_LOOP_OPS))
+
+
+def program_cache_check():
+    # two circuits of one size, each with its own program
+    for ops in (GATE_LOOP_OPS, GATE_LOOP_OPS[::-1]):
+        assert_gate_loop_matches_dense(Circuit(5, ops))
 
 
 def state_copy_check():
@@ -219,6 +243,8 @@ CASES = [
     (untransposed_gate_loop, gate_loop_check),
     (reversed_fused_wires, gate_loop_check),
     (qubit_blind_fused_cache, gate_loop_check),
+    (programs_kept_by_size, program_cache_check),
+    (reversed_program_steps, gate_loop_check),
     (uncopied_state_input, state_copy_check),
     (swapped_batch_reports, table2_golden_check),
     (unmapped_featmap, table2_golden_check),

@@ -418,6 +418,51 @@ class TestGateLoop:
         assert u.flags.c_contiguous
 
 
+class TestGateProgram:
+    """A Circuit builds the program that simulate and circuit_unitary run on
+    its first use, and keeps it."""
+
+    def test_simulate_and_unitary_build_the_program_once(self, monkeypatch):
+        built, build = [], sv.gate_program
+        monkeypatch.setattr(sv, "gate_program",
+                            lambda n, ops: built.append(ops) or build(n, ops))
+        circ = Circuit(4, (sv.h(0), sv.cx(0, 1), sv.ry(0.3, 2), sv.ccx(2, 0, 3), sv.swap(1, 3)))
+        sv.simulate(circ)
+        sv.circuit_unitary(circ)
+        sv.simulate(circ)
+        assert built == [circ.ops]
+
+    def test_repeated_and_equal_circuits_give_bit_identical_arrays(self):
+        circ = random_circuit(5, 30, 900)
+        state, u = sv.simulate(circ).amplitudes, sv.circuit_unitary(circ)
+        expected = u.copy()
+        u[0, 0] = 5.0  # a returned unitary is the caller's own
+        rebuilt = Circuit(5, tuple(sv.GateOp(op.kind, op.qubits, op.theta) for op in circ.ops))
+        assert rebuilt == circ and rebuilt.program is not circ.program
+        for again in (circ, circ, rebuilt):
+            assert np.array_equal(sv.simulate(again).amplitudes, state)
+            assert np.array_equal(sv.circuit_unitary(again), expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(circ=circuits(1, 5))
+    def test_kept_programs_match_dense_product(self, circ):
+        # each check runs the program twice, built once
+        assert_gate_loop_matches_dense(circ)
+        assert_gate_loop_matches_dense(circ)
+
+    def test_out_of_range_qubit_raises_every_call_and_keeps_no_program(self):
+        # a Circuit rejects the op itself, so this one is built past its check
+        ops = (sv.h(0), sv.cx(0, 1), sv.ry(0.4, 2), sv.cx(2, 0), sv.h(3))
+        bad = object.__new__(Circuit)
+        object.__setattr__(bad, "n_qubits", 3)
+        object.__setattr__(bad, "ops", ops)
+        for _ in range(2):
+            for run in (sv.simulate, sv.circuit_unitary):
+                with pytest.raises(IndexError, match="qubit 3 out of range"):
+                    run(bad)
+            assert "program" not in vars(bad)
+
+
 class TestQubitProbabilities:
     def test_uniform_superposition(self):
         state = sv.apply_gate(sv.zero_state(1), sv.h(0))
