@@ -50,16 +50,12 @@ class Circuit:
             raise ValueError(f"n_qubits must be >= 1, got {n}")
         if type(self.ops) is not tuple:
             object.__setattr__(self, "ops", tuple(self.ops))
-        try:
-            for op in self.ops:
-                for q in op.qubits:
-                    if q >= n:
-                        raise ValueError(f"op {op} references qubit {q} on a {n}-qubit circuit")
-        except AttributeError:
-            # only an op that is no GateOp lacks qubits; naming it costs the
-            # valid path nothing
-            i = next(i for i, op in enumerate(self.ops) if not isinstance(op, GateOp))
-            raise ValueError(f"op {i} is not a GateOp: {self.ops[i]!r}") from None
+        for i, op in enumerate(self.ops):
+            if type(op) is not GateOp:
+                raise ValueError(f"op {i} is not a GateOp: {op!r}")
+            for q in op.qubits:
+                if q >= n:
+                    raise ValueError(f"op {op} references qubit {q} on a {n}-qubit circuit")
 
     def __len__(self) -> int:
         return len(self.ops)

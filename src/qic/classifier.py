@@ -128,15 +128,23 @@ class ClassificationOutcome:
     """Acceptance probability, class-conditional probabilities, and the label.
 
     shots is None for the exact (analytic) readout; accepted counts the
-    postselected shots in sampled mode.
+    postselected shots in sampled mode. Class +1's probability and the label
+    are read from p_class_minus, so both readouts share one tie rule: a tie at
+    0.5 predicts +1.
     """
 
     p_acc: float
     p_class_minus: float
-    p_class_plus: float
-    predicted: int
     shots: int | None = None
     accepted: int | None = None
+
+    @property
+    def p_class_plus(self) -> float:
+        return 1.0 - self.p_class_minus
+
+    @property
+    def predicted(self) -> int:
+        return -1 if self.p_class_minus > 0.5 else +1
 
 
 def _checked_rows(train: TrainingSet, X) -> np.ndarray:
@@ -188,23 +196,16 @@ def interfere_and_read(state: PreparedState) -> ClassificationOutcome:
 
     Reports the acceptance of ancilla=0 after the ancilla Hadamard and the
     class-qubit marginal of that branch, as prepare_state computed them
-    (read_batch's values bit for bit). Class bit 0 encodes label -1;
-    ties at 0.5 predict +1. Raises ImpossibleBranchError when the acceptance
-    is at or below BRANCH_FLOOR, and ValueError for any state that
-    prepare_state did not build.
+    (read_batch's values bit for bit). Class bit 0 encodes label -1. Raises
+    ImpossibleBranchError when the acceptance is at or below BRANCH_FLOOR,
+    and ValueError for any state that prepare_state did not build.
     """
     p_acc, p_minus = _prepared_readout(state)
     if p_acc <= BRANCH_FLOOR:
         raise ImpossibleBranchError(
             f"branch qubit {state.ancilla_bit}=0 has probability {p_acc:.3e}"
         )
-    return ClassificationOutcome(
-        p_acc=p_acc,
-        p_class_minus=p_minus,
-        p_class_plus=1.0 - p_minus,
-        predicted=-1 if p_minus > 0.5 else +1,
-        shots=None,
-    )
+    return ClassificationOutcome(p_acc=p_acc, p_class_minus=p_minus)
 
 
 def interfere_and_sample(
@@ -231,15 +232,8 @@ def interfere_and_sample(
         raise EstimationFailedError(f"no shots accepted out of {shots}")
     minus_count = _count_below(rng, accepted, p_minus_true)
 
-    p_minus = minus_count / accepted
-    return ClassificationOutcome(
-        p_acc=accepted / shots,
-        p_class_minus=p_minus,
-        p_class_plus=1.0 - p_minus,
-        predicted=-1 if p_minus > 0.5 else +1,
-        shots=shots,
-        accepted=accepted,
-    )
+    return ClassificationOutcome(p_acc=accepted / shots, p_class_minus=minus_count / accepted,
+                                 shots=shots, accepted=accepted)
 
 
 def _count_below(rng: np.random.Generator, n: int, p: float) -> int:

@@ -68,38 +68,36 @@ def circles() -> LabeledDataset:
     return LabeledDataset(rows=pts, labels=labels)
 
 
+# every benchmark split keeps floor(0.8 * n) rows for training
+TRAIN_FRACTION = 0.8
+
+
 def split(
-    batches: Sequence[LabeledDataset], train_fraction: float, seeds: Sequence
+    batches: Sequence[LabeledDataset], seeds: Sequence
 ) -> list[tuple[LabeledDataset, LabeledDataset]]:
     """Seeded shuffle splits of each batch of datasets (rows (G, n, d)), one
     per seed (an int or a SeedSequence), stacked along a new axis before the
     rows: (G, R, k, d). One (train, test) pair per batch, in order.
 
     Split r permutes the rows with default_rng(seeds[r]); its train side
-    keeps the first floor(fraction*n) of them and its test side the rest.
-    Each permutation is drawn once for all the batches, which must have the
-    same n, so every matrix loses the same rows.
+    keeps the first floor(TRAIN_FRACTION * n) of them and its test side the
+    rest. Each permutation is drawn once for all the batches, which must have
+    the same n, so every matrix loses the same rows.
     """
     batches = tuple(batches)
     sizes = {ds.n_samples for ds in batches}  # empty, or more than one n, is rejected
     if len(sizes) != 1 or any(ds.rows.ndim != 3 for ds in batches):
         shapes = ", ".join(str(ds.rows.shape) for ds in batches)
         raise ValueError(f"split takes batches (G, n, d) of one n, got rows [{shapes}]")
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     (n,) = sizes
-    n_train = int(train_fraction * n)
-    if n_train == 0 or n_train == n:
-        raise ValueError(
-            f"fraction {train_fraction} leaves an empty split for {n} rows"
-        )
+    n_train = int(TRAIN_FRACTION * n)
+    if n_train == 0:  # floor(0.8 * n) < n for every n >= 1, so only train empties
+        raise ValueError(f"{n} rows leave an empty train side")
     perm = np.stack([np.random.default_rng(s).permutation(n) for s in seeds])
     train, test = perm[:, :n_train], perm[:, n_train:]
     return [(ds.subset(train), ds.subset(test)) for ds in batches]
 
 
-# every benchmark split keeps floor(0.8 * n) rows for training
-TRAIN_FRACTION = 0.8
 # repetitions per vectorized pass of run_benchmark. tracemalloc puts the peak
 # of one whole chunk of Table 2 at 2.0 MiB for 25 and 7.7 MiB for 100. On a
 # 2-vCPU VM, Table 2 at 1000 reps takes the same time (0.21 s in-process) in
@@ -139,7 +137,7 @@ def run_benchmark(
         reps = range(start, min(start + CHUNK, repetitions))
         seeds = [np.random.SeedSequence((master_seed, rep)) for rep in reps]
         for (train_raw, test_raw), batch_tallies in zip(
-            split(batches, TRAIN_FRACTION, seeds), tallies  # (datasets, reps, ...)
+            split(batches, seeds), tallies  # (datasets, reps, ...)
         ):
             pipe = Pipeline()
             train = pipe.fit_transform(train_raw)

@@ -100,14 +100,6 @@ class GateOp:
             raise ValueError(f"{kind} takes no angle")
         object.__setattr__(self, "qubits", tuple(map(int, qubits)))
 
-    @functools.cached_property
-    def _rotation_matrix(self) -> np.ndarray:
-        """A rotation's dense unitary, built on first use and kept (read-only)."""
-        u = _ry_matrix(self.theta)
-        m = u if self.kind == "ry" else _controlled(u, len(self.qubits) - 1)
-        m.setflags(write=False)
-        return m
-
 
 def h(q: int) -> GateOp:
     return GateOp("h", (q,))
@@ -178,9 +170,14 @@ for _m in _FIXED.values():  # shared by every gate_matrix caller, so read-only
 
 def gate_matrix(op: GateOp) -> np.ndarray:
     """Dense unitary of the op over its listed qubits, read-only: a fixed
-    gate's is shared by kind, a rotation's is built once per op."""
-    fixed = _FIXED.get(op.kind)
-    return op._rotation_matrix if fixed is None else fixed
+    gate's is shared by kind, a rotation's is built on each call, which is
+    once per program that holds it."""
+    m = _FIXED.get(op.kind)
+    if m is None:
+        u = _ry_matrix(op.theta)
+        m = u if op.kind == "ry" else _controlled(u, len(op.qubits) - 1)
+        m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,14 +358,6 @@ def gate_program(n_qubits: int, ops) -> GateProgram:
     return _plan(n_qubits, _steps(ops))
 
 
-def _program(circuit) -> GateProgram:
-    """A Circuit's program, built on first use and kept on it; any other
-    object with n_qubits and ops gets one built for this call, so an
-    out-of-range qubit raises IndexError every time."""
-    program = getattr(circuit, "program", None)
-    return gate_program(circuit.n_qubits, circuit.ops) if program is None else program
-
-
 def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
     """Return the state transformed by the op's unitary; input is not mutated."""
     amps = gate_program(state.n_qubits, (op,)).run(state.amplitudes)
@@ -412,19 +401,20 @@ def postselect(
 
 
 def simulate(circuit) -> QuantumState:
-    """Run a circuit's program on |0...0>."""
+    """Run a Circuit's kept program on |0...0>."""
     amps = zero_state(circuit.n_qubits).amplitudes
-    return QuantumState(circuit.n_qubits, _program(circuit).run(amps))
+    return QuantumState(circuit.n_qubits, circuit.program.run(amps))
 
 
 def circuit_unitary(circuit) -> np.ndarray:
-    """Unitary of a circuit: column j is the image of basis state j.
+    """Unitary of a Circuit: column j is the image of basis state j.
 
-    The circuit's program runs once on the identity, its columns as a batch.
+    The circuit's kept program runs once on the identity, its columns as a
+    batch.
     """
     if circuit.n_qubits > MAX_UNITARY_QUBITS:
         raise CapacityError(
             f"circuit_unitary supports at most {MAX_UNITARY_QUBITS} qubits, "
             f"got {circuit.n_qubits}"
         )
-    return _program(circuit).run(np.eye(1 << circuit.n_qubits, dtype=complex))
+    return circuit.program.run(np.eye(1 << circuit.n_qubits, dtype=complex))

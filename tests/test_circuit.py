@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,7 +63,9 @@ class TestCircuit:
         (("h",), 0),
         ((sv.h(0), None), 1),
         ((sv.h(0), sv.cx(0, 1), ("cx", (0, 1))), 2),
-    ], ids=["string", "none", "tuple"])
+        # has qubits, so the qubit loop alone would keep it
+        ((sv.h(0), SimpleNamespace(qubits=(0,))), 1),
+    ], ids=["string", "none", "tuple", "qubits-only"])
     def test_rejects_an_op_that_is_not_a_gate_op(self, ops, index):
         with pytest.raises(ValueError, match=f"op {index} is not a GateOp"):
             Circuit(2, ops)

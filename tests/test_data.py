@@ -169,28 +169,28 @@ class TestCircles:
 class TestSplit:
     def test_eighty_twenty(self):
         ds = iris(classes=(1, 2))
-        [(train, test)] = split([batch_of(ds)], 0.8, [0])
+        [(train, test)] = split([batch_of(ds)], [0])
         assert train.rows.shape == (1, 1, 80, 4)
         assert train.n_samples == 80
         assert test.n_samples == 20
 
     def test_disjoint_and_exhaustive(self):
         ds = circles()
-        [(train, test)] = split([batch_of(ds)], 0.6, [7])
+        [(train, test)] = split([batch_of(ds)], [7])
         joined = np.vstack([train.rows[0, 0], test.rows[0, 0]])
         assert joined.shape == ds.rows.shape
         assert np.allclose(np.sort(joined, axis=0), np.sort(ds.rows, axis=0))
 
     def test_seed_determinism(self):
         batch = batch_of(iris(classes=(1, 3)))
-        a = split([batch], 0.8, [11])[0][0]
-        b = split([batch], 0.8, [11])[0][0]
+        a = split([batch], [11])[0][0]
+        b = split([batch], [11])[0][0]
         assert np.array_equal(a.rows, b.rows)
 
     def test_list_of_seeds_stacks_the_single_splits(self):
         ds = iris(classes=(1, 3))
         seeds = [np.random.SeedSequence((4, rep)) for rep in range(3)]
-        [(train, test)] = split([batch_of(ds)], 0.8, seeds)
+        [(train, test)] = split([batch_of(ds)], seeds)
         assert train.rows.shape == (1, 3, 80, 4) and test.labels.shape == (1, 3, 20)
         assert (train.n_samples, test.n_samples, train.n_features) == (80, 20, 4)
         for r in range(3):
@@ -210,11 +210,11 @@ class TestSplit:
         scaled = LabeledDataset(np.stack([pair[0].rows, 2 * pair[0].rows]),
                                 np.stack([pair[0].labels, -pair[0].labels]))
         seeds = [np.random.SeedSequence((6, rep)) for rep in range(4)]
-        alone = [split([ds], 0.8, seeds)[0] for ds in (lone, negated, scaled)]
+        alone = [split([ds], seeds)[0] for ds in (lone, negated, scaled)]
         draws = []
         real_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda s: draws.append(s) or real_rng(s))
-        together = split([lone, negated, scaled], 0.8, seeds)
+        together = split([lone, negated, scaled], seeds)
         assert draws == seeds
         assert len(together) == 3
         for got, expected in zip(together, alone):
@@ -226,14 +226,14 @@ class TestSplit:
         # the seeds are a sequence; a lone seed, by keyword or by position, fails
         batch = batch_of(iris(classes=(1, 3)))
         with pytest.raises(TypeError):
-            split([batch], 0.8, seed=0)
+            split([batch], seed=0)
         for seed in (0, np.random.SeedSequence(0)):
             with pytest.raises(TypeError):
-                split([batch], 0.8, seed)
+                split([batch], seed)
 
     def test_lone_dataset_is_not_a_sequence(self):
         with pytest.raises(TypeError):
-            split(batch_of(iris(classes=(1, 3))), 0.8, [0])
+            split(batch_of(iris(classes=(1, 3))), [0])
 
     @pytest.mark.parametrize("shapes", [
         [(1, 100, 4), (1, 50, 2)], [(2, 100, 4), (2, 10, 4)], [], [(2, 3, 100, 4)],
@@ -245,17 +245,13 @@ class TestSplit:
         listed = ", ".join(map(str, shapes))
         with pytest.raises(ValueError, match=re.escape(
                 f"split takes batches (G, n, d) of one n, got rows [{listed}]")):
-            split(datasets, 0.8, [0])
+            split(datasets, [0])
 
     def test_empty_side_rejected(self):
-        # with the floor rule the train side empties out for tiny fractions
-        ds = batch_of(LabeledDataset(rows=circles().rows[45:55], labels=[-1, 1] * 5))
-        with pytest.raises(ValueError):
-            split([ds], 0.05, [0])
-        with pytest.raises(ValueError):
-            split([ds], 1.0, [0])
-        with pytest.raises(ValueError):
-            split([ds], 0.0, [0])
+        # floor(0.8 * 1) is 0, so one-row datasets leave the train side empty
+        ds = LabeledDataset(rows=circles().rows[:3, None, :], labels=[[-1], [1], [-1]])
+        with pytest.raises(ValueError, match="1 rows leave an empty train side"):
+            split([ds], [0])
 
 
 class TestLabeledDataset:
@@ -285,8 +281,8 @@ class TestLabeledDataset:
                                  labels=np.stack([ds.labels for ds in pair]))
         for seeds in ([11], [np.random.SeedSequence((5, rep)) for rep in range(3)]):
             for g, ds in enumerate(pair):
-                alone = split([batch_of(ds)], 0.8, seeds)[0]
-                for got, side in zip(split([stacked], 0.8, seeds)[0], alone):
+                alone = split([batch_of(ds)], seeds)[0]
+                for got, side in zip(split([stacked], seeds)[0], alone):
                     assert np.array_equal(got.rows[g], side.rows[0])
                     assert np.array_equal(got.labels[g], side.labels[0])
         rows[1, 2, 0] = np.nan
@@ -493,7 +489,7 @@ class TestBenchmarkDataset:
         (batch,) = (batch for specs, batch in data._shared_benchmark_groups() if spec in specs)
         for reps in (seeds[:1], seeds):
             [(train_raw, test_raw), (batch_train, batch_test)] = split(
-                [batch_of(benchmark_dataset(key)), batch], TRAIN_FRACTION, reps)
+                [batch_of(benchmark_dataset(key)), batch], reps)
             pipe = Pipeline()
             outputs = [train_raw, test_raw, batch_train, batch_test,
                        pipe.fit_transform(batch_train), pipe.transform(batch_test)]

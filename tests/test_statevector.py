@@ -1,6 +1,5 @@
 import math
 from dataclasses import FrozenInstanceError
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,7 +245,7 @@ class TestGateMatrix:
         assert sv._fused_run(run)[1] is m
         assert np.array_equal(m, before)
 
-    def test_rotation_matrix_is_built_once_per_op(self, monkeypatch):
+    def test_rotation_matrix_is_built_once_per_program(self, monkeypatch):
         built = []
         exact = sv._ry_matrix
 
@@ -255,14 +254,22 @@ class TestGateMatrix:
             return exact(theta)
 
         monkeypatch.setattr(sv, "_ry_matrix", counting)
-        circ = Circuit(3, (sv.ry(0.3, 0), sv.h(1), sv.cry(0.5, 0, 1),
-                           sv.ccry(0.7, 2, 0, 1), sv.ry(0.3, 0)))
+        ops = (sv.ry(0.3, 0), sv.h(1), sv.cry(0.5, 0, 1), sv.ccry(0.7, 2, 0, 1), sv.ry(0.3, 0))
+        circ = Circuit(3, ops)
         for _ in range(2):
-            sv.circuit_unitary(circ)
             sv.simulate(circ)
-            sv.apply_gate(sv.zero_state(3), circ.ops[2])
+            sv.circuit_unitary(circ)
         assert built == [0.3, 0.5, 0.7, 0.3]
-        assert sv.gate_matrix(circ.ops[3]) is sv.gate_matrix(circ.ops[3])
+        # an equal circuit has its own program, so it builds its own matrices
+        fresh = Circuit(3, tuple(sv.GateOp(op.kind, op.qubits, op.theta) for op in ops))
+        assert fresh == circ
+        sv.simulate(fresh)
+        sv.circuit_unitary(fresh)
+        assert built == [0.3, 0.5, 0.7, 0.3] * 2
+        for program in (circ.program, fresh.program):
+            for _, m in program.steps:
+                with pytest.raises(ValueError):
+                    m[0, 0] = 5.0
 
 
 class TestApplyGate:
@@ -388,16 +395,13 @@ class TestGateLoop:
         assert_gate_loop_matches_dense(circ)
 
     def test_out_of_range_qubit_after_valid_gates_raises_every_time(self):
-        # Circuit rejects the op itself, so the loop gets a bare op sequence
-        ops = (sv.h(0), sv.cx(0, 1), sv.ry(0.4, 2), sv.cx(2, 0), sv.h(3))
-        bad = SimpleNamespace(n_qubits=3, ops=ops)
+        # simulate and circuit_unitary of such ops: TestGateProgram
+        state = sv.zero_state(3)
+        for op in (sv.h(0), sv.cx(0, 1), sv.ry(0.4, 2), sv.cx(2, 0)):
+            state = sv.apply_gate(state, op)
         for _ in range(2):
             with pytest.raises(IndexError, match="qubit 3 out of range"):
-                sv.simulate(bad)
-            with pytest.raises(IndexError, match="qubit 3 out of range"):
-                sv.circuit_unitary(bad)
-            with pytest.raises(IndexError, match="qubit 3 out of range"):
-                sv.apply_gate(sv.zero_state(3), ops[-1])
+                sv.apply_gate(state, sv.h(3))
 
     @pytest.mark.parametrize("ops", [
         (),
