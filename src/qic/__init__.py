@@ -43,7 +43,6 @@ from .statevector import (
     postselect,
     qubit_probabilities,
     simulate,
-    zero_state,
 )
 from .stats import (
     IntervalEstimate,

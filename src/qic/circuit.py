@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +39,8 @@ class Circuit:
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
-        n = self.n_qubits
-        if type(n) is not int:
-            if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-                raise ValueError(f"n_qubits must be an integer, got {n!r}")
-            n = int(n)
-            object.__setattr__(self, "n_qubits", n)
-        if n < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n}")
+        n = sv.check_n_qubits(self.n_qubits)
+        object.__setattr__(self, "n_qubits", n)
         if type(self.ops) is not tuple:
             object.__setattr__(self, "ops", tuple(self.ops))
         for i, op in enumerate(self.ops):
@@ -61,10 +54,10 @@ class Circuit:
         return len(self.ops)
 
     @functools.cached_property
-    def program(self) -> sv.GateProgram:
-        """The gate program that simulate and circuit_unitary run, built on
-        first use and kept, so its ops are grouped and planned once."""
-        return sv.gate_program(self.n_qubits, self.ops)
+    def unitary(self) -> np.ndarray:
+        """The read-only unitary that simulate and circuit_unitary read,
+        built on first use and kept, so the ops run once per circuit."""
+        return sv.gate_unitary(self.n_qubits, self.ops)
 
 
 def _load_angle(v) -> float:

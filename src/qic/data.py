@@ -76,8 +76,9 @@ def split(
     batches: Sequence[LabeledDataset], seeds: Sequence
 ) -> list[tuple[LabeledDataset, LabeledDataset]]:
     """Seeded shuffle splits of each batch of datasets (rows (G, n, d)), one
-    per seed (an int or a SeedSequence), stacked along a new axis before the
-    rows: (G, R, k, d). One (train, test) pair per batch, in order.
+    per seed (an int or a SeedSequence; at least one), stacked along a new
+    axis before the rows: (G, R, k, d). One (train, test) pair per batch, in
+    order.
 
     Split r permutes the rows with default_rng(seeds[r]); its train side
     keeps the first floor(TRAIN_FRACTION * n) of them and its test side the
@@ -86,9 +87,10 @@ def split(
     """
     batches = tuple(batches)
     sizes = {ds.n_samples for ds in batches}  # empty, or more than one n, is rejected
-    if len(sizes) != 1 or any(ds.rows.ndim != 3 for ds in batches):
+    if len(sizes) != 1 or any(ds.rows.ndim != 3 for ds in batches) or not len(seeds):
         shapes = ", ".join(str(ds.rows.shape) for ds in batches)
-        raise ValueError(f"split takes batches (G, n, d) of one n, got rows [{shapes}]")
+        raise ValueError(f"split takes batches (G, n, d) of one n, got rows [{shapes}], "
+                         f"and at least one seed, got {len(seeds)}")
     (n,) = sizes
     n_train = int(TRAIN_FRACTION * n)
     if n_train == 0:  # floor(0.8 * n) < n for every n >= 1, so only train empties

@@ -23,7 +23,8 @@ _GATE_RE = re.compile(
 )
 
 # bound on the entries each statement table below keeps: a register of n
-# qubits has 5n + n(n-1) angle-free statements, 672 at statevector.MAX_QUBITS
+# qubits has 5n + n(n-1) angle-free statements, 140 at
+# statevector.MAX_UNITARY_QUBITS, the widest circuit that can be simulated,
 # and 32 for the 4-qubit experiment circuit
 _STATEMENT_CACHE_SIZE = 1024
 # angle-free statements already handled, so the gates every circuit repeats

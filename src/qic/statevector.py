@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import CapacityError, ImpossibleBranchError, NormalizationError
 
-# zero_state's bound, 256 MiB of amplitudes: a Circuit has no qubit cap, so
-# without it simulate of a wide circuit, or a test oracle grown larger, would
-# allocate 2**n amplitudes
-MAX_QUBITS = 24
+# gate_unitary's bound, 16 MiB of unitary: a Circuit has no qubit cap, so
+# without it simulate or circuit_unitary of a wide circuit would allocate
+# 4**n amplitudes
 MAX_UNITARY_QUBITS = 10
 # a kept branch of at most this mass is rounding noise of a unit-norm state,
 # not an outcome: renormalizing it would amplify that noise, so it is impossible
@@ -171,7 +170,7 @@ for _m in _FIXED.values():  # shared by every gate_matrix caller, so read-only
 def gate_matrix(op: GateOp) -> np.ndarray:
     """Dense unitary of the op over its listed qubits, read-only: a fixed
     gate's is shared by kind, a rotation's is built on each call, which is
-    once per program that holds it."""
+    once per circuit that holds it."""
     m = _FIXED.get(op.kind)
     if m is None:
         u = _ry_matrix(op.theta)
@@ -194,24 +193,26 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        n = check_n_qubits(self.n_qubits)
+        object.__setattr__(self, "n_qubits", n)
         amps = np.array(self.amplitudes, dtype=complex)
         amps.setflags(write=False)
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValueError(f"expected {1 << self.n_qubits} amplitudes, got {amps.shape}")
+        if amps.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape}")
         object.__setattr__(self, "amplitudes", amps.view())
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
 
-def zero_state(n_qubits: int) -> QuantumState:
-    """All-qubits-|0> state; raises CapacityError, before allocating it, for
-    n_qubits outside [1, MAX_QUBITS]."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return QuantumState(n_qubits, amps)
+def check_n_qubits(n_qubits) -> int:
+    """n_qubits as an int; raises ValueError unless it is an integer >= 1,
+    not a bool. The rule of both QuantumState and Circuit."""
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, numbers.Integral):
+        raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    return int(n_qubits)
 
 
 def check_unit(v, what: str) -> np.ndarray:
@@ -241,10 +242,10 @@ def _check_qubit(n_qubits: int, qubit) -> None:
     _check_indices(n_qubits, (qubit,))
 
 
-# bound on the step plans kept, at most about 1 KB each at MAX_QUBITS, and on
-# the fused runs kept, at most 1 KB of matrix each plus the run's ops; both
-# are looked up when a program is built, once per Circuit, and the experiment
-# circuit, composed and lowered, needs under a hundred plans and under ten runs
+# bound on the step plans kept, under 1 KB each for the 24-qubit states that
+# apply_gate may take, and on the fused runs kept, at most 1 KB of matrix each
+# plus the run's ops; the experiment circuit's unitary, built once per
+# Circuit, composed and lowered, needs under a hundred plans and under ten runs
 _PLAN_CACHE_SIZE = 1024
 # a fused run's wires: never wider than a ccx step, which the loop already takes
 _FUSED_WIDTH = max(GATE_ARITY.values())
@@ -273,7 +274,7 @@ def _fused_run(run: tuple[GateOp, ...]) -> tuple[tuple[int, ...], np.ndarray]:
     wires = tuple(dict.fromkeys(q for op in run for q in op.qubits))
     local = {q: len(wires) - 1 - i for i, q in enumerate(wires)}
     steps = ((tuple(local[q] for q in op.qubits), gate_matrix(op)) for op in run)
-    matrix = _plan(len(wires), steps).run(np.eye(1 << len(wires), dtype=complex))
+    matrix = _run(len(wires), steps, np.eye(1 << len(wires), dtype=complex))
     matrix.setflags(write=False)
     return wires, matrix
 
@@ -307,60 +308,53 @@ def _run_step(run: list[GateOp]) -> tuple[tuple[int, ...], np.ndarray]:
     return _fused_run(tuple(run))
 
 
-@dataclass(frozen=True, eq=False)
-class GateProgram:
-    """The gate loop of one op sequence, planned: each step's transpose and
-    matrix, in order, and the transpose that restores the original axis order
-    after the last step. Its axes are the n qubits, axis 0 the most
-    significant, and one trailing batch axis that no step moves."""
+def _run(n_qubits: int, steps, amps: np.ndarray) -> np.ndarray:
+    """Apply (qubits, matrix) steps in order to amplitudes shaped (2**n,) or
+    (2**n, B), a trailing batch axis that no step moves; returns the input's
+    shape. Raises IndexError for an out-of-range qubit.
 
-    n_qubits: int
-    steps: tuple[tuple[tuple[int, ...], np.ndarray], ...]
-    inverse: tuple[int, ...]
-
-    def run(self, amps: np.ndarray) -> np.ndarray:
-        """Apply the steps in order to amplitudes shaped (2**n,) or (2**n, B),
-        any trailing axis a batch of states; returns the input's shape.
-
-        Each step copies the state once, into the operand of its matmul (not
-        at all when its qubits already lead). The product stays in that axis
-        order, and the original order is restored once, after the last step.
-        """
-        psi = amps.reshape((2,) * self.n_qubits + (-1,))
-        for perm, matrix in self.steps:
-            psi = psi.transpose(perm)
-            psi = matrix.dot(psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
-        return np.ascontiguousarray(psi.transpose(self.inverse)).reshape(amps.shape)
-
-
-def _plan(n_qubits: int, steps) -> GateProgram:
-    """The program of (qubits, matrix) steps, each step's transpose taken from
-    the _step_plan cache. Raises IndexError for an out-of-range qubit."""
+    Each step takes its transpose from the _step_plan cache and copies the
+    state once, into the operand of its matmul (not at all when its qubits
+    already lead). The product stays in that axis order, and the original
+    order is restored once, at the end.
+    """
+    psi = amps.reshape((2,) * n_qubits + (-1,))
     order = tuple(range(n_qubits + 1))
-    planned = []
     for qubits, matrix in steps:
         perm, order = _step_plan(n_qubits, order, qubits)
-        planned.append((perm, matrix))
+        psi = psi.transpose(perm)
+        psi = matrix.dot(psi.reshape(matrix.shape[0], -1)).reshape(psi.shape)
     inverse = tuple(sorted(range(len(order)), key=order.__getitem__))
-    return GateProgram(n_qubits, tuple(planned), inverse)
+    return np.ascontiguousarray(psi.transpose(inverse)).reshape(amps.shape)
 
 
-def gate_program(n_qubits: int, ops) -> GateProgram:
-    """The program that applies the ops in order to an n-qubit state.
+def gate_unitary(n_qubits: int, ops) -> np.ndarray:
+    """Read-only unitary of the ops in order on n qubits: column j is the
+    image of basis state j. The ops run once on the identity, its columns as
+    a batch.
 
     Each rotation is one step. Each maximal run of consecutive angle-free
     gates (h, x, t, tdg, s, cx, swap, ccx) whose qubits number at most
     _FUSED_WIDTH is one step too: its unitary over those qubits is built
     once per run of op values by the same loop and kept read-only in a
     bounded cache, so a lowered ccx's sixteen gates cost one transpose and one
-    matmul. Raises IndexError for an out-of-range qubit.
+    matmul. Raises CapacityError, before allocating, above MAX_UNITARY_QUBITS,
+    and IndexError for an out-of-range qubit.
     """
-    return _plan(n_qubits, _steps(ops))
+    if n_qubits > MAX_UNITARY_QUBITS:
+        raise CapacityError(f"unitaries are built for at most {MAX_UNITARY_QUBITS} "
+                            f"qubits, got {n_qubits}")
+    u = _run(n_qubits, _steps(ops), np.eye(1 << n_qubits, dtype=complex))
+    u.setflags(write=False)
+    return u
 
 
 def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
-    """Return the state transformed by the op's unitary; input is not mutated."""
-    amps = gate_program(state.n_qubits, (op,)).run(state.amplitudes)
+    """Return the state transformed by the op's unitary; input is not mutated.
+    Raises ValueError for an op that is not a GateOp."""
+    if type(op) is not GateOp:
+        raise ValueError(f"op is not a GateOp: {op!r}")
+    amps = _run(state.n_qubits, ((op.qubits, gate_matrix(op)),), state.amplitudes)
     return QuantumState(state.n_qubits, amps)
 
 
@@ -401,20 +395,11 @@ def postselect(
 
 
 def simulate(circuit) -> QuantumState:
-    """Run a Circuit's kept program on |0...0>."""
-    amps = zero_state(circuit.n_qubits).amplitudes
-    return QuantumState(circuit.n_qubits, circuit.program.run(amps))
+    """State of a Circuit run on |0...0>: column 0 of its kept unitary."""
+    return QuantumState(circuit.n_qubits, circuit.unitary[:, 0])
 
 
 def circuit_unitary(circuit) -> np.ndarray:
-    """Unitary of a Circuit: column j is the image of basis state j.
-
-    The circuit's kept program runs once on the identity, its columns as a
-    batch.
-    """
-    if circuit.n_qubits > MAX_UNITARY_QUBITS:
-        raise CapacityError(
-            f"circuit_unitary supports at most {MAX_UNITARY_QUBITS} qubits, "
-            f"got {circuit.n_qubits}"
-        )
-    return circuit.program.run(np.eye(1 << circuit.n_qubits, dtype=complex))
+    """Unitary of a Circuit, column j the image of basis state j: the
+    caller's own copy of the one the circuit keeps."""
+    return circuit.unitary.copy()

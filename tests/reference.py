@@ -3,12 +3,12 @@ register's basis index, from its documented bit order, and the amplitudes
 placed by it (which the program never builds; tests pin them to the
 simulated experiment circuit), the random training sets with balanced
 labels that the tests draw, the paper's classical kernel-sum decision rule,
-the statevector readout of that register gate by gate (the oracle for the
-program's one closed-form readout), that closed form in exact rational
-arithmetic from its class sums, the gate rules checked one at a time, the
-full 2^n operator of one gate, built entry by entry (the oracle for the gate
-loop), and the checks that hold the program to these, shared by the tests
-and the planted faults."""
+the |0...0> state, the statevector readout of that register gate by gate
+(the oracle for the program's one closed-form readout), that closed form in
+exact rational arithmetic from its class sums, the gate rules checked one
+at a time, the full 2^n operator of one gate, built entry by entry (the
+oracle for the gate loop), and the checks that hold the program to these,
+shared by the tests and the planted faults."""
 
 import dataclasses
 import math
@@ -118,6 +118,13 @@ def encoded_state(train, x_tilde):
     prepare_state returns, and that PreparedState."""
     layout = prepare_state(train, x_tilde)
     return QuantumState(layout.n_qubits, entrywise_amplitudes(train, x_tilde, layout)), layout
+
+
+def zero_state(n_qubits: int) -> QuantumState:
+    """The all-qubits-|0> state."""
+    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps[0] = 1.0
+    return QuantumState(n_qubits, amps)
 
 
 def gate_path(state, layout):

@@ -140,11 +140,11 @@ class TestPrepareState:
 
     def test_reads_a_register_over_the_state_cap_without_allocating(self):
         # 13 index bits, 10 data bits, ancilla and class: 25 qubits, a 512 MiB
-        # register that zero_state refuses and prepare_state never builds
+        # register that prepare_state never builds
         train, x_tilde = random_instance(np.random.default_rng(4), M=(1 << 12) + 1,
                                          N=(1 << 9) + 1)
         state = prepare_state(train, x_tilde)
-        assert state.n_qubits == sv.MAX_QUBITS + 1
+        assert state.n_qubits == 25
         (p_acc,), (p_minus,) = read_batch(train, x_tilde[None])
         outcome = classify(train, x_tilde)
         assert (state.p_acc, state.p_class_minus) == (p_acc, p_minus)

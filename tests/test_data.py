@@ -247,6 +247,11 @@ class TestSplit:
                 f"split takes batches (G, n, d) of one n, got rows [{listed}]")):
             split(datasets, [0])
 
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "got rows [(1, 100, 4)], and at least one seed, got 0")):
+            split([batch_of(iris(classes=(1, 3)))], [])
+
     def test_empty_side_rejected(self):
         # floor(0.8 * 1) is 0, so one-row datasets leave the train side empty
         ds = LabeledDataset(rows=circles().rows[:3, None, :], labels=[[-1], [1], [-1]])

@@ -2,11 +2,13 @@
 class statistics or the writable arrays of a TrainingSet, into the bound
 below which the core re-reads a row directly, into prepare_state as an
 allocation of the amplitudes it does not build, into the statevector gate
-loop, its fused gate runs or the gate programs that circuits keep, into the
-QuantumState constructor, into the link between the Table-2 rows and the
-batch positions of their datasets, or into the feature map of the stacked
-Table-2 datasets, and the shared checks of tests/reference.py or the
-Table-2 golden must fail on inputs that they pass unpatched."""
+loop, its fused gate runs, the unitaries that circuits keep or the column
+that simulate reads, into the QuantumState constructor, into the label
+check, into the Wilson worst-case bound, into the link between the Table-2
+rows and the batch positions of their datasets, or into the feature map of
+the stacked Table-2 datasets, and the shared checks of tests/reference.py,
+the goldens or the Wilson error must fail on inputs that they pass
+unpatched."""
 
 import contextlib
 import functools
@@ -16,12 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qic import classifier, data
+from qic import classifier, data, dataset, stats
 from qic import statevector as sv
 from qic.circuit import Circuit
 from qic.classifier import TrainingSet
 from qic.cli import main
 from qic.presets import preset_input, training_set
+from qic.statevector import QuantumState
 
 from reference import (
     assert_gate_loop_matches_dense,
@@ -36,7 +39,7 @@ from reference import (
 
 TRAIN = training_set()
 INPUTS = np.array([preset_input("xprime"), preset_input("xdoubleprime")])
-TABLE2_GOLDEN = Path(__file__).resolve().parent / "golden" / "table2_reps25_seed0.csv"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def scaled_acceptance(monkeypatch):
@@ -99,16 +102,26 @@ def qubit_blind_fused_cache(monkeypatch):
         tuple(op.kind for op in run), build(run)))
 
 
-def programs_kept_by_size(monkeypatch):
-    # gate programs kept by qubit count and op count, so a circuit of the
-    # same size runs the first such circuit's program
-    build, kept = sv.gate_program, {}
-    monkeypatch.setattr(sv, "gate_program", lambda n_qubits, ops: kept.setdefault(
+def unitaries_kept_by_size(monkeypatch):
+    # unitaries kept by qubit count and op count, so a circuit of the same
+    # size reads the first such circuit's unitary
+    build, kept = sv.gate_unitary, {}
+    monkeypatch.setattr(sv, "gate_unitary", lambda n_qubits, ops: kept.setdefault(
         (n_qubits, len(ops)), build(n_qubits, ops)))
 
 
+def simulate_reads_column_1(monkeypatch):
+    # the state of a circuit read from column 1 of its unitary, the image of
+    # |0...01>, not of |0...0>; swapped into simulate's code, so that the
+    # callers that imported it by name run it too
+    def planted(circuit):
+        return QuantumState(circuit.n_qubits, circuit.unitary[:, 1])
+
+    monkeypatch.setattr(sv.simulate, "__code__", planted.__code__)
+
+
 def reversed_program_steps(monkeypatch):
-    # each program's steps planned and run last to first
+    # each circuit's steps run last to first
     steps = sv._steps
     monkeypatch.setattr(sv, "_steps", lambda ops: reversed(list(steps(ops))))
 
@@ -156,6 +169,24 @@ def swapped_batch_reports(monkeypatch):
     run = data.run_benchmark
     monkeypatch.setattr(data, "run_benchmark", lambda batches, reps, seed: [
         reports[::-1] for reports in run(batches, reps, seed)])
+
+
+def flipped_label(monkeypatch):
+    # the label check negates the first label of every set it checks
+    check = dataset.check_labels
+
+    def planted(rows, labels):
+        values = check(rows, labels).copy()
+        values.flat[0] *= -1
+        return values
+
+    for module in (dataset, classifier):
+        monkeypatch.setattr(module, "check_labels", planted)
+
+
+def zero_wilson_bound(monkeypatch):
+    # the Wilson worst-case bound read as 0 at every shot count
+    monkeypatch.setattr(stats, "wilson_worst_case", lambda shots, z: 0.0)
 
 
 def unmapped_featmap(monkeypatch):
@@ -209,12 +240,12 @@ GATE_LOOP_OPS = (sv.h(0), sv.cx(0, 2), sv.ccry(0.5, 1, 3, 0), sv.swap(2, 1), sv.
 
 def gate_loop_check():
     # the circuit is built here, as in every gate loop check: one built
-    # before a fault keeps a program built without it
+    # before a fault keeps a unitary built without it
     assert_gate_loop_matches_dense(Circuit(5, GATE_LOOP_OPS))
 
 
-def program_cache_check():
-    # two circuits of one size, each with its own program
+def unitary_cache_check():
+    # two circuits of one size, each with its own unitary
     for ops in (GATE_LOOP_OPS, GATE_LOOP_OPS[::-1]):
         assert_gate_loop_matches_dense(Circuit(5, ops))
 
@@ -224,11 +255,28 @@ def state_copy_check():
     assert_state_is_a_read_only_copy(3, source, source)
 
 
-def table2_golden_check():
+def golden_check(argv, golden: Path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["reproduce", "--table", "2", "--reps", "25", "--seed", "0"]) == 0
-    assert out.getvalue().encode() == TABLE2_GOLDEN.read_bytes()
+        assert main(argv) == 0
+    assert out.getvalue().encode() == golden.read_bytes()
+
+
+def table2_golden_check():
+    golden_check(["reproduce", "--table", "2", "--reps", "25", "--seed", "0"],
+                 GOLDEN / "table2_reps25_seed0.csv")
+
+
+def classify_golden_check():
+    # the preset training set is built on each call, so under the fault
+    golden_check(["classify", "--preset", "xprime"], GOLDEN / "classify_xprime.txt")
+
+
+def wilson_bound_check():
+    # the worst-case bound covers the Wilson error at every success count
+    shots, z = 1000, 2.58
+    worst = max(stats.wilson(k, shots, z).max_error for k in range(shots + 1))
+    assert worst <= stats.wilson_worst_case(shots, z)
 
 
 CASES = [
@@ -243,9 +291,12 @@ CASES = [
     (untransposed_gate_loop, gate_loop_check),
     (reversed_fused_wires, gate_loop_check),
     (qubit_blind_fused_cache, gate_loop_check),
-    (programs_kept_by_size, program_cache_check),
+    (unitaries_kept_by_size, unitary_cache_check),
+    (simulate_reads_column_1, gate_loop_check),
     (reversed_program_steps, gate_loop_check),
     (uncopied_state_input, state_copy_check),
+    (flipped_label, classify_golden_check),
+    (zero_wilson_bound, wilson_bound_check),
     (swapped_batch_reports, table2_golden_check),
     (unmapped_featmap, table2_golden_check),
 ]

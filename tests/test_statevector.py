@@ -1,5 +1,6 @@
 import math
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from reference import (
     assert_state_is_a_read_only_copy,
     embed,
     gate_op_error,
+    zero_state,
 )
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -47,9 +49,14 @@ def entangling_prefix(n_qubits: int, seed: int) -> tuple[sv.GateOp, ...]:
     return layer + random_circuit(n_qubits, 3 * n_qubits, seed).ops
 
 
-def basis_prefix(j: int, n_qubits: int) -> tuple[sv.GateOp, ...]:
-    """The x gates that take |0...0> to basis state j."""
-    return tuple(sv.x(q) for q in range(n_qubits) if j >> q & 1)
+def assert_column_is_gate_chain(u, j: int, ops) -> None:
+    """Column j of the unitary u against the ops applied to basis state j one
+    apply_gate at a time, to EXACT_TOL."""
+    n = u.shape[0].bit_length() - 1
+    state = sv.QuantumState(n, np.eye(1 << n)[j])
+    for op in ops:
+        state = sv.apply_gate(state, op)
+    assert np.allclose(u[:, j], state.amplitudes, atol=sv.EXACT_TOL, rtol=0.0)
 
 
 @st.composite
@@ -119,22 +126,21 @@ def gate_fields(draw):
 
 
 class TestZeroState:
+    """simulate of an empty circuit is |0...0>."""
+
     def test_single_qubit(self):
-        assert np.allclose(sv.zero_state(1).amplitudes, [1, 0])
+        assert np.array_equal(sv.simulate(Circuit(1, ())).amplitudes, [1, 0])
 
     def test_two_qubits(self):
-        assert np.allclose(sv.zero_state(2).amplitudes, [1, 0, 0, 0])
+        assert np.array_equal(sv.simulate(Circuit(2, ())).amplitudes, [1, 0, 0, 0])
 
     def test_capacity_cap(self):
-        with pytest.raises(CapacityError, match=f"\\[1, {sv.MAX_QUBITS}\\], got 25"):
-            sv.zero_state(25)
-        with pytest.raises(CapacityError, match="got 0"):
-            sv.zero_state(0)
+        with pytest.raises(CapacityError, match=f"at most {sv.MAX_UNITARY_QUBITS} qubits, got 11"):
+            sv.simulate(Circuit(11, ()))
 
 
 # every function that returns a state, each run on a small input
 PRODUCERS = {
-    "zero_state": lambda: sv.zero_state(2),
     "apply_gate": lambda: sv.apply_gate(random_state(2, 1), sv.h(0)),
     "postselect": lambda: sv.postselect(random_state(2, 2), 1, 0)[0],
     "simulate": lambda: sv.simulate(Circuit(2, (sv.h(1), sv.cx(1, 0)))),
@@ -176,6 +182,19 @@ class TestQuantumState:
     def test_amplitude_count_must_match(self):
         with pytest.raises(ValueError, match=r"expected 8 amplitudes, got \(4,\)"):
             sv.QuantumState(3, np.zeros(4, dtype=complex))
+
+    @pytest.mark.parametrize("n, rule", [
+        (True, "an integer"), (np.bool_(True), "an integer"), (1.0, "an integer"),
+        ("1", "an integer"), (0, ">= 1"), (-1, ">= 1"),
+    ], ids=["bool", "numpy-bool", "float", "string", "zero", "negative"])
+    def test_n_qubits_is_an_integer_of_at_least_one_as_for_a_circuit(self, n, rule):
+        for build in (lambda: sv.QuantumState(n, [1, 0]), lambda: Circuit(n, ())):
+            with pytest.raises(ValueError, match=f"n_qubits must be {rule}"):
+                build()
+
+    def test_numpy_integer_n_qubits_is_stored_as_int(self):
+        state = sv.QuantumState(np.int64(1), [1, 0])
+        assert type(state.n_qubits) is int and state.n_qubits == 1
 
 
 class TestGateOp:
@@ -245,7 +264,7 @@ class TestGateMatrix:
         assert sv._fused_run(run)[1] is m
         assert np.array_equal(m, before)
 
-    def test_rotation_matrix_is_built_once_per_program(self, monkeypatch):
+    def test_rotation_matrix_is_built_once_per_circuit(self, monkeypatch):
         built = []
         exact = sv._ry_matrix
 
@@ -260,30 +279,26 @@ class TestGateMatrix:
             sv.simulate(circ)
             sv.circuit_unitary(circ)
         assert built == [0.3, 0.5, 0.7, 0.3]
-        # an equal circuit has its own program, so it builds its own matrices
+        # an equal circuit keeps its own unitary, so it builds its own matrices
         fresh = Circuit(3, tuple(sv.GateOp(op.kind, op.qubits, op.theta) for op in ops))
         assert fresh == circ
         sv.simulate(fresh)
         sv.circuit_unitary(fresh)
         assert built == [0.3, 0.5, 0.7, 0.3] * 2
-        for program in (circ.program, fresh.program):
-            for _, m in program.steps:
-                with pytest.raises(ValueError):
-                    m[0, 0] = 5.0
 
 
 class TestApplyGate:
     def test_hadamard_on_zero(self):
-        state = sv.apply_gate(sv.zero_state(1), sv.h(0))
+        state = sv.apply_gate(zero_state(1), sv.h(0))
         assert np.allclose(state.amplitudes, [SQRT2_INV, SQRT2_INV])
 
     def test_ry_loads_target_vector(self):
         # ry(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>
-        state = sv.apply_gate(sv.zero_state(1), sv.ry(1.325, 0))
+        state = sv.apply_gate(zero_state(1), sv.ry(1.325, 0))
         assert np.allclose(state.amplitudes.real, [0.789, 0.615], atol=1e-3)
 
     def test_cnot_flips_target_when_control_set(self):
-        state = sv.zero_state(2)
+        state = zero_state(2)
         state = sv.apply_gate(state, sv.x(0))  # control qubit 0 -> |1>
         state = sv.apply_gate(state, sv.cx(0, 1))
         expected = np.zeros(4)
@@ -291,14 +306,14 @@ class TestApplyGate:
         assert np.allclose(state.amplitudes, expected)
 
     def test_swap_exchanges_qubits(self):
-        state = sv.apply_gate(sv.zero_state(2), sv.x(0))
+        state = sv.apply_gate(zero_state(2), sv.x(0))
         state = sv.apply_gate(state, sv.swap(0, 1))
         expected = np.zeros(4)
         expected[0b10] = 1
         assert np.allclose(state.amplitudes, expected)
 
     def test_toffoli_truth_table(self):
-        state = sv.zero_state(3)
+        state = zero_state(3)
         for q in (0, 1):
             state = sv.apply_gate(state, sv.x(q))
         state = sv.apply_gate(state, sv.ccx(0, 1, 2))
@@ -308,12 +323,19 @@ class TestApplyGate:
 
     def test_invalid_index(self):
         with pytest.raises(IndexError):
-            sv.apply_gate(sv.zero_state(1), sv.h(1))
+            sv.apply_gate(zero_state(1), sv.h(1))
 
     def test_input_not_mutated(self):
-        state = sv.zero_state(1)
+        state = zero_state(1)
         sv.apply_gate(state, sv.x(0))
         assert state.amplitudes[0] == 1.0
+
+    @pytest.mark.parametrize("op", ["h", ("h", (0,)), None,
+                                    SimpleNamespace(kind="h", qubits=(0,), theta=None)],
+                             ids=["string", "tuple", "none", "look-alike"])
+    def test_rejects_an_op_that_is_not_a_gate_op(self, op):
+        with pytest.raises(ValueError, match="op is not a GateOp"):
+            sv.apply_gate(zero_state(1), op)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_norm_preserved_on_random_states(self, seed):
@@ -395,8 +417,8 @@ class TestGateLoop:
         assert_gate_loop_matches_dense(circ)
 
     def test_out_of_range_qubit_after_valid_gates_raises_every_time(self):
-        # simulate and circuit_unitary of such ops: TestGateProgram
-        state = sv.zero_state(3)
+        # simulate and circuit_unitary of such ops: TestKeptUnitary
+        state = zero_state(3)
         for op in (sv.h(0), sv.cx(0, 1), sv.ry(0.4, 2), sv.cx(2, 0)):
             state = sv.apply_gate(state, op)
         for _ in range(2):
@@ -422,39 +444,42 @@ class TestGateLoop:
         assert u.flags.c_contiguous
 
 
-class TestGateProgram:
-    """A Circuit builds the program that simulate and circuit_unitary run on
-    its first use, and keeps it."""
+class TestKeptUnitary:
+    """A Circuit builds the unitary that simulate and circuit_unitary read on
+    its first use, and keeps it read-only."""
 
-    def test_simulate_and_unitary_build_the_program_once(self, monkeypatch):
-        built, build = [], sv.gate_program
-        monkeypatch.setattr(sv, "gate_program",
+    def test_simulate_and_unitary_build_the_unitary_once(self, monkeypatch):
+        built, build = [], sv.gate_unitary
+        monkeypatch.setattr(sv, "gate_unitary",
                             lambda n, ops: built.append(ops) or build(n, ops))
         circ = Circuit(4, (sv.h(0), sv.cx(0, 1), sv.ry(0.3, 2), sv.ccx(2, 0, 3), sv.swap(1, 3)))
         sv.simulate(circ)
         sv.circuit_unitary(circ)
         sv.simulate(circ)
         assert built == [circ.ops]
+        with pytest.raises(ValueError, match="read-only"):
+            circ.unitary[0, 0] = 5.0
 
     def test_repeated_and_equal_circuits_give_bit_identical_arrays(self):
         circ = random_circuit(5, 30, 900)
         state, u = sv.simulate(circ).amplitudes, sv.circuit_unitary(circ)
         expected = u.copy()
-        u[0, 0] = 5.0  # a returned unitary is the caller's own
+        u[0, 0] = 5.0  # a returned unitary is the caller's own copy
+        assert not np.shares_memory(u, circ.unitary)
         rebuilt = Circuit(5, tuple(sv.GateOp(op.kind, op.qubits, op.theta) for op in circ.ops))
-        assert rebuilt == circ and rebuilt.program is not circ.program
+        assert rebuilt == circ and rebuilt.unitary is not circ.unitary
         for again in (circ, circ, rebuilt):
             assert np.array_equal(sv.simulate(again).amplitudes, state)
             assert np.array_equal(sv.circuit_unitary(again), expected)
 
     @settings(max_examples=80, deadline=None)
     @given(circ=circuits(1, 5))
-    def test_kept_programs_match_dense_product(self, circ):
-        # each check runs the program twice, built once
+    def test_kept_unitaries_match_dense_product(self, circ):
+        # each check reads the unitary twice, built once
         assert_gate_loop_matches_dense(circ)
         assert_gate_loop_matches_dense(circ)
 
-    def test_out_of_range_qubit_raises_every_call_and_keeps_no_program(self):
+    def test_out_of_range_qubit_raises_every_call_and_keeps_no_unitary(self):
         # a Circuit rejects the op itself, so this one is built past its check
         ops = (sv.h(0), sv.cx(0, 1), sv.ry(0.4, 2), sv.cx(2, 0), sv.h(3))
         bad = object.__new__(Circuit)
@@ -464,18 +489,18 @@ class TestGateProgram:
             for run in (sv.simulate, sv.circuit_unitary):
                 with pytest.raises(IndexError, match="qubit 3 out of range"):
                     run(bad)
-            assert "program" not in vars(bad)
+            assert "unitary" not in vars(bad)
 
 
 class TestQubitProbabilities:
     def test_uniform_superposition(self):
-        state = sv.apply_gate(sv.zero_state(1), sv.h(0))
+        state = sv.apply_gate(zero_state(1), sv.h(0))
         p0, p1 = sv.qubit_probabilities(state, 0)
         assert p0 == pytest.approx(0.5, abs=1e-12)
         assert p1 == pytest.approx(0.5, abs=1e-12)
 
     def test_basis_state(self):
-        state = sv.apply_gate(sv.zero_state(1), sv.x(0))
+        state = sv.apply_gate(zero_state(1), sv.x(0))
         assert sv.qubit_probabilities(state, 0) == (0.0, 1.0)
 
     def test_sums_to_one(self):
@@ -486,7 +511,7 @@ class TestQubitProbabilities:
 
     def test_invalid_index(self):
         with pytest.raises(IndexError):
-            sv.qubit_probabilities(sv.zero_state(2), 2)
+            sv.qubit_probabilities(zero_state(2), 2)
 
     @pytest.mark.parametrize("qubit", [True, False, np.bool_(True), 1.0, "1", None])
     def test_qubit_must_be_an_integer_and_not_bool(self, qubit):
@@ -507,12 +532,12 @@ class TestQubitProbabilities:
 
 class TestPostselect:
     def test_already_in_branch(self):
-        kept, p = sv.postselect(sv.zero_state(1), 0, 0)
+        kept, p = sv.postselect(zero_state(1), 0, 0)
         assert p == pytest.approx(1.0)
         assert np.allclose(kept.amplitudes, [1, 0])
 
     def test_accept_probability_is_branch_mass(self):
-        state = sv.apply_gate(sv.zero_state(2), sv.ry(1.0, 0))
+        state = sv.apply_gate(zero_state(2), sv.ry(1.0, 0))
         _, p = sv.postselect(state, 0, 1)
         assert p == pytest.approx(math.sin(0.5) ** 2, abs=1e-12)
 
@@ -525,7 +550,7 @@ class TestPostselect:
 
     def test_impossible_branch(self):
         with pytest.raises(ImpossibleBranchError):
-            sv.postselect(sv.zero_state(1), 0, 1)
+            sv.postselect(zero_state(1), 0, 1)
 
     @pytest.mark.parametrize("qubit", [True, 0.0, np.float64(1.0), None])
     def test_qubit_must_be_an_integer_and_not_bool(self, qubit):
@@ -564,15 +589,12 @@ class TestCheckUnit:
 
 
 class TestSimulate:
-    def test_empty_circuit_returns_a_copy_of_initial(self, monkeypatch):
-        # the initial state is the |0...0> that zero_state builds
-        zero_state, built = sv.zero_state, []
-        monkeypatch.setattr(sv, "zero_state", lambda n: built.append(zero_state(n)) or built[-1])
-        out = sv.simulate(Circuit(2, ()))
-        (initial,) = built
+    def test_empty_circuit_returns_a_copy_of_initial(self):
+        # the initial state |0...0> is column 0 of the kept unitary, the identity
+        circ = Circuit(2, ())
+        out = sv.simulate(circ)
         assert np.array_equal(out.amplitudes, [1, 0, 0, 0])
-        assert np.array_equal(out.amplitudes, initial.amplitudes)
-        assert not np.shares_memory(out.amplitudes, initial.amplitudes)
+        assert not np.shares_memory(out.amplitudes, circ.unitary)
 
 
 class TestCircuitUnitary:
@@ -607,9 +629,7 @@ class TestCircuitUnitary:
         dim = 1 << circ.n_qubits
         assert u.shape == (dim, dim)
         for j in range(dim):
-            prefixed = Circuit(circ.n_qubits, basis_prefix(j, circ.n_qubits) + circ.ops)
-            col = sv.simulate(prefixed).amplitudes
-            assert np.allclose(u[:, j], col, atol=1e-12, rtol=0.0)
+            assert_column_is_gate_chain(u, j, circ.ops)
 
     def test_unitary_at_qubit_cap(self):
         n = sv.MAX_UNITARY_QUBITS
@@ -619,5 +639,4 @@ class TestCircuitUnitary:
         assert u.shape == (1 << n, 1 << n)
         assert np.allclose(u @ u.conj().T, np.eye(1 << n), atol=1e-12, rtol=0.0)
         for j in (0, 1 << 9, (1 << n) - 1):
-            col = sv.simulate(Circuit(n, basis_prefix(j, n) + circ.ops)).amplitudes
-            assert np.allclose(u[:, j], col, atol=1e-12, rtol=0.0)
+            assert_column_is_gate_chain(u, j, circ.ops)
