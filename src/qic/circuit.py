@@ -147,33 +147,30 @@ def _decompose_cry(theta: float, c: int, t: int) -> list[GateOp]:
 
 def _decompose_ccry(theta: float, c1: int, c2: int, t: int) -> list[GateOp]:
     # quarter-angle ladder: both controls fire -> four rotations add to theta,
-    # any other branch cancels pairwise
+    # any other branch cancels pairwise; each Toffoli is its restricted
+    # expansion, _decompose_ccx looked up by name on each call
     g = theta / 4
+    toffoli = _fixed_expansion(_decompose_ccx, (c1, c2, t))
     return [
-        sv.ccx(c1, c2, t),
+        *toffoli,
         sv.cx(c2, t), sv.ry(g, t),
         sv.cx(c2, t), sv.ry(-g, t),
-        sv.ccx(c1, c2, t),
+        *toffoli,
         sv.cx(c2, t), sv.ry(-g, t),
         sv.cx(c2, t), sv.ry(g, t),
     ]
 
 
-# bound on the angle-free expansions kept, one per (function, qubits), of at
-# most 16 ops each; the experiment circuit needs two
-_FIXED_EXPANSION_CACHE_SIZE = 512
-
-
-@functools.lru_cache(maxsize=_FIXED_EXPANSION_CACHE_SIZE)
+@functools.lru_cache(maxsize=sv.CACHE_SIZE)
 def _fixed_expansion(expand, qubits: tuple[int, ...]) -> tuple[GateOp, ...]:
     """expand(*qubits), built once per function and qubits; the frozen ops are
     shared by every circuit that holds them."""
     return tuple(expand(*qubits))
 
 
-# kind -> expansion of one op; its own extended gates are expanded in turn. The
-# names resolve at call time, and the cache is keyed by the function, so a
-# patched _decompose_* (a planted fault) is used even after the cache is warm
+# kind -> restricted expansion of one op. The names resolve at call time, and
+# the cache is keyed by the function, so a patched _decompose_* (a planted
+# fault) is used even after the cache is warm
 _EXPANSIONS = {
     "swap": lambda op: _fixed_expansion(_decompose_swap, op.qubits),
     "ccx": lambda op: _fixed_expansion(_decompose_ccx, op.qubits),
@@ -183,23 +180,17 @@ _EXPANSIONS = {
 
 
 def decompose(circuit: Circuit) -> Circuit:
-    """Expand extended gates until only {h, x, t, tdg, s, ry, cx} remain.
+    """Expand extended gates so only {h, x, t, tdg, s, ry, cx} remain.
 
     The output's unitary equals the input's exactly, global phase included.
     """
     out: list[GateOp] = []
-
-    def emit(op: GateOp):
-        if op.kind in RESTRICTED_KINDS:
-            out.append(op)
-        elif op.kind in _EXPANSIONS:
-            for sub in _EXPANSIONS[op.kind](op):
-                emit(sub)
-        else:
-            raise UnsupportedGateError(f"no decomposition for gate kind {op.kind!r}")
-
     for op in circuit.ops:
-        emit(op)
+        expand = _EXPANSIONS.get(op.kind)
+        if expand is None:
+            out.append(op)
+        else:
+            out.extend(expand(op))
     return Circuit(circuit.n_qubits, tuple(out))
 
 

@@ -11,7 +11,7 @@ import re
 
 from .circuit import RESTRICTED_KINDS, Circuit
 from .errors import UnsupportedGateError
-from .statevector import GateOp
+from .statevector import CACHE_SIZE, GateOp
 
 _VERSION = "OPENQASM 2.0;"
 _INCLUDE = 'include "qelib1.inc";'
@@ -22,11 +22,6 @@ _GATE_RE = re.compile(
     r"^(?P<name>[a-z]+)(?:\((?P<angle>[^)]+)\))?\s+(?P<args>q\[\d+\](?:\s*,\s*q\[\d+\])*)$"
 )
 
-# bound on the entries each statement table below keeps: a register of n
-# qubits has 5n + n(n-1) angle-free statements, 140 at
-# statevector.MAX_UNITARY_QUBITS, the widest circuit that can be simulated,
-# and 32 for the 4-qubit experiment circuit
-_STATEMENT_CACHE_SIZE = 1024
 # angle-free statements already handled, so the gates every circuit repeats
 # (67 of the 73 statements of the lowered experiment circuit) skip the
 # per-line work. Only successful work fills them; ry statements never enter.
@@ -37,8 +32,8 @@ _emitted: dict[tuple[str, tuple[int, ...]], str] = {}  # (kind, qubits) -> its l
 
 def _remember(table: dict, key, value) -> None:
     """Keep key -> value in a statement table, dropping its oldest entry when
-    the table is full."""
-    if len(table) >= _STATEMENT_CACHE_SIZE:
+    the table holds CACHE_SIZE."""
+    if len(table) >= CACHE_SIZE:
         del table[next(iter(table))]
     table[key] = value
 

@@ -22,6 +22,13 @@ from .errors import CapacityError, ImpossibleBranchError, NormalizationError
 # without it simulate or circuit_unitary of a wide circuit would allocate
 # 4**n amplitudes
 MAX_UNITARY_QUBITS = 10
+# bound on the entries of each memo table on the compile path: _step_plan and
+# _fused_run here, circuit._fixed_expansion, and qasm's two statement tables.
+# The benchmark's 2000 compile inputs fill 55 step plans, 14 fused runs, 2
+# expansions and 15 statements per statement table, and verify-decompositions
+# adds 12 entries in all; the bound only stops circuits on ever new qubits
+# from growing a table without end
+CACHE_SIZE = 1024
 # a kept branch of at most this mass is rounding noise of a unit-norm state,
 # not an outcome: renormalizing it would amplify that noise, so it is impossible
 BRANCH_FLOOR = 1e-15
@@ -242,16 +249,11 @@ def _check_qubit(n_qubits: int, qubit) -> None:
     _check_indices(n_qubits, (qubit,))
 
 
-# bound on the step plans kept, under 1 KB each for the 24-qubit states that
-# apply_gate may take, and on the fused runs kept, at most 1 KB of matrix each
-# plus the run's ops; the experiment circuit's unitary, built once per
-# Circuit, composed and lowered, needs under a hundred plans and under ten runs
-_PLAN_CACHE_SIZE = 1024
 # a fused run's wires: never wider than a ccx step, which the loop already takes
 _FUSED_WIDTH = max(GATE_ARITY.values())
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _step_plan(
     n_qubits: int, order: tuple[int, ...], qubits: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -265,7 +267,7 @@ def _step_plan(
     return perm, tuple(order[p] for p in perm)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _fused_run(run: tuple[GateOp, ...]) -> tuple[tuple[int, ...], np.ndarray]:
     """The run's wires, in order of first use, and its read-only unitary over
     them: the gate loop run once on the 2**k identity, wire i as local qubit
@@ -282,30 +284,23 @@ def _fused_run(run: tuple[GateOp, ...]) -> tuple[tuple[int, ...], np.ndarray]:
 def _steps(ops):
     """(qubits, matrix) of each step of the ops: a rotation alone, and each
     maximal run of consecutive angle-free gates on at most _FUSED_WIDTH
-    qubits as one step."""
+    qubits, a lone gate included, as one fused step."""
     run: list[GateOp] = []
     wires: set[int] = set()
     for op in ops:
         if op.kind in ROTATION_KINDS:
             if run:
-                yield _run_step(run)
+                yield _fused_run(tuple(run))
             run, wires = [], set()
             yield op.qubits, gate_matrix(op)
             continue
         wires.update(op.qubits)
         if len(wires) > _FUSED_WIDTH:
-            yield _run_step(run)
+            yield _fused_run(tuple(run))
             run, wires = [], set(op.qubits)
         run.append(op)
     if run:
-        yield _run_step(run)
-
-
-def _run_step(run: list[GateOp]) -> tuple[tuple[int, ...], np.ndarray]:
-    """A run of one gate is that gate's step; a longer run is fused."""
-    if len(run) == 1:
-        return run[0].qubits, gate_matrix(run[0])
-    return _fused_run(tuple(run))
+        yield _fused_run(tuple(run))
 
 
 def _run(n_qubits: int, steps, amps: np.ndarray) -> np.ndarray:

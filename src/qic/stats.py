@@ -48,7 +48,8 @@ def wald_worst_case(shots: int, z: float) -> float:
 
 
 def wilson_worst_case(shots: int, z: float) -> float:
-    """Error bound at the maximizing p_raw = 1/2: sqrt(z^2 (R + z^2) / (4 R^2))."""
+    """sqrt(z^2 (R + z^2) / (4 R^2)): wilson's largest error, which it reaches
+    at p_raw = 1/2, times 1 + z^2/R, so a bound on every wilson error at R."""
     return math.sqrt(z * z * (shots + z * z) / (4.0 * shots * shots))
 
 
@@ -73,13 +74,21 @@ def shots_for_error(epsilon: float, z: float, method: str = "wald") -> int:
     seed = half * half
     if method == "wilson":
         seed *= (1.0 + math.sqrt(1.0 + 16.0 * epsilon * epsilon)) / 2
-    # float64 counts past 2**53 are not exact, so the fix-up could not step by
-    # one shot there: it stalls, and the seed itself may overflow to inf
+    # float64 counts past 2**53 are not exact, so the bound could not tell
+    # neighbouring counts apart there, and the seed itself may overflow to inf
     if not seed <= 2**53:
         raise ValueError(f"epsilon {epsilon} at z {z} needs more than 2**53 shots")
-    r = max(1, math.ceil(seed))
-    while bound(r, z) > epsilon:
-        r += 1
-    while r > 1 and bound(r - 1, z) <= epsilon:
-        r -= 1
-    return r
+    # the seed misses by a shot or so, but where z is tiny the bound is
+    # subnormal or 0 and flat over many counts, so the fix-up widens a bracket
+    # (lo, hi] by doubling steps and then bisects it: bound(hi) <= epsilon,
+    # and lo == 0 or bound(lo) > epsilon
+    hi = max(1, math.ceil(seed))
+    lo, step = hi - 1, 1
+    while bound(hi, z) > epsilon:
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo > 0 and bound(lo, z) <= epsilon:
+        lo, hi, step = max(0, lo - step), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid, z) <= epsilon else (mid, hi)
+    return hi

@@ -6,8 +6,9 @@ labels that the tests draw, the paper's classical kernel-sum decision rule,
 the |0...0> state, the statevector readout of that register gate by gate
 (the oracle for the program's one closed-form readout), that closed form in
 exact rational arithmetic from its class sums, the gate rules checked one
-at a time, the full 2^n operator of one gate, built entry by entry (the
-oracle for the gate loop), and the checks that hold the program to these,
+at a time, the seeded random circuits over every gate kind, the full 2^n
+operator of one gate, built entry by entry (the oracle for the gate loop),
+and the checks that hold the program to these,
 shared by the tests and the planted faults."""
 
 import dataclasses
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qic.circuit import Circuit
 from qic.classifier import (
     TrainingSet,
     acceptance_error,
@@ -32,6 +34,7 @@ from qic.statevector import (
     EXACT_TOL,
     GATE_ARITY,
     ROTATION_KINDS,
+    GateOp,
     QuantumState,
     apply_gate,
     check_unit,
@@ -318,6 +321,20 @@ def assert_prepares_no_amplitudes(train, x_tilde):
     the state, or any weight per training row, would add more."""
     peak = read_peak(prepare_state, train, x_tilde)
     assert peak <= 4 * 2 * train.dimension * train.vectors.itemsize + READ_OVERHEAD
+
+
+def random_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
+    """n_gates seeded gates of any kind in GATE_ARITY on distinct random
+    qubits. An angle in [-2pi, 2pi) is drawn for every gate and kept for a
+    rotation, so the draws per gate do not depend on its kind."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(n_gates):
+        kind = rng.choice(list(GATE_ARITY))
+        qubits = tuple(rng.choice(n_qubits, size=GATE_ARITY[kind], replace=False))
+        theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+        ops.append(GateOp(kind, qubits, theta if kind in ROTATION_KINDS else None))
+    return Circuit(n_qubits, tuple(ops))
 
 
 def embed(op, n_qubits: int) -> np.ndarray:

@@ -25,20 +25,9 @@ from qic.circuit import (
 from qic.errors import AssignmentError, NormalizationError, UnsupportedGateError
 from qic.presets import X0, X1, preset_input
 
-from reference import encoded_state
+from reference import encoded_state, random_circuit
 
 EXTENDED_KINDS = ("swap", "ccx", "cry", "ccry")
-
-
-def random_extended_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
-    rng = np.random.default_rng(seed)
-    ops = []
-    for _ in range(n_gates):
-        kind = rng.choice(list(sv.GATE_ARITY))
-        qubits = tuple(rng.choice(n_qubits, size=sv.GATE_ARITY[kind], replace=False))
-        theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        ops.append(sv.GateOp(kind, qubits, theta if kind in sv.ROTATION_KINDS else None))
-    return Circuit(n_qubits, tuple(ops))
 
 
 @st.composite
@@ -116,6 +105,13 @@ class TestBuildExperimentCircuit:
         with pytest.raises(NormalizationError):
             build_experiment_circuit([0.5, 0.5], X0, X1)
 
+    @pytest.mark.parametrize("which, name", [(0, "x_tilde"), (1, "x0"), (2, "x1")])
+    def test_three_vector_rejected(self, which, name):
+        vectors = [preset_input("xprime"), X0, X1]
+        vectors[which] = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"^{name} must be a 2-vector, got shape \\(3,\\)$"):
+            build_experiment_circuit(*vectors)
+
     def test_non_finite_input_rejected(self):
         with pytest.raises(NormalizationError):
             build_experiment_circuit([math.nan, 1.0], X0, X1)
@@ -141,6 +137,15 @@ class TestBuildExperimentCircuit:
 
 
 class TestDecompose:
+    def test_each_kind_is_restricted_or_expands_to_restricted_ops(self):
+        restricted, expanded = circuit.RESTRICTED_KINDS, set(circuit._EXPANSIONS)
+        assert set(sv.GATE_ARITY) == restricted | expanded
+        assert not restricted & expanded
+        for kind, expand in circuit._EXPANSIONS.items():
+            qubits = tuple(range(sv.GATE_ARITY[kind]))
+            op = sv.GateOp(kind, qubits, 0.7 if kind in sv.ROTATION_KINDS else None)
+            assert {sub.kind for sub in expand(op)} <= restricted, kind
+
     def test_swap_expansion(self):
         circ = decompose(Circuit(2, (sv.swap(0, 1),)))
         assert len(circ) == 7
@@ -182,12 +187,12 @@ class TestDecompose:
         assert angles == pytest.approx([-0.331, -0.331, 0.331, 0.331])
 
     def test_output_restricted_to_target_set(self):
-        circ = decompose(random_extended_circuit(4, 12, seed=5))
+        circ = decompose(random_circuit(4, 12, seed=5))
         assert all(op.kind in {"h", "x", "t", "tdg", "s", "ry", "cx"} for op in circ.ops)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_preserves_unitary_up_to_phase(self, seed):
-        circ = random_extended_circuit(4, 10, seed)
+        circ = random_circuit(4, 10, seed)
         ideal = sv.circuit_unitary(circ)
         lowered = sv.circuit_unitary(decompose(circ))
         # exact, global phase included, which is tighter than up to a phase
@@ -255,8 +260,8 @@ class TestExpansionCache:
         assert np.array_equal(sv.circuit_unitary(decompose(full)), exact)
 
     def test_cache_is_bounded(self):
-        size = circuit._FIXED_EXPANSION_CACHE_SIZE
-        n = 10  # 720 ordered qubit triples, more than the cache keeps
+        size = sv.CACHE_SIZE
+        n = 12  # 1320 ordered qubit triples, more than the cache keeps
         assert n * (n - 1) * (n - 2) > size
         ops = tuple(sv.ccx(*q) for q in itertools.permutations(range(n), 3))
         lowered = decompose(Circuit(n, ops))

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -77,6 +78,12 @@ def formula_outcome(train, x_tilde):
     return p_acc, p_minus
 
 
+def test_unknown_preset_names_the_presets():
+    with pytest.raises(KeyError, match=re.escape(
+            "unknown preset 'nope'; choose from xprime, xdoubleprime")):
+        preset_input("nope")
+
+
 class TestTrainingSet:
     def test_rejects_non_unit_vectors(self):
         with pytest.raises(NormalizationError):
@@ -91,6 +98,14 @@ class TestTrainingSet:
         # casting first would truncate these to a valid-looking [1, -1] or [0, -1]
         with pytest.raises(ValueError, match="labels must be -1 or"):
             TrainingSet(vectors=[[1.0, 0.0], [0.0, 1.0]], labels=labels)
+
+    @pytest.mark.parametrize("vectors, shape", [(np.zeros((0, 2)), "(0, 2)"),
+                                                ([1.0, 0.0], "(2,)")],
+                             ids=["no rows", "1-D"])
+    def test_rejects_vectors_that_are_not_a_nonempty_matrix(self, vectors, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"vectors must be a nonempty matrix, got {shape}")):
+            TrainingSet(vectors=vectors, labels=[])
 
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError, match="2 rows but 1 labels"):
@@ -432,6 +447,11 @@ class TestInterfereAndSample:
         assert outcome.p_class_minus == minus_count / accepted
         assert max(sizes) <= SAMPLE_BLOCK
         assert sum(sizes) == shots + accepted
+
+    def test_rejects_zero_shots(self):
+        state = prepare_state(training_set(), preset_input("xprime"))
+        with pytest.raises(ValueError, match=r"^shots must be >= 1, got 0$"):
+            interfere_and_sample(state, 0, 1)
 
     @pytest.mark.parametrize("shots", [True, False, np.bool_(True), 10.5, 100.0, "100"])
     def test_rejects_non_integer_shots(self, shots):

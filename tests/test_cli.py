@@ -12,6 +12,7 @@ from qic.classifier import prepare_state
 from qic.cli import build_parser, main
 from qic.presets import PRESET_NAMES
 from qic.qasm import parse_qasm
+from qic.stats import wald_worst_case
 
 
 def run_cli(*argv):
@@ -289,10 +290,23 @@ class TestShots:
         code, _ = run_cli("shots", "--eps", "0.6")
         assert code == 2
 
+    def test_json_payload(self, capsys):
+        code, _ = run_cli("shots", "--eps", "0.01", "--format", "json")
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["command"] == "shots"
+        assert payload["results"] == {"shots": 16641,
+                                      "bound_at_shots": wald_worst_case(16641, 2.58)}
+        assert payload["config"] == {"epsilon": 0.01, "z": 2.58, "method": "wald"}
+        assert payload["seed"] == 1234
+        assert payload["version"] == __version__
+
 
 USAGE_ERRORS = [
     (("classify", "--input", "0,0"), "--input is a zero vector"),
     (("classify", "--input", "1,0,0"), "training pair is 2-dimensional"),
+    (("classify", "--input", "1,0,0", "--x0", "0,1"),
+     "input and training vectors must share one dimension"),
     (("classify", "--input", "1e200,1e200"), "--input: cannot normalize"),
     (("classify", "--preset", "xprime", "--shots", "0"), "--shots: must be >= 1, got 0"),
     (("classify", "--preset", "xprime", "--shots", "100", "--seed", "-1"),

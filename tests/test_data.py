@@ -108,6 +108,11 @@ class TestIris:
         with pytest.raises(ValueError):
             iris(classes=(1, 1))
 
+    def test_unknown_class_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "classes must come from {1, 2, 3}, got (1, 4)")):
+            iris(classes=(1, 4))
+
     def test_known_first_row(self):
         ds = iris(classes=(1, 2))
         assert np.allclose(ds.rows[0], [5.1, 3.5, 1.4, 0.2])

@@ -111,6 +111,8 @@ def test_parse_rejects_unknown_gate():
 def test_parse_requires_register():
     with pytest.raises(ValueError):
         parse_qasm("OPENQASM 2.0;\nh q[0];\n")
+    with pytest.raises(ValueError, match="^no qreg declaration found$"):
+        parse_qasm("OPENQASM 2.0;\n")
 
 
 @pytest.mark.parametrize(
@@ -294,15 +296,15 @@ class TestStatementTables:
 
     def test_tables_stay_at_their_cap(self):
         n = 40  # 5n + n(n-1) = 1760 distinct angle-free statements
-        assert 5 * n + n * (n - 1) > qasm._STATEMENT_CACHE_SIZE
+        assert 5 * n + n * (n - 1) > sv.CACHE_SIZE
         ops = [sv.GateOp(kind, (q,)) for kind in ("h", "x", "t", "tdg", "s") for q in range(n)]
         ops += [sv.cx(a, b) for a in range(n) for b in range(n) if a != b]
         circ = Circuit(n, tuple(ops))
         _clear_statement_tables()
         text = export_qasm(circ)
         assert parse_qasm(text) == circ
-        assert len(qasm._parsed) == len(qasm._emitted) == qasm._STATEMENT_CACHE_SIZE
+        assert len(qasm._parsed) == len(qasm._emitted) == sv.CACHE_SIZE
         # again, with the oldest statements evicted while the newest are hits
         assert export_qasm(circ) == text
         assert parse_qasm(text) == circ
-        assert len(qasm._parsed) == len(qasm._emitted) == qasm._STATEMENT_CACHE_SIZE
+        assert len(qasm._parsed) == len(qasm._emitted) == sv.CACHE_SIZE

@@ -16,6 +16,7 @@ from reference import (
     assert_state_is_a_read_only_copy,
     embed,
     gate_op_error,
+    random_circuit,
     zero_state,
 )
 
@@ -26,19 +27,6 @@ def random_state(n_qubits: int, seed: int) -> sv.QuantumState:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return sv.QuantumState(n_qubits, amps / np.linalg.norm(amps))
-
-
-def random_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
-    rng = np.random.default_rng(seed)
-    ops = []
-    for _ in range(n_gates):
-        kind = rng.choice(list(sv.GATE_ARITY))
-        qubits = tuple(rng.choice(n_qubits, size=sv.GATE_ARITY[kind], replace=False))
-        theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        ops.append(
-            sv.GateOp(kind, qubits, theta if kind in sv.ROTATION_KINDS else None)
-        )
-    return Circuit(n_qubits, tuple(ops))
 
 
 def entangling_prefix(n_qubits: int, seed: int) -> tuple[sv.GateOp, ...]:

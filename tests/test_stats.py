@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qic.stats import (
+    WORST_CASE,
     shots_for_error,
     wald_worst_case,
     wilson,
@@ -88,18 +89,35 @@ class TestShotsForError:
         if shots > 1:
             assert bound(shots - 1, 2.58) > eps
 
+    # the closed-form seed misses the count by one shot on each side, for
+    # each method, at these inputs; random floats almost never do
+    @example(eps=0.007, z=0.07, method="wald")  # seed 25, count 26
+    @example(eps=0.005, z=0.07, method="wald")  # seed 50, count 49
+    @example(eps=0.05933335934248285, z=1.0, method="wilson")  # seed 72, count 73
+    @example(eps=0.4330127018922193, z=1.0, method="wilson")  # seed 3, count 2
+    # a z so small that the bound is subnormal or 0 and flat over many counts,
+    # around a seed near 1e15: a one-shot-at-a-time fix-up would not finish
+    @example(eps=1.58e-318, z=1e-310, method="wald")
+    @example(eps=1e-168, z=1e-160, method="wilson")
     @settings(max_examples=200, deadline=None)
     @given(
-        eps=st.floats(1e-3, 0.5, exclude_max=True),
-        z=st.floats(0.01, 5.0),
+        eps=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        z=st.floats(0.0, 6.0, exclude_min=True),
         method=st.sampled_from(["wald", "wilson"]),
     )
     def test_returned_count_is_minimal(self, eps, z, method):
-        bound = wald_worst_case if method == "wald" else wilson_worst_case
-        shots = shots_for_error(eps, z, method)
+        bound = WORST_CASE[method]
+        try:
+            shots = shots_for_error(eps, z, method)
+        except ValueError as exc:
+            # refused only past 2**53 shots: both counts are at least Wald's
+            # (z / 2 eps)^2, which is then far past 2**52 (a bound computed in
+            # floats would not do here, as wilson's rounds to 0 once z*z underflows)
+            assert "needs more than 2**53 shots" in str(exc)
+            assert z / (2 * eps) > 2**26
+            return
         assert bound(shots, z) <= eps
-        if shots > 1:
-            assert bound(shots - 1, z) > eps
+        assert shots == 1 or bound(shots - 1, z) > eps
 
     def test_monotone_in_epsilon(self):
         counts = [shots_for_error(e, 2.58, "wald") for e in (0.1, 0.05, 0.02, 0.01)]
