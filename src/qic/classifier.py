@@ -182,11 +182,17 @@ def prepare_state(train: TrainingSet, x_tilde) -> PreparedState:
 
 
 def _prepared_readout(state: PreparedState) -> tuple[float, float]:
-    """The (p_acc, p_class_minus) pair of a state that prepare_state built."""
+    """The (p_acc, p_class_minus) pair of a state that prepare_state built.
+    Raises ImpossibleBranchError when the acceptance is at or below
+    BRANCH_FLOOR, where p_class_minus is nan."""
     if not isinstance(state, PreparedState):
         raise ValueError(
             "only a state from prepare_state can be read; read any other state with "
             "apply_gate, postselect and qubit_probabilities"
+        )
+    if state.p_acc <= BRANCH_FLOOR:
+        raise ImpossibleBranchError(
+            f"branch qubit {state.ancilla_bit}=0 has probability {state.p_acc:.3e}"
         )
     return state.p_acc, state.p_class_minus
 
@@ -201,10 +207,6 @@ def interfere_and_read(state: PreparedState) -> ClassificationOutcome:
     and ValueError for any state that prepare_state did not build.
     """
     p_acc, p_minus = _prepared_readout(state)
-    if p_acc <= BRANCH_FLOOR:
-        raise ImpossibleBranchError(
-            f"branch qubit {state.ancilla_bit}=0 has probability {p_acc:.3e}"
-        )
     return ClassificationOutcome(p_acc=p_acc, p_class_minus=p_minus)
 
 
@@ -216,7 +218,9 @@ def interfere_and_sample(
     Each shot measures the ancilla; only on outcome 0 is the class qubit
     measured. p_acc is estimated as accepted/shots and the class
     probabilities from the accepted shots alone. The shots are drawn from the
-    two numbers interfere_and_read reports, so only a prepared state is taken.
+    two numbers interfere_and_read reports, so only a prepared state is taken,
+    and one that interfere_and_read refuses raises the same error before any
+    shot is drawn.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
         raise ValueError(f"shots must be an integer, got {shots!r}")

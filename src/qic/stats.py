@@ -3,6 +3,7 @@ and Wilson worst-case error bounds, and shot-budget planning."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -49,8 +50,15 @@ def wald_worst_case(shots: int, z: float) -> float:
 
 def wilson_worst_case(shots: int, z: float) -> float:
     """sqrt(z^2 (R + z^2) / (4 R^2)): wilson's largest error, which it reaches
-    at p_raw = 1/2, times 1 + z^2/R, so a bound on every wilson error at R."""
-    return math.sqrt(z * z * (shots + z * z) / (4.0 * shots * shots))
+    at p_raw = 1/2, times 1 + z^2/R, so a bound on every wilson error at R.
+
+    Written as Wald's bound b times sqrt(1 + z^2/R) = sqrt(1 + 4 b^2): z is
+    never squared, so it cannot underflow, each float step is monotone in R,
+    and the bound is never below Wald's; products, not **, so an overflow
+    gives inf rather than raising.
+    """
+    b = wald_worst_case(shots, z)
+    return b * math.sqrt(1.0 + 4.0 * b * b)
 
 
 # method -> worst-case error bound at a shot count, bound(shots, z)
@@ -67,28 +75,11 @@ def shots_for_error(epsilon: float, z: float, method: str = "wald") -> int:
     except KeyError:
         raise ValueError(f"method must be 'wald' or 'wilson', got {method!r}") from None
 
-    # closed-form seed for both methods (wilson's quadratic lower root), then
-    # exact fix-up against the bound, which is monotone decreasing in R;
-    # products instead of powers, so an overflow gives inf rather than raising
-    half = z / (2 * epsilon)
-    seed = half * half
-    if method == "wilson":
-        seed *= (1.0 + math.sqrt(1.0 + 16.0 * epsilon * epsilon)) / 2
-    # float64 counts past 2**53 are not exact, so the bound could not tell
-    # neighbouring counts apart there, and the seed itself may overflow to inf
-    if not seed <= 2**53:
+    # both bounds are non-increasing in R, so the smallest count is found by
+    # bisection; float64 counts past 2**53 are not exact, so the bound could
+    # not tell neighbouring counts apart there
+    counts = range(1, 2**53 + 1)
+    i = bisect.bisect_left(counts, True, key=lambda R: bound(R, z) <= epsilon)
+    if i == len(counts):
         raise ValueError(f"epsilon {epsilon} at z {z} needs more than 2**53 shots")
-    # the seed misses by a shot or so, but where z is tiny the bound is
-    # subnormal or 0 and flat over many counts, so the fix-up widens a bracket
-    # (lo, hi] by doubling steps and then bisects it: bound(hi) <= epsilon,
-    # and lo == 0 or bound(lo) > epsilon
-    hi = max(1, math.ceil(seed))
-    lo, step = hi - 1, 1
-    while bound(hi, z) > epsilon:
-        lo, hi, step = hi, hi + step, 2 * step
-    while lo > 0 and bound(lo, z) <= epsilon:
-        lo, hi, step = max(0, lo - step), lo, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if bound(mid, z) <= epsilon else (mid, hi)
-    return hi
+    return counts[i]

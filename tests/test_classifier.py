@@ -183,6 +183,17 @@ class TestPrepareState:
             prepare_state(train, [bad, 1.0])
 
 
+class AcceptEveryShot:
+    """A stand-in rng whose every uniform draw is 0; it records each draw's size."""
+
+    def __init__(self, draws: list):
+        self.draws = draws
+
+    def random(self, n: int) -> np.ndarray:
+        self.draws.append(n)
+        return np.zeros(n)
+
+
 class TestInterfereAndRead:
     def test_identical_single_point(self):
         train = TrainingSet(vectors=[[0.0, 1.0]], labels=[-1])
@@ -224,7 +235,7 @@ class TestInterfereAndRead:
         assert_read_matches_gate_path(train, x_tilde)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-8])
-    def test_below_floor_is_impossible_branch(self, eps):
+    def test_below_floor_is_impossible_branch(self, eps, monkeypatch):
         # acceptance eps^2/4: zero, and 2.5e-17 under the floor but not zero
         train = TrainingSet(vectors=[[0.0, 1.0]], labels=[-1])
         x_tilde = [math.sin(eps), -math.cos(eps)]
@@ -239,8 +250,15 @@ class TestInterfereAndRead:
         assert str(read.value) == f"{prefix}{eps ** 2 / 4:.3e}"
         assert str(gate.value).startswith(prefix)
         assert abs(float(str(gate.value)[len(prefix):]) - eps ** 2 / 4) <= 1e-30
-        with pytest.raises(EstimationFailedError, match="no shots accepted out of 1000$"):
+        # an rng whose every draw is 0 accepts every shot, and would then
+        # compare each class draw with the state's nan class share: the
+        # sampler refuses with the same message before it draws at all
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: AcceptEveryShot(draws))
+        with pytest.raises(ImpossibleBranchError) as sample:
             interfere_and_sample(state, shots=1000, seed=0)
+        assert str(sample.value) == str(read.value)
+        assert draws == []
 
     @pytest.mark.parametrize("v", [[1.0, 2.0, 2.0], [0.6, 0.8], [1.0, 2.0, 3.0, 4.0]])
     @pytest.mark.parametrize("eps", [3e-9, 1e-8, 2e-8])
@@ -364,7 +382,7 @@ class TestPreparedReadout:
             assert math.isnan(p_minus)
             with pytest.raises(ImpossibleBranchError):
                 interfere_and_read(state)
-            with pytest.raises(EstimationFailedError):
+            with pytest.raises(ImpossibleBranchError):
                 interfere_and_sample(state, shots, seed)
             return
         outcome = interfere_and_read(state)

@@ -37,8 +37,10 @@ class TestWald:
 
 
 class TestWilson:
-    def test_formula_spot_value(self):
-        successes, shots, z = 700, 1000, 2.58
+    # one shot is the fewest a count check lets through
+    @pytest.mark.parametrize("successes, shots", [(700, 1000), (0, 1), (1, 1)])
+    def test_formula_spot_value(self, successes, shots):
+        z = 2.58
         est = wilson(successes, shots, z)
         p_raw = successes / shots
         damp = 1 + z**2 / shots
@@ -89,14 +91,14 @@ class TestShotsForError:
         if shots > 1:
             assert bound(shots - 1, 2.58) > eps
 
-    # the closed-form seed misses the count by one shot on each side, for
-    # each method, at these inputs; random floats almost never do
-    @example(eps=0.007, z=0.07, method="wald")  # seed 25, count 26
-    @example(eps=0.005, z=0.07, method="wald")  # seed 50, count 49
-    @example(eps=0.05933335934248285, z=1.0, method="wilson")  # seed 72, count 73
-    @example(eps=0.4330127018922193, z=1.0, method="wilson")  # seed 3, count 2
-    # a z so small that the bound is subnormal or 0 and flat over many counts,
-    # around a seed near 1e15: a one-shot-at-a-time fix-up would not finish
+    # epsilon within a rounding of the exact bound at an integer count, so the
+    # count turns on the bound's last bit; random floats almost never are
+    @example(eps=0.007, z=0.07, method="wald")  # bound(25) just above eps: 26
+    @example(eps=0.005, z=0.07, method="wald")  # (z / 2 eps)^2 = 49.000000000000014: 49
+    @example(eps=0.05933335934248285, z=1.0, method="wilson")  # bound(72) just above: 73
+    @example(eps=0.4330127018922193, z=1.0, method="wilson")  # eps = bound(2) = sqrt(3)/4: 2
+    # a z so small that the bound is subnormal and flat over many counts near
+    # 1e15, and one whose square underflows: counts 1001436190795455 and 2.5e15
     @example(eps=1.58e-318, z=1e-310, method="wald")
     @example(eps=1e-168, z=1e-160, method="wilson")
     @settings(max_examples=200, deadline=None)
@@ -111,13 +113,50 @@ class TestShotsForError:
             shots = shots_for_error(eps, z, method)
         except ValueError as exc:
             # refused only past 2**53 shots: both counts are at least Wald's
-            # (z / 2 eps)^2, which is then far past 2**52 (a bound computed in
-            # floats would not do here, as wilson's rounds to 0 once z*z underflows)
+            # (z / 2 eps)^2, which is then far past 2**52
             assert "needs more than 2**53 shots" in str(exc)
             assert z / (2 * eps) > 2**26
             return
         assert bound(shots, z) <= eps
         assert shots == 1 or bound(shots - 1, z) > eps
+
+    @example(eps=1e-168, z=1e-160)  # z * z underflows; both counts are 2.5e15
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        z=st.floats(0.0, 6.0, exclude_min=True),
+    )
+    def test_wilson_count_never_below_walds(self, eps, z):
+        counts = {}
+        for method in WORST_CASE:
+            try:
+                counts[method] = shots_for_error(eps, z, method)
+            except ValueError:
+                counts[method] = math.inf
+        assert counts["wilson"] >= counts["wald"]
+
+    def test_wilson_count_at_an_underflowing_z(self):
+        assert shots_for_error(1e-168, 1e-160, "wilson") == 2_500_000_000_000_000
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shots=st.integers(1, 2**53 - 1),
+        more=st.integers(1, 2**53),
+        z=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        method=st.sampled_from(sorted(WORST_CASE)),
+    )
+    def test_bounds_non_increasing_in_shots(self, shots, more, z, method):
+        bound = WORST_CASE[method]
+        assert bound(min(shots + more, 2**53), z) <= bound(shots, z)
+
+    # a target that 2**53 shots meet is planned, one a float below it refused
+    @pytest.mark.parametrize("method", ["wald", "wilson"])
+    @pytest.mark.parametrize("z", [2.58, 1e-160])
+    def test_refused_exactly_when_2_to_the_53_shots_miss(self, method, z):
+        eps = WORST_CASE[method](2**53, z)
+        assert shots_for_error(eps, z, method) <= 2**53
+        with pytest.raises(ValueError, match=r"needs more than 2\*\*53 shots"):
+            shots_for_error(math.nextafter(eps, 0.0), z, method)
 
     def test_monotone_in_epsilon(self):
         counts = [shots_for_error(e, 2.58, "wald") for e in (0.1, 0.05, 0.02, 0.01)]
@@ -140,7 +179,8 @@ class TestShotsForError:
         with pytest.raises(ValueError, match="positive and finite"):
             shots_for_error(0.01, z)
 
-    # 1e-20 once stalled in the fix-up loop; 1e-300 overflowed the closed form
+    # (z / 2 eps)^2 is 1.7e16 and 1.7e40 shots at 1e-8 and 1e-20, and
+    # overflows a float at 1e-300 and at z 1e200
     @pytest.mark.parametrize("method", ["wald", "wilson"])
     @pytest.mark.parametrize("eps, z", [(1e-8, 2.58), (1e-20, 2.58), (1e-300, 2.58), (0.01, 1e200)])
     def test_count_past_2_to_the_53_rejected(self, method, eps, z):
