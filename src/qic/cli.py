@@ -295,7 +295,7 @@ def _cmd_shots(args, parser) -> int:
             _json_payload("shots", seed, config, result), args.output
         )
     return _write_output(
-        f"shots          : {count}\nbound at shots : {bound:.6f}\n", args.output
+        f"shots          : {count}\nbound at shots : {bound:.6g}\n", args.output
     )
 
 

@@ -81,6 +81,9 @@ class Pipeline:
     def transform(self, dataset: LabeledDataset) -> LabeledDataset:
         if self.means is None:
             raise RuntimeError("pipeline is not fitted; call fit_transform first")
+        width = self.means.shape[-1]
+        if dataset.n_features != width:
+            raise ValueError(f"pipeline was fitted on {width} features, got {dataset.n_features}")
         return dataset.with_rows(
             normalize((dataset.rows - self.means[..., None, :]) / self.stds[..., None, :])
         )

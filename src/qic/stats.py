@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -15,6 +16,9 @@ class IntervalEstimate:
 
 
 def _check_counts(successes: int, shots: int, z: float):
+    for name, count in (("successes", successes), ("shots", shots)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0 <= successes <= shots:

@@ -284,7 +284,13 @@ class TestShots:
         code, _ = run_cli("shots", "--eps", "0.01", "-o", str(path))
         assert code == 0
         assert capsys.readouterr().out == ""
-        assert path.read_text() == "shots          : 16641\nbound at shots : 0.010000\n"
+        assert path.read_text() == "shots          : 16641\nbound at shots : 0.01\n"
+
+    def test_table_bound_keeps_significant_digits(self, capsys):
+        # at six decimals a bound below 5e-7 would print as 0.000000
+        code, _ = run_cli("shots", "--eps", "1e-7")
+        assert code == 0
+        assert capsys.readouterr().out == "shots          : 166410000000001\nbound at shots : 1e-07\n"
 
     def test_epsilon_out_of_range(self):
         code, _ = run_cli("shots", "--eps", "0.6")

@@ -205,6 +205,15 @@ class TestPipeline:
         with pytest.raises(RuntimeError):
             Pipeline().transform(toy_dataset([(1, 2), (3, 4)]))
 
+    @pytest.mark.parametrize("fit_width, width", [(3, 1), (1, 3), (3, 9)])
+    def test_transform_of_another_width_rejected(self, fit_width, width):
+        # numpy would broadcast a width-1 row against the fitted columns
+        rng = np.random.default_rng(0)
+        pipe = Pipeline()
+        pipe.fit_transform(toy_dataset(rng.normal(size=(6, fit_width))))
+        with pytest.raises(ValueError, match=f"fitted on {fit_width} features, got {width}"):
+            pipe.transform(toy_dataset(rng.normal(size=(4, width))))
+
     @pytest.mark.parametrize("copies", [1, 2])
     def test_batch_of_splits_equals_split_by_split(self, copies):
         rng = np.random.default_rng(copies)

@@ -1,12 +1,15 @@
 """Module boundaries of the package: no module reaches into another's
 private (single-underscore) names, by import or by attribute, every public
 name has a caller outside the tests, and so does every defaulted parameter
-of a public function or method, and no two modules import each other, even
-through others."""
+of a public function or method, no two modules import each other, even
+through others, and the package root imports no module."""
 
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,8 +132,9 @@ def _public_definitions(tree: ast.Module):
 
 def unused_public_names(src: dict[str, str], bench: list[str]) -> list[str]:
     """Public definitions in the src modules (file name -> source) whose name
-    nothing outside the tests mentions: no src module but __init__.py (which
-    only re-exports), and no benchmark identifier or dotted string."""
+    nothing outside the tests mentions: no src module but __init__.py (where
+    a re-export would be no caller), and no benchmark identifier or dotted
+    string."""
     trees = {name: ast.parse(text) for name, text in src.items()}
     used = set()
     for name, tree in trees.items():
@@ -277,8 +281,8 @@ def test_checker_flags_test_only_parameters(src, bench, found):
 
 
 def import_cycle(src: dict[str, str]) -> list[str]:
-    """A cycle among the src modules (file name -> source; __init__.py, which
-    only re-exports, skipped), each importing the next by `from .x import`
+    """A cycle among the src modules (file name -> source; __init__.py, the
+    package root, skipped), each importing the next by `from .x import`
     or `from . import x` wherever the statement stands, TYPE_CHECKING
     blocks included; [] when there is none."""
     modules = {name[:-3] for name in src if name != "__init__.py"}
@@ -339,3 +343,15 @@ def test_src_import_graph_is_acyclic():
 )
 def test_checker_flags_import_cycles(src, cycle):
     assert import_cycle(src) == cycle
+
+
+def test_package_root_imports_no_module():
+    # each public name is imported from its own module, so the root needs none
+    code = ("import sys, qic; print(qic.__file__); print(qic.__version__); "
+            "print(*sorted(m for m in sys.modules if m.startswith('qic.') or m == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    path, version, loaded = out.stdout.split("\n")[:3]
+    assert Path(path) == SRC / "__init__.py"
+    assert version
+    assert loaded == ""

@@ -50,6 +50,14 @@ class TestWilson:
         )
         assert est.max_error == pytest.approx(expected_err, abs=1e-12)
 
+    @pytest.mark.parametrize("successes, shots", [(0.5, 1), (3, 10.5), (True, 3), (1, True)])
+    def test_non_integer_counts_rejected(self, successes, shots):
+        with pytest.raises(ValueError, match="must be an integer"):
+            wilson(successes, shots, 2.0)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert wilson(np.int64(3), np.int32(10), 2.0) == wilson(3, 10, 2.0)
+
     def test_shrinks_toward_half_at_zero_successes(self):
         est = wilson(0, 10, z=2.58)
         assert est.p_hat > 0.0
