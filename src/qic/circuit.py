@@ -7,11 +7,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import statevector as sv
-from .errors import AssignmentError, UnsupportedGateError
+from .errors import AssignmentError, UnsupportedGateError, check_count
 from .presets import X0, X1, preset_input
 from .statevector import GateOp
 
@@ -39,7 +40,7 @@ class Circuit:
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
-        n = sv.check_n_qubits(self.n_qubits)
+        n = check_count(self.n_qubits, "n_qubits", 1)
         object.__setattr__(self, "n_qubits", n)
         if type(self.ops) is not tuple:
             object.__setattr__(self, "ops", tuple(self.ops))
@@ -195,75 +196,34 @@ def decompose(circuit: Circuit) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# connectivity
+# connectivity: a coupling map is a frozenset of sorted physical pairs, and a
+# placement a dict from each wire of a circuit to its physical qubit
 
 
-@dataclass(frozen=True)
-class ConnectivityGraph:
-    """Undirected coupling map over physical qubits."""
-
-    n_physical: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        norm = frozenset(tuple(sorted(e)) for e in self.edges)
-        object.__setattr__(self, "edges", norm)
-        for a, b in norm:
-            if not (0 <= a < self.n_physical and 0 <= b < self.n_physical):
-                raise ValueError(f"edge ({a},{b}) outside 0..{self.n_physical - 1}")
-            if a == b:
-                raise ValueError(f"self-edge on qubit {a}")
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self.edges
-
-
-def ibmq5_connectivity() -> ConnectivityGraph:
-    """Coupling map of the 5-qubit device: Q2 is the hub adjacent to all four
-    others (the only such qubit), plus the two outer pairs Q0-Q1 and Q3-Q4."""
-    return ConnectivityGraph(
-        5, frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)})
-    )
-
-
-@dataclass(frozen=True)
-class QubitAssignment:
-    """Physical qubit for each logical wire role of the experiment circuit."""
-
-    ancilla: int
-    index: int
-    data: int
-    class_qubit: int
-
-    def wire_map(self) -> dict[int, int]:
-        return {
-            ANCILLA_WIRE: self.ancilla,
-            INDEX_WIRE: self.index,
-            DATA_WIRE: self.data,
-            CLASS_WIRE: self.class_qubit,
-        }
-
-
-def default_assignment() -> QubitAssignment:
-    """Data wire on the hub Q2; ancilla and index on the adjacent pair Q0-Q1."""
-    return QubitAssignment(ancilla=0, index=1, data=2, class_qubit=3)
-
-
-@dataclass(frozen=True)
-class ConnectivityViolation:
+class ConnectivityViolation(NamedTuple):
     op_index: int
     op: GateOp
     physical_pair: tuple[int, int]
 
 
+def ibmq5_connectivity() -> frozenset[tuple[int, int]]:
+    """Coupling map of the 5-qubit device: Q2 is the hub adjacent to all four
+    others (the only such qubit), plus the two outer pairs Q0-Q1 and Q3-Q4."""
+    return frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)})
+
+
+def default_assignment() -> dict[int, int]:
+    """Data wire on the hub Q2; ancilla and index on the adjacent pair Q0-Q1."""
+    return {ANCILLA_WIRE: 0, INDEX_WIRE: 1, DATA_WIRE: 2, CLASS_WIRE: 3}
+
+
 def validate_connectivity(
-    circuit: Circuit, graph: ConnectivityGraph, assignment: QubitAssignment
+    circuit: Circuit, edges: frozenset[tuple[int, int]], assignment: dict[int, int]
 ) -> list[ConnectivityViolation]:
-    """List every CNOT whose physical pair is not a coupling-map edge.
+    """List every CNOT whose physical pair, sorted, is not one of the edges.
 
     The circuit must already be decomposed (two-qubit gates are cx only).
     """
-    wire_map = assignment.wire_map()
     violations = []
     for i, op in enumerate(circuit.ops):
         if len(op.qubits) == 1:
@@ -273,11 +233,11 @@ def validate_connectivity(
                 f"circuit not decomposed: found {op.kind} at position {i}"
             )
         try:
-            pair = (wire_map[op.qubits[0]], wire_map[op.qubits[1]])
+            a, b = assignment[op.qubits[0]], assignment[op.qubits[1]]
         except KeyError as exc:
             raise AssignmentError(f"no physical qubit assigned to wire {exc}") from exc
-        if not graph.has_edge(*pair):
-            violations.append(ConnectivityViolation(i, op, pair))
+        if ((a, b) if a < b else (b, a)) not in edges:
+            violations.append(ConnectivityViolation(i, op, (a, b)))
     return violations
 
 

@@ -19,13 +19,12 @@ p_acc = (1/4M) sum_m |x~ + x^m|^2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import check_labels
-from .errors import EstimationFailedError, ImpossibleBranchError
+from .errors import EstimationFailedError, ImpossibleBranchError, check_count
 from .statevector import BRANCH_FLOOR, check_unit
 
 # interfere_and_sample draws its uniforms this many at a time, so its memory
@@ -222,12 +221,8 @@ def interfere_and_sample(
     and one that interfere_and_read refuses raises the same error before any
     shot is drawn.
     """
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    check_count(shots, "shots", 1)
+    check_count(seed, "seed")
     p_acc_true, p_minus_true = _prepared_readout(state)
 
     rng = np.random.default_rng(seed)

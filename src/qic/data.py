@@ -16,6 +16,7 @@ import numpy as np
 from .classifier import TrainingSet, read_batch
 from .dataset import LabeledDataset
 from .encoding import Pipeline, kron_power
+from .errors import check_count
 
 IRIS_SHA256 = "c8a2fdaf394fc79fd145487203d7d69163f0e6d0053ea46afe97fa3542d12822"
 
@@ -130,8 +131,7 @@ def run_benchmark(
     dataset gives in a batch of one. Test points whose acceptance
     probability vanishes are counted as misclassified and tallied separately.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    check_count(repetitions, "repetitions", 1)
     batches = tuple(batches)
     # per batch, per dataset: [per-rep errors, per-rep mean p_acc, impossible count]
     tallies = [[[[], [], 0] for _ in batch.rows] for batch in batches]

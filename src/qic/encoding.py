@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import DegenerateFeatureError, ZeroVectorError
+from .errors import DegenerateFeatureError, ZeroVectorError, check_count
 
 # a norm or column spread at or below this is rounding noise of float64 data,
 # so there is no direction to keep and no scale to divide by
@@ -36,8 +36,7 @@ def kron_power(v: np.ndarray, copies: int) -> np.ndarray:
     axis, in one broadcast over all rows. For unit vectors, inner products
     become powers: <v^k, u^k> = <v, u>^k.
     """
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
+    check_count(copies, "copies", 1)
     v = np.asarray(v, dtype=float)
     out = v
     for _ in range(copies - 1):
@@ -56,7 +55,7 @@ class Pipeline:
 
     A batch of datasets (rows (R, n, d)) is fitted split by split in one
     pass: means and stds get shape (R, d), and transform takes the matching
-    batch of held-out rows.
+    batch of held-out rows (R, m, d) and rejects any other batch shape.
     """
 
     means: np.ndarray | None = None
@@ -81,9 +80,13 @@ class Pipeline:
     def transform(self, dataset: LabeledDataset) -> LabeledDataset:
         if self.means is None:
             raise RuntimeError("pipeline is not fitted; call fit_transform first")
-        width = self.means.shape[-1]
+        width, batch = self.means.shape[-1], self.means.shape[:-1]
         if dataset.n_features != width:
             raise ValueError(f"pipeline was fitted on {width} features, got {dataset.n_features}")
+        if dataset.rows.shape[:-2] != batch:
+            raise ValueError(
+                f"pipeline was fitted on a batch of shape {batch}, got {dataset.rows.shape[:-2]}"
+            )
         return dataset.with_rows(
             normalize((dataset.rows - self.means[..., None, :]) / self.stds[..., None, :])
         )

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for a count."""
+
+import numbers
+
+
+def check_count(value, name: str, low: int | None = None) -> int:
+    """value as an int; raises ValueError unless it is an integer (a numpy
+    integer passes, a bool does not) and, when low is given, at least low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 class CapacityError(ValueError):

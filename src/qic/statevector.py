@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ImpossibleBranchError, NormalizationError
+from .errors import CapacityError, ImpossibleBranchError, NormalizationError, check_count
 
 # gate_unitary's bound, 16 MiB of unitary: a Circuit has no qubit cap, so
 # without it simulate or circuit_unitary of a wide circuit would allocate
@@ -200,7 +200,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = check_n_qubits(self.n_qubits)
+        n = check_count(self.n_qubits, "n_qubits", 1)
         object.__setattr__(self, "n_qubits", n)
         amps = np.array(self.amplitudes, dtype=complex)
         amps.setflags(write=False)
@@ -210,16 +210,6 @@ class QuantumState:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-def check_n_qubits(n_qubits) -> int:
-    """n_qubits as an int; raises ValueError unless it is an integer >= 1,
-    not a bool. The rule of both QuantumState and Circuit."""
-    if isinstance(n_qubits, bool) or not isinstance(n_qubits, numbers.Integral):
-        raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    return int(n_qubits)
 
 
 def check_unit(v, what: str) -> np.ndarray:
@@ -244,8 +234,7 @@ def _check_indices(n_qubits: int, qubits: tuple[int, ...]):
 def _check_qubit(n_qubits: int, qubit) -> None:
     """Raise ValueError for a bool or non-integer qubit, IndexError for one
     out of range."""
-    if isinstance(qubit, bool) or not isinstance(qubit, numbers.Integral):
-        raise ValueError(f"qubit must be an integer, got {qubit!r}")
+    check_count(qubit, "qubit")
     _check_indices(n_qubits, (qubit,))
 
 

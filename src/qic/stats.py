@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
+
+from .errors import check_count
 
 
 @dataclass(frozen=True)
@@ -16,11 +17,8 @@ class IntervalEstimate:
 
 
 def _check_counts(successes: int, shots: int, z: float):
-    for name, count in (("successes", successes), ("shots", shots)):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_count(successes, "successes")
+    check_count(shots, "shots", 1)
     if not 0 <= successes <= shots:
         raise ValueError(f"successes must be in [0, {shots}], got {successes}")
     _check_z(z)

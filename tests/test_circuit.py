@@ -11,9 +11,10 @@ from qic import circuit
 from qic import statevector as sv
 from qic.circuit import (
     ANCILLA_WIRE,
+    CLASS_WIRE,
+    DATA_WIRE,
+    INDEX_WIRE,
     Circuit,
-    ConnectivityGraph,
-    QubitAssignment,
     build_experiment_circuit,
     decompose,
     default_assignment,
@@ -272,9 +273,9 @@ class TestExpansionCache:
 
 class TestConnectivity:
     def test_device_graph_shape(self):
-        graph = ibmq5_connectivity()
-        assert graph.n_physical == 5
-        degree = [sum(q in edge for edge in graph.edges) for q in range(5)]
+        edges = ibmq5_connectivity()
+        assert type(edges) is frozenset and len(edges) == 6
+        degree = [sum(q in edge for edge in edges) for q in range(5)]
         assert degree[2] == 4
         # the hub is the only qubit coupled to all four others
         assert [q for q in range(5) if degree[q] == 4] == [2]
@@ -289,10 +290,18 @@ class TestConnectivity:
     def test_uncoupled_pair_is_reported(self):
         # ancilla on Q0 and class on Q4 sit on opposite leaves
         circ = Circuit(4, (sv.cx(ANCILLA_WIRE, 1),))
-        assignment = QubitAssignment(ancilla=0, index=2, data=3, class_qubit=4)
+        assignment = {ANCILLA_WIRE: 0, INDEX_WIRE: 2, DATA_WIRE: 3, CLASS_WIRE: 4}
         violations = validate_connectivity(circ, ibmq5_connectivity(), assignment)
         assert len(violations) == 1
         assert violations[0].physical_pair == (0, 4)
+
+    def test_either_direction_of_an_edge_is_coupled(self):
+        # every CNOT of the lowered experiment runs low to high physical qubit,
+        # so only this case reaches a pair that is not sorted
+        edges, assignment = ibmq5_connectivity(), default_assignment()
+        circ = Circuit(4, (sv.cx(DATA_WIRE, ANCILLA_WIRE), sv.cx(CLASS_WIRE, ANCILLA_WIRE)))
+        violations = validate_connectivity(circ, edges, assignment)
+        assert [(v.op_index, v.physical_pair) for v in violations] == [(1, (3, 0))]
 
     def test_empty_circuit_clean(self):
         assert validate_connectivity(
@@ -309,11 +318,12 @@ class TestConnectivity:
         with pytest.raises(AssignmentError):
             validate_connectivity(circ, ibmq5_connectivity(), default_assignment())
 
-    def test_graph_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
-            ConnectivityGraph(2, frozenset({(0, 2)}))
-        with pytest.raises(ValueError):
-            ConnectivityGraph(2, frozenset({(1, 1)}))
+    def test_device_edges_are_sorted_distinct_pairs(self):
+        # validate_connectivity looks a pair up sorted, so an unsorted or
+        # self-edge here would never match
+        for a, b in ibmq5_connectivity():
+            assert type(a) is int and type(b) is int
+            assert 0 <= a < b <= 4
 
 
 class TestVerifyDecompositions:

@@ -396,6 +396,13 @@ class TestRunBenchmark:
                 f"split takes batches (G, n, d) of one n, got rows [{listed}]")):
             run_benchmark(batches, 1, 0)
 
+    @pytest.mark.parametrize("repetitions", [True, 2.0, 2.5])
+    def test_repetitions_must_be_an_integer(self, repetitions):
+        # a bool would run one repetition, and a float a TypeError from range
+        with pytest.raises(ValueError, match=re.escape(
+                f"repetitions must be an integer, got {repetitions!r}")):
+            run_benchmark([batch_of(iris(classes=(1, 2)))], repetitions, 0)
+
     def test_lone_batch_is_not_a_sequence(self):
         with pytest.raises(TypeError, match="not iterable"):
             run_benchmark(batch_of(iris(classes=(1, 2))), 1, 0)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -149,6 +150,16 @@ class TestTensorCopyMap:
         with pytest.raises(ValueError):
             kron_power(np.array([1.0]), 0)
 
+    @pytest.mark.parametrize("copies", [True, 2.0, 2.5])
+    def test_copies_must_be_an_integer(self, copies):
+        # a bool would give one copy, and a float a TypeError from range
+        with pytest.raises(ValueError, match=f"^copies must be an integer, got {copies!r}$"):
+            kron_power(np.array([0.6, 0.8]), copies)
+
+    def test_numpy_integer_copies_accepted(self):
+        v = np.array([0.6, 0.8])
+        assert np.array_equal(kron_power(v, np.int64(2)), kron_power(v, 2))
+
 
 class TestPipeline:
     def test_rows_unit_norm_and_training_columns_centered(self):
@@ -213,6 +224,19 @@ class TestPipeline:
         pipe.fit_transform(toy_dataset(rng.normal(size=(6, fit_width))))
         with pytest.raises(ValueError, match=f"fitted on {fit_width} features, got {width}"):
             pipe.transform(toy_dataset(rng.normal(size=(4, width))))
+
+    @pytest.mark.parametrize("fit_shape, shape", [
+        ((1, 6, 3), (5, 4, 3)), ((6, 3), (2, 4, 3)), ((2, 6, 3), (4, 3)), ((2, 6, 3), (3, 4, 3)),
+    ], ids=["one-to-five", "lone-to-batch", "batch-to-lone", "two-to-three"])
+    def test_transform_of_another_batch_rejected(self, fit_shape, shape):
+        # numpy would broadcast the fitted statistics across the held-out batch
+        rng = np.random.default_rng(0)
+        pipe = Pipeline()
+        pipe.fit_transform(LabeledDataset(rng.normal(size=fit_shape),
+                                          np.resize([-1, 1], fit_shape[:-1])))
+        with pytest.raises(ValueError, match=re.escape(
+                f"fitted on a batch of shape {fit_shape[:-2]}, got {shape[:-2]}")):
+            pipe.transform(LabeledDataset(rng.normal(size=shape), np.resize([-1, 1], shape[:-1])))
 
     @pytest.mark.parametrize("copies", [1, 2])
     def test_batch_of_splits_equals_split_by_split(self, copies):

@@ -2,7 +2,8 @@
 private (single-underscore) names, by import or by attribute, every public
 name has a caller outside the tests, and so does every defaulted parameter
 of a public function or method, no two modules import each other, even
-through others, and the package root imports no module."""
+through others, the package root imports no module, and importing qic.cli
+binds every module the benchmark reads off the package."""
 
 import ast
 import math
@@ -355,3 +356,16 @@ def test_package_root_imports_no_module():
     assert Path(path) == SRC / "__init__.py"
     assert version
     assert loaded == ""
+
+
+# the modules the benchmark reads as attributes of qic after it imports only
+# qic and qic.cli: its workloads call them and its tracer rebinds their
+# functions, so cli's top-level imports are what make them reachable
+BENCH_MODULES = ("circuit", "classifier", "data", "encoding", "qasm", "stats", "statevector")
+
+
+def test_cli_import_binds_every_module_the_benchmark_reads():
+    code = f"import qic, qic.cli; print(*[m for m in {BENCH_MODULES!r} if not hasattr(qic, m)])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == ""
