@@ -92,14 +92,23 @@ def _unit_or_usage(parser: argparse.ArgumentParser, name: str, vec: np.ndarray) 
 
 
 def _write_output(text: str, path: str | None) -> int:
-    if path is None:
-        sys.stdout.write(text)
-        return 0
+    """Write text to path, or to stdout when path is None; 3 if that fails."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
+    except OSError as exc:  # a full disk or device, or a closed pipe
+        print(f"error: cannot write {'stdout' if path is None else path}: {exc}",
+              file=sys.stderr)
+        if path is None and sys.stdout is sys.__stdout__:
+            # the text is still buffered, and the interpreter's exit flush
+            # would fail on it again and report that too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 3
     return 0
 
@@ -258,12 +267,9 @@ def _cmd_reproduce(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     checks = verify_decompositions()
     width = max(len(name) for name, _, _ in checks)
-    all_ok = True
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name:<{width}}  {detail}")
-        all_ok &= ok
-    return 0 if all_ok else 1
+    text = "".join(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}\n"
+                   for name, ok, detail in checks)
+    return _write_output(text, None) or (0 if all(ok for _, ok, _ in checks) else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +347,9 @@ class _CommandParser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
+# built by the first call and reused: building it costs about as much as
+# parsing. parse_known_args leaves it unchanged and returns a fresh Namespace.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qic",
@@ -400,17 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built by the first main call and reused: building it costs about as much as
-# parsing. parse_known_args leaves it unchanged and returns a fresh Namespace.
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     # leftovers are reported by the subcommand's parser, so its usage is shown
-    args, extras = _parser.parse_known_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
     if extras:
         args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:

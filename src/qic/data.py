@@ -3,7 +3,6 @@ harness that drives the classifier over many random separations."""
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import math
@@ -113,7 +112,6 @@ class BenchmarkReport:
     mean_error: float
     error_variance: float
     mean_p_acc: float
-    impossible_branch_count: int = 0
 
 
 def run_benchmark(
@@ -129,12 +127,12 @@ def run_benchmark(
     repetitions are split in one call for all the batches, and each batch is
     read in one Pipeline and read_batch pass; each report is the one its
     dataset gives in a batch of one. Test points whose acceptance
-    probability vanishes are counted as misclassified and tallied separately.
+    probability vanishes are counted as misclassified.
     """
     check_count(repetitions, "repetitions", 1)
     batches = tuple(batches)
-    # per batch, per dataset: [per-rep errors, per-rep mean p_acc, impossible count]
-    tallies = [[[[], [], 0] for _ in batch.rows] for batch in batches]
+    # per batch, per dataset: [per-rep errors, per-rep mean p_acc]
+    tallies = [[[[], []] for _ in batch.rows] for batch in batches]
     for start in range(0, repetitions, CHUNK):
         reps = range(start, min(start + CHUNK, repetitions))
         seeds = [np.random.SeedSequence((master_seed, rep)) for rep in reps]
@@ -158,17 +156,15 @@ def run_benchmark(
                 tally[0].extend(errs)
                 # rejected points hold p_acc = 0, which leaves the exact fsum unchanged
                 tally[1].extend(math.fsum(row) / n for row, n in zip(rows, counts) if n)
-                tally[2] += test.n_samples * len(counts) - sum(counts)
     return [[_report(*tally) for tally in batch_tallies] for batch_tallies in tallies]
 
 
-def _report(errors: list[float], p_accs: list[float], impossible: int) -> BenchmarkReport:
+def _report(errors: list[float], p_accs: list[float]) -> BenchmarkReport:
     mean_error = math.fsum(errors) / len(errors)
     return BenchmarkReport(
         mean_error=mean_error,
         error_variance=math.fsum((e - mean_error) ** 2 for e in errors) / len(errors),
         mean_p_acc=math.fsum(p_accs) / len(p_accs) if p_accs else 0.0,
-        impossible_branch_count=impossible,
     )
 
 
@@ -206,17 +202,21 @@ TABLE2_ROWS: tuple[BenchmarkRowSpec, ...] = (
 )
 
 
-@functools.cache
-def _shared_benchmark_dataset(key: str) -> LabeledDataset:
+def benchmark_dataset(key: str) -> LabeledDataset:
+    """Materialize the fixed dataset behind a canonical benchmark row key.
+
+    Like iris, circles is one fixed dataset (seed 0), so the master seed
+    randomizes only the train/test separations.
+
+    Each call builds the dataset anew (iris from the CSV read once per
+    process), so its arrays are the caller's own.
+    """
     if key not in {spec.key for spec in TABLE2_ROWS}:
         raise ValueError(f"unknown benchmark row {key!r}")
     if key.startswith("iris"):
         parts = key.split("-")
-        ds = iris(classes=(int(parts[1]), int(parts[2])))
-    else:
-        ds = circles()
-    ds.rows.flags.writeable = ds.labels.flags.writeable = False
-    return ds
+        return iris(classes=(int(parts[1]), int(parts[2])))
+    return circles()
 
 
 @functools.cache
@@ -226,7 +226,7 @@ def _shared_benchmark_groups() -> tuple[tuple[tuple[BenchmarkRowSpec, ...], Labe
     each group's datasets stacked into one read-only batch (rows (G, n, d))."""
     groups: dict[tuple[int, ...], list] = {}
     for spec in TABLE2_ROWS:
-        ds = _shared_benchmark_dataset(spec.key)
+        ds = benchmark_dataset(spec.key)
         mapped = kron_power(ds.rows, spec.copies)
         groups.setdefault(mapped.shape, []).append((spec, mapped, ds.labels))
     out = []
@@ -236,20 +236,6 @@ def _shared_benchmark_groups() -> tuple[tuple[tuple[BenchmarkRowSpec, ...], Labe
         rows.flags.writeable = labels.flags.writeable = False
         out.append((specs, LabeledDataset(rows, labels)))
     return tuple(out)
-
-
-def benchmark_dataset(key: str) -> LabeledDataset:
-    """Materialize the fixed dataset behind a canonical benchmark row key.
-
-    Like iris, circles is one fixed dataset (seed 0), so the master seed
-    randomizes only the train/test separations.
-
-    Each dataset is built once per process and its arrays are read-only.
-    Every call returns its own LabeledDataset over them, so neither a write
-    nor a rebound attribute reaches a later caller; split copies the rows it
-    selects, so its outputs are writable.
-    """
-    return copy.copy(_shared_benchmark_dataset(key))
 
 
 def run_table2(

@@ -364,8 +364,7 @@ def postselect(
     kept branch (the acceptance probability).
     """
     _check_qubit(state.n_qubits, qubit)
-    if (isinstance(outcome, bool) or not isinstance(outcome, numbers.Integral)
-            or outcome not in (0, 1)):
+    if check_count(outcome, "outcome") not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
     bits = (np.arange(state.amplitudes.size) >> qubit) & 1
     keep = bits == outcome

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import re
@@ -266,6 +268,60 @@ class TestExportQasm:
         assert code == 3
 
 
+# one run of each subcommand that writes its result to stdout
+STDOUT_COMMANDS = [
+    ("classify", "--preset", "xprime"),
+    ("reproduce", "--table", "1"),
+    ("reproduce", "--table", "2", "--reps", "1"),
+    ("verify-decompositions",),
+    ("export-qasm", "--preset", "xprime"),
+    ("shots", "--eps", "0.01"),
+]
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose write or flush raises the given error."""
+
+    def __init__(self, error: OSError, method: str):
+        super().__init__()
+        self.error, self.method = error, method
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.error
+
+
+class TestStdoutErrors:
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                       OSError(errno.ENOSPC, "No space left on device")],
+                             ids=["broken-pipe", "no-space"])
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=" ".join)
+    def test_failed_write_is_io_error(self, argv, error, method, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", FailingStdout(error, method))
+        assert run_cli(*argv) == (3, None)
+        monkeypatch.undo()
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"error: cannot write stdout: {error}"
+        assert not [line for line in err[:-1] if line.startswith("error")]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device_exits_3_with_one_error_line(self):
+        # buffered stdout, so the text is still pending when the command returns
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "qic", "verify-decompositions"],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
 class TestShots:
     def test_wald_budget(self, capsys):
         code, _ = run_cli("shots", "--eps", "0.01", "--z", "2.58", "--method", "wald")
@@ -506,17 +562,10 @@ class TestParserReuse:
         assert run_cli("reproduce", "--table", "2", "--reps", "25", "--seed", "0") == (0, None)
         assert capsys.readouterr().out.encode() == GOLDEN_25.read_bytes()
 
-    def test_parser_is_built_at_most_once(self, monkeypatch, capsys):
-        built = []
-
-        def counting_build():
-            built.append(1)
-            return build_parser()
-
-        monkeypatch.setattr(cli, "_parser", None)
-        monkeypatch.setattr(cli, "build_parser", counting_build)
+    def test_parser_is_built_at_most_once(self, capsys):
+        build_parser.cache_clear()
         run_cli("classify", "--preset", "xprime")
         run_cli("classify", "--input", "0,0")
         run_cli("shots", "--eps", "0.01")
         run_cli("verify-decompositions")
-        assert built == [1]
+        assert build_parser.cache_info()[:2] == (3, 1)  # (hits, misses)

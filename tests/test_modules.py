@@ -2,8 +2,9 @@
 private (single-underscore) names, by import or by attribute, every public
 name has a caller outside the tests, and so does every defaulted parameter
 of a public function or method, no two modules import each other, even
-through others, the package root imports no module, and importing qic.cli
-binds every module the benchmark reads off the package."""
+through others, the package root imports no module, importing qic.cli
+binds every module the benchmark reads off the package, and every memo is a
+functools cache, bounded by CACHE_SIZE when it takes a key."""
 
 import ast
 import math
@@ -369,3 +370,101 @@ def test_cli_import_binds_every_module_the_benchmark_reads():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == ""
+
+
+def _cache_kind(node: ast.expr) -> str | None:
+    """"cache" or "lru_cache" for functools.cache or functools.lru_cache, or a
+    call of either; None for anything else."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+            and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+        return node.attr
+    return None
+
+
+def _is_cache_size(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "CACHE_SIZE"
+            or isinstance(node, ast.Attribute) and node.attr == "CACHE_SIZE")
+
+
+def memo_faults(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """The module's cached functions, and each fault of its memos: a
+    functools.cache on a function that takes arguments or given any itself,
+    an lru_cache keyed without maxsize=CACHE_SIZE, a cache used other than
+    as a decorator, a cache imported by name, and any global statement."""
+    cached, found, decorators = [], [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            keyed = any((node.args.posonlyargs, node.args.args, node.args.vararg,
+                         node.args.kwonlyargs, node.args.kwarg))
+            for dec in node.decorator_list:
+                kind = _cache_kind(dec)
+                if kind is None:
+                    continue
+                cached.append(node.name)
+                decorators.update((id(dec), id(getattr(dec, "func", dec))))
+                args = (dec.args, dec.keywords) if isinstance(dec, ast.Call) else ([], [])
+                if kind == "cache" and (keyed or any(args)):
+                    found.append(f"line {dec.lineno}: unbounded cache of {node.name}")
+                if kind == "lru_cache" and not (
+                        keyed and not args[0] and len(args[1]) == 1
+                        and args[1][0].arg == "maxsize" and _is_cache_size(args[1][0].value)):
+                    found.append(f"line {dec.lineno}: lru_cache of {node.name} "
+                                 "is not keyed and bounded by CACHE_SIZE")
+        elif isinstance(node, ast.Global):
+            found.append(f"line {node.lineno}: global {', '.join(node.names)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in ("cache", "lru_cache"):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+    for node in ast.walk(tree):
+        if _cache_kind(node) and id(node) not in decorators:
+            found.append(f"line {node.lineno}: cache used other than as a decorator")
+    return cached, found
+
+
+def test_every_memo_is_a_functools_cache_bounded_when_keyed():
+    cached = {}
+    for path in MODULES:
+        names, found = memo_faults(ast.parse(path.read_text()))
+        assert found == [], path.name
+        cached.update(dict.fromkeys(names, path.stem))
+    # both kinds are in use, so the rule is checked on real code
+    assert {"_step_plan", "build_parser"} <= set(cached)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "@functools.cache\ndef f(x):\n    pass\n",
+        "@functools.cache\ndef f(*args):\n    pass\n",
+        "class A:\n    @functools.cache\n    def f(self):\n        pass\n",
+        "@functools.lru_cache\ndef f(x):\n    pass\n",
+        "@functools.lru_cache(maxsize=None)\ndef f(x):\n    pass\n",
+        "@functools.lru_cache(maxsize=64)\ndef f(x):\n    pass\n",
+        "@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)\ndef f(x):\n    pass\n",
+        "@functools.lru_cache(maxsize=CACHE_SIZE)\ndef f():\n    pass\n",
+        "f = functools.lru_cache(maxsize=CACHE_SIZE)(g)\n",
+        "f = functools.cache(g)\n",
+        "from functools import cache\n",
+        "_t = None\n\ndef f():\n    global _t\n",
+    ],
+    ids=["keyed-cache", "varargs-cache", "method-cache", "bare-lru", "unbounded-lru",
+         "other-bound", "typed", "unkeyed-lru", "lru-call", "cache-call", "import", "global"],
+)
+def test_checker_flags_memos_out_of_rule(source):
+    assert memo_faults(ast.parse(source))[1]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "@functools.cache\ndef f():\n    pass\n",
+        "@functools.lru_cache(maxsize=CACHE_SIZE)\ndef f(x, y=1):\n    pass\n",
+        "@functools.lru_cache(maxsize=sv.CACHE_SIZE)\ndef f(x):\n    pass\n",
+        "class A:\n    @functools.cached_property\n    def f(self):\n        pass\n",
+    ],
+)
+def test_checker_allows_memos_in_rule(source):
+    assert memo_faults(ast.parse(source))[1] == []

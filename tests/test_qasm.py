@@ -223,9 +223,12 @@ def _outcome(text: str):
         return type(exc), str(exc)
 
 
+TABLES = (qasm._gate_statement, qasm._body_line)  # export's, then parse's
+
+
 def _clear_statement_tables():
-    qasm._parsed.clear()
-    qasm._emitted.clear()
+    for table in TABLES:
+        table.cache_clear()
 
 
 def _corrupt(lines: list[str], how: str, i: int, k: int) -> list[str]:
@@ -277,19 +280,23 @@ class TestStatementTables:
         assert _outcome(corrupted) == cold_outcome
 
     def test_cached_line_is_bounded_by_the_register_of_its_text(self):
+        _clear_statement_tables()
         parse_qasm("OPENQASM 2.0;\nqreg q[5];\ncx q[4],q[0];\n")
-        assert "cx q[4],q[0];" in qasm._parsed
+        assert qasm._body_line.cache_info().currsize == 1
         with pytest.raises(ValueError, match=re.escape(
                 "qubit 4 is outside qreg q[3] in line: 'cx q[4],q[0];'")):
             parse_qasm("OPENQASM 2.0;\nqreg q[3];\ncx q[4],q[0];\n")
+        assert qasm._body_line.cache_info()[:2] == (1, 1)  # (hits, misses)
 
     def test_ry_statements_never_enter_either_table(self):
         _clear_statement_tables()
         circ = Circuit(2, (sv.ry(0.5, 0), sv.h(1), sv.ry(-1.25, 1), sv.cx(1, 0), sv.ry(0.5, 0)))
         text = export_qasm(circ)
+        assert export_qasm(circ) == text
         cold, warm = parse_qasm(text), parse_qasm(text)
-        assert sorted(qasm._emitted) == [("cx", (1, 0)), ("h", (1,))]
-        assert sorted(qasm._parsed) == ["cx q[1],q[0];", "h q[1];"]
+        # the two angle-free statements, each a miss once and then a hit
+        for table in TABLES:
+            assert table.cache_info()[:2] == (2, 2) and table.cache_info().currsize == 2
         # angle-free ops come from the table; each ry op is built afresh
         assert [w is c for w, c in zip(warm.ops, cold.ops)] == [False, True, False, True, False]
         assert warm.ops == cold.ops == circ.ops
@@ -303,8 +310,10 @@ class TestStatementTables:
         _clear_statement_tables()
         text = export_qasm(circ)
         assert parse_qasm(text) == circ
-        assert len(qasm._parsed) == len(qasm._emitted) == sv.CACHE_SIZE
+        for table in TABLES:
+            assert table.cache_info().maxsize == table.cache_info().currsize == sv.CACHE_SIZE
         # again, with the oldest statements evicted while the newest are hits
         assert export_qasm(circ) == text
         assert parse_qasm(text) == circ
-        assert len(qasm._parsed) == len(qasm._emitted) == sv.CACHE_SIZE
+        for table in TABLES:
+            assert table.cache_info().currsize == sv.CACHE_SIZE
