@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import check_labels
+from .encoding import check_labels
 from .errors import EstimationFailedError, ImpossibleBranchError, check_count
 from .statevector import BRANCH_FLOOR, check_unit
 
@@ -222,7 +222,7 @@ def interfere_and_sample(
     shot is drawn.
     """
     check_count(shots, "shots", 1)
-    check_count(seed, "seed")
+    check_count(seed, "seed", 0)
     p_acc_true, p_minus_true = _prepared_readout(state)
 
     rng = np.random.default_rng(seed)

@@ -13,8 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .classifier import TrainingSet, read_batch
-from .dataset import LabeledDataset
-from .encoding import Pipeline, kron_power
+from .encoding import LabeledDataset, Pipeline, kron_power
 from .errors import check_count
 
 IRIS_SHA256 = "c8a2fdaf394fc79fd145487203d7d69163f0e6d0053ea46afe97fa3542d12822"
@@ -130,6 +129,7 @@ def run_benchmark(
     probability vanishes are counted as misclassified.
     """
     check_count(repetitions, "repetitions", 1)
+    check_count(master_seed, "master_seed", 0)
     batches = tuple(batches)
     # per batch, per dataset: [per-rep errors, per-rep mean p_acc]
     tallies = [[[[], []] for _ in batch.rows] for batch in batches]

@@ -1,16 +1,78 @@
-"""Classical preprocessing: unit-norm vectors, the tensor-copy feature map, and
-the fit-on-train pipeline that turns raw rows into encodable amplitudes."""
+"""Classical preprocessing: labeled datasets, unit-norm vectors, the
+tensor-copy feature map, and the fit-on-train pipeline that turns raw rows
+into encodable amplitudes."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .dataset import LabeledDataset
 from .errors import DegenerateFeatureError, ZeroVectorError, check_count
 
 # a norm or column spread at or below this is rounding noise of float64 data,
 # so there is no direction to keep and no scale to divide by
 _FLOOR = 1e-12
+
+
+def check_labels(rows: np.ndarray, labels) -> np.ndarray:
+    """The labels as ints, one per row (of each matrix in a batch), each
+    exactly -1 or +1 (1.5 is not truncated)."""
+    values = np.asarray(labels)
+    if values.shape != rows.shape[:-1]:
+        dims = ["x".join(map(str, shape)) for shape in (rows.shape[:-1], values.shape)]
+        raise ValueError(f"{dims[0]} rows but {dims[1]} labels")
+    if not np.all((values == 1) | (values == -1)):
+        raise ValueError("labels must be -1 or +1")
+    return values.astype(int, copy=False)
+
+
+@dataclass
+class LabeledDataset:
+    """Feature matrix with labels in {-1, +1}, or a batch of them stacked
+    along leading axes (rows (..., n, d), labels (..., n)).
+
+    The datasets of a batch (rows (G, n, d)) are told apart by their
+    position along the first axis: run_benchmark reports in its order.
+
+    Construction checks rows and labels. subset and Pipeline's outputs are
+    derived from a checked dataset without checking again: a subset takes
+    checked rows and labels, and normalize leaves every row finite and the
+    shape as it was."""
+
+    rows: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=float)
+        if self.rows.ndim < 2:
+            raise ValueError(f"rows must be a matrix, got shape {self.rows.shape}")
+        if not np.all(np.isfinite(self.rows)):
+            raise ValueError("rows must be finite")
+        self.labels = check_labels(self.rows, self.labels)
+
+    @property
+    def n_samples(self) -> int:
+        return self.rows.shape[-2]
+
+    @property
+    def n_features(self) -> int:
+        return self.rows.shape[-1]
+
+    def _derived(self, rows: np.ndarray, labels: np.ndarray) -> "LabeledDataset":
+        # built without __init__, so __post_init__ does not check again what
+        # the caller has checked
+        out = object.__new__(LabeledDataset)
+        out.rows, out.labels = rows, labels
+        return out
+
+    def subset(self, indices: np.ndarray) -> "LabeledDataset":
+        """Rows at indices, the same ones from every matrix of a batch; an
+        (R, k) index array gives a batch of R subsets of each matrix, so rows
+        (n, d) give (R, k, d) and rows (G, n, d) give (G, R, k, d)."""
+        return self._derived(
+            np.take(self.rows, indices, axis=-2), np.take(self.labels, indices, axis=-1)
+        )
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -73,7 +135,7 @@ class Pipeline:
             raise DegenerateFeatureError(
                 f"feature column(s) {bad.tolist()} have zero variance"
             )
-        out = dataset.with_rows(normalize(centered / stds[..., None, :]))
+        out = dataset._derived(normalize(centered / stds[..., None, :]), dataset.labels)
         self.means, self.stds = means, stds
         return out
 
@@ -87,6 +149,5 @@ class Pipeline:
             raise ValueError(
                 f"pipeline was fitted on a batch of shape {batch}, got {dataset.rows.shape[:-2]}"
             )
-        return dataset.with_rows(
-            normalize((dataset.rows - self.means[..., None, :]) / self.stds[..., None, :])
-        )
+        rows = normalize((dataset.rows - self.means[..., None, :]) / self.stds[..., None, :])
+        return dataset._derived(rows, dataset.labels)

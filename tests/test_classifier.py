@@ -478,7 +478,7 @@ class TestInterfereAndSample:
             interfere_and_sample(state, shots, seed=0)
         assert repr(shots) in str(info.value)
 
-    @pytest.mark.parametrize("seed", [True, False, np.bool_(False), None, 3.0, "3"])
+    @pytest.mark.parametrize("seed", [True, False, np.bool_(False), None, 1.0, 3.0, "3"])
     def test_rejects_non_integer_seed(self, seed):
         train, x_tilde = training_set(), preset_input("xprime")
         with pytest.raises(ValueError, match="seed must be an integer") as sampled:
@@ -487,6 +487,14 @@ class TestInterfereAndSample:
             classify(train, x_tilde, shots=100, seed=seed)
         assert repr(seed) in str(sampled.value)
         assert str(classified.value) == str(sampled.value)
+
+    def test_rejects_negative_seed(self):
+        # numpy would reject it with an error of its own
+        train, x_tilde = training_set(), preset_input("xprime")
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            interfere_and_sample(prepare_state(train, x_tilde), 100, -1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            classify(train, x_tilde, shots=100, seed=-1)
 
     def test_accepts_numpy_integer_seed(self):
         state = prepare_state(training_set(), preset_input("xprime"))

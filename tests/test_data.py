@@ -17,8 +17,7 @@ from qic.data import (
     run_benchmark,
     split,
 )
-from qic.dataset import LabeledDataset
-from qic.encoding import Pipeline, kron_power
+from qic.encoding import LabeledDataset, Pipeline, kron_power
 from qic.errors import ImpossibleBranchError
 
 from reference import gate_read
@@ -121,12 +120,12 @@ class TestIris:
         # sample 33 of classes 1&2 lands at (0, 1) after two-feature
         # standardize+normalize, up to the rounding of the published values
         ds = iris(classes=(1, 2))
-        out = Pipeline().fit_transform(ds.with_rows(ds.rows[:, :2]))
+        out = Pipeline().fit_transform(LabeledDataset(ds.rows[:, :2], ds.labels))
         assert np.allclose(out.rows[33], [0.0, 1.0], atol=0.03)
 
     def test_experiment_input_samples(self):
         ds = iris(classes=(1, 2))
-        out = Pipeline().fit_transform(ds.with_rows(ds.rows[:, :2]))
+        out = Pipeline().fit_transform(LabeledDataset(ds.rows[:, :2], ds.labels))
         assert np.allclose(out.rows[28], [-0.549, 0.836], atol=0.02)
         assert np.allclose(out.rows[36], [0.053, 0.999], atol=0.02)
         assert np.allclose(out.rows[85], [0.789, 0.615], atol=0.02)
@@ -289,11 +288,24 @@ class TestLabeledDataset:
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError, match="2 rows but 3 labels"):
             LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0]], labels=[1, -1, 1])
+        with pytest.raises(ValueError, match="3 rows but 2 labels"):
+            LabeledDataset(rows=np.ones((3, 2)), labels=[1, -1])
+
+    @pytest.mark.parametrize("rows, message", [
+        ([1.0, 2.0], "rows must be a matrix, got shape (2,)"),
+        ([[1.0, np.nan], [3.0, 4.0]], "rows must be finite"),
+        ([[1.0, 2.0], [-np.inf, 4.0]], "rows must be finite"),
+    ])
+    def test_rejects_rows_that_are_not_a_finite_matrix(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LabeledDataset(rows=rows, labels=[1, -1])
 
     def test_batch_checks_labels_and_rows_of_every_matrix(self):
         rows = np.ones((2, 3, 2))
         with pytest.raises(ValueError, match="2x3 rows but 3 labels"):
             LabeledDataset(rows=rows, labels=[1, -1, 1])
+        with pytest.raises(ValueError, match="2x1 rows but 2x2 labels"):
+            LabeledDataset(rows=np.ones((2, 1, 3)), labels=[[1, -1], [-1, 1]])
         with pytest.raises(ValueError, match="labels must be -1 or"):
             LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, 0, 1]])
         batch = LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
@@ -309,36 +321,28 @@ class TestLabeledDataset:
         rows[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="rows must be finite"):
             LabeledDataset(rows=rows, labels=[[1, -1, 1], [1, -1, 1]])
-
-    def test_with_rows_checks_the_new_rows(self):
-        ds = LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0]], labels=[1, -1])
         with pytest.raises(ValueError, match="rows must be finite"):
-            ds.with_rows([[1.0, np.nan], [3.0, 4.0]])
-        with pytest.raises(ValueError, match="3 rows but 2 labels"):
-            ds.with_rows(np.ones((3, 2)))
-        with pytest.raises(ValueError, match="rows must be a matrix"):
-            ds.with_rows([1.0, 2.0])
-        batch = ds.subset(np.array([[1, 0], [0, 1]]))
-        with pytest.raises(ValueError, match="rows must be finite"):
-            batch.with_rows(np.full((2, 2, 3), np.inf))
-        with pytest.raises(ValueError, match="2x1 rows but 2x2 labels"):
-            batch.with_rows(np.ones((2, 1, 3)))
+            LabeledDataset(rows=np.full((2, 2, 3), np.inf), labels=[[1, -1], [-1, 1]])
 
-    def test_subset_and_with_rows_do_not_recheck_labels(self, monkeypatch):
-        from qic import dataset
+    def test_subset_and_pipeline_do_not_recheck(self, monkeypatch):
+        from qic import encoding
 
         ds = LabeledDataset(rows=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], labels=[1, -1, 1])
 
         def recheck(*args):
-            raise AssertionError("a derived dataset re-checked its labels")
+            raise AssertionError("a derived dataset re-checked its rows or labels")
 
-        monkeypatch.setattr(dataset, "check_labels", recheck)
+        monkeypatch.setattr(encoding, "check_labels", recheck)
+        monkeypatch.setattr(LabeledDataset, "__post_init__", recheck)
         batch = ds.subset(np.array([[2, 0], [1, 2]]))
         assert batch.labels.tolist() == [[1, 1], [-1, 1]]
         assert batch.rows[1, 0].tolist() == [3.0, 4.0]
-        out = batch.with_rows(-batch.rows)
-        assert out.labels is batch.labels
-        assert out.rows[0, 0].tolist() == [-5.0, -6.0]
+        pipe = Pipeline()
+        for out in (pipe.fit_transform(batch), pipe.transform(batch)):
+            assert out.labels is batch.labels
+            assert out.rows.shape == batch.rows.shape
+            assert np.allclose(out.rows, np.array([[[1, 1], [-1, -1]], [[-1, -1], [1, 1]]])
+                               / np.sqrt(2))
 
 
 class TestRunBenchmark:
@@ -372,7 +376,7 @@ class TestRunBenchmark:
                 return self.transform(dataset)
 
             def transform(self, dataset):
-                return dataset.with_rows(normalize(dataset.rows))
+                return LabeledDataset(normalize(dataset.rows), dataset.labels)
 
         monkeypatch.setattr(data, "Pipeline", Unstandardized)
         rows = [[s, 2.0 * s] for s in range(1, 10)] + [[-1.0, -2.0]]
@@ -412,6 +416,19 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=re.escape(
                 f"repetitions must be an integer, got {repetitions!r}")):
             run_benchmark([batch_of(iris(classes=(1, 2)))], repetitions, 0)
+
+    @pytest.mark.parametrize("seed, message", [
+        (True, "master_seed must be an integer, got True"),
+        (1.0, "master_seed must be an integer, got 1.0"),
+        (-1, "master_seed must be >= 0, got -1"),
+    ])
+    def test_master_seed_must_be_a_nonnegative_integer(self, seed, message):
+        # a bool would run as seed 1, and numpy rejects a float or a
+        # negative seed with an error of its own; run_table2 checks the same
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_benchmark([batch_of(iris(classes=(1, 2)))], 1, seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            data.run_table2(1, seed)
 
     def test_lone_batch_is_not_a_sequence(self):
         with pytest.raises(TypeError, match="not iterable"):

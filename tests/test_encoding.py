@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from qic.dataset import LabeledDataset
-from qic.encoding import Pipeline, kron_power, normalize
+from qic.encoding import LabeledDataset, Pipeline, kron_power, normalize
 from qic.errors import DegenerateFeatureError, ZeroVectorError
 
 
@@ -20,7 +19,7 @@ def toy_dataset(rows, labels=None):
 
 def mapped(ds, copies):
     """The dataset under the tensor-copy feature map, which precedes Pipeline."""
-    return ds.with_rows(kron_power(ds.rows, copies))
+    return LabeledDataset(kron_power(ds.rows, copies), ds.labels)
 
 
 class TestStandardize:

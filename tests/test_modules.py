@@ -3,8 +3,9 @@ private (single-underscore) names, by import or by attribute, every public
 name has a caller outside the tests, and so does every defaulted parameter
 of a public function or method, no two modules import each other, even
 through others, the package root imports no module, importing qic.cli
-binds every module the benchmark reads off the package, and every memo is a
-functools cache, bounded by CACHE_SIZE when it takes a key."""
+binds every module the benchmark reads off the package, every memo is a
+functools cache, bounded by CACHE_SIZE when it takes a key, and README's
+module table has one row per module."""
 
 import ast
 import math
@@ -58,6 +59,12 @@ def private_reaches(tree: ast.Module) -> list[str]:
 
 def test_package_has_modules():
     assert len(MODULES) >= 10
+
+
+def test_readme_module_table_rows_are_the_modules():
+    rows = re.findall(r"^\| `qic\.(\w+)` \|", (ROOT / "README.md").read_text(), re.MULTILINE)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {p.stem for p in MODULES} - {"__init__", "__main__"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qic import classifier, data, dataset, stats
+from qic import classifier, data, encoding, stats
 from qic import statevector as sv
 from qic.circuit import Circuit
 from qic.classifier import TrainingSet
@@ -173,14 +173,14 @@ def swapped_batch_reports(monkeypatch):
 
 def flipped_label(monkeypatch):
     # the label check negates the first label of every set it checks
-    check = dataset.check_labels
+    check = encoding.check_labels
 
     def planted(rows, labels):
         values = check(rows, labels).copy()
         values.flat[0] *= -1
         return values
 
-    for module in (dataset, classifier):
+    for module in (encoding, classifier):
         monkeypatch.setattr(module, "check_labels", planted)
 
 

@@ -279,6 +279,23 @@ class TestStatementTables:
         parse_qasm(text)
         assert _outcome(corrupted) == cold_outcome
 
+    def test_blank_and_comment_lines_after_the_register_parse_to_nothing(self):
+        circ = decompose(with_interference(build_experiment_circuit(preset_input("xprime"), X0, X1)))
+        lines = export_qasm(circ).splitlines()
+        assert lines[2].startswith("qreg")
+        filler = ["", "   ", "// a comment", "  // ry(0.5) q[0]; a comment holding (", "\t"]
+        text = "\n".join(lines[:3] + filler + lines[3:5] + filler + lines[5:] + filler) + "\n"
+        _clear_statement_tables()
+        cold = parse_qasm(text)
+        warm = parse_qasm(text)
+        assert cold == warm == circ
+        # every body line without "(" enters the table once, the blank and
+        # comment ones included; the comment holding "(" never does
+        body = text.splitlines()[3:]
+        tabled = [line for line in body if "(" not in line]
+        assert qasm._body_line.cache_info().currsize == len(set(tabled))
+        assert qasm._body_line.cache_info().hits == 2 * len(tabled) - len(set(tabled))
+
     def test_cached_line_is_bounded_by_the_register_of_its_text(self):
         _clear_statement_tables()
         parse_qasm("OPENQASM 2.0;\nqreg q[5];\ncx q[4],q[0];\n")
